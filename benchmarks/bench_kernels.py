@@ -1,41 +1,16 @@
-"""PERF-KERNEL — dataflow engine and DES kernel throughput.
+"""PERF-KERNEL — DES kernel throughput and GPR fit cost.
 
-The two execution substrates' overheads: dataflow node dispatch cost
-(Swift/T-style concurrency) and DES events per second (what bounds how
-large a Figure-4-style scenario the benchmarks can regenerate).
+DES events per second bounds how large a Figure-4-style scenario the
+benchmarks can regenerate; the GPR fit is the reprioritization step's
+dominant cost.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dataflow import DataflowEngine, TaskGraph
 from repro.me import GaussianProcessRegressor
 from repro.simt import Environment
-
-
-class TestDataflow:
-    def test_wide_graph_dispatch(self, benchmark):
-        def run():
-            g = TaskGraph()
-            for i in range(300):
-                g.add(f"n{i}", lambda i=i: i)
-            g.add("sum", lambda *v: sum(v), deps=[f"n{i}" for i in range(300)])
-            return DataflowEngine(max_workers=8).run(g)
-
-        result = benchmark.pedantic(run, rounds=3, iterations=1)
-        assert result.results["sum"] == sum(range(300))
-
-    def test_deep_chain_dispatch(self, benchmark):
-        def run():
-            g = TaskGraph()
-            g.add("n0", lambda: 0)
-            for i in range(1, 400):
-                g.add(f"n{i}", lambda x: x + 1, deps=[f"n{i-1}"])
-            return DataflowEngine(max_workers=2).run(g)
-
-        result = benchmark.pedantic(run, rounds=3, iterations=1)
-        assert result.results["n399"] == 399
 
 
 class TestSimtKernel:

@@ -76,7 +76,7 @@ def write_messages(stream: BinaryIO, messages: Iterable[dict[str, Any]]) -> int:
     syscalls (and, without TCP_NODELAY, N Nagle stalls); coalescing puts
     the whole batch in one segment train.  Returns total bytes written.
     """
-    buf = b"".join(encode_message(m) for m in messages)
+    buf = b"".join([encode_message(m) for m in messages])
     if buf:
         stream.write(buf)
         stream.flush()
@@ -156,11 +156,6 @@ def remote_error(error: dict[str, Any]) -> Exception:
     preserving its type where the type is part of the store contract."""
     exc_type = _ERROR_TYPES.get(error.get("type", ""), ReproError)
     return exc_type(error.get("message", "remote error"))
-
-
-def raise_remote_error(error: dict[str, Any]) -> None:
-    """Re-raise a server-side error client-side (see :func:`remote_error`)."""
-    raise remote_error(error)
 
 
 def task_row_to_dict(row: TaskRow) -> dict[str, Any]:

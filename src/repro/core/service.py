@@ -21,18 +21,9 @@ from typing import Any
 
 from repro.core import protocol
 from repro.core.leases import LeaseReaper
+from repro.core.ops import OPS, Hop, Op
 from repro.db.backend import TaskStore
-from repro.telemetry.journal import (
-    EV_CANCEL,
-    EV_ENQUEUE,
-    EV_LEASE_RENEW,
-    EV_POP,
-    EV_REPORT,
-    EV_REQUEUE,
-    ROLE_SERVICE,
-    Journal,
-    get_journal,
-)
+from repro.telemetry.journal import ROLE_SERVICE, Journal, get_journal
 from repro.telemetry.fleet import FleetRegistry
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.telemetry.tracing import Tracer, get_tracer
@@ -128,9 +119,22 @@ class _Handler(socketserver.StreamRequestHandler):
             params = message.get("params") or {}
             if not isinstance(params, dict):
                 raise ValueError("request params must be an object")
+            op = OPS.get(method)
+            if op is None:
+                raise ValueError(f"unknown method: {method}")
+            # A hop record carries the time the request *began*: the
+            # store write inside the call wakes long-polling peers at
+            # once, so a stamp taken after it could sort this hop behind
+            # the events it caused (a report after the ME's collect).
+            hop = op.hop
+            began = (
+                service.clock.now()
+                if hop is not None and service.journal.enabled
+                else None
+            )
             tracer = service.tracer
             if not tracer.enabled:
-                result = service.call(method, params)
+                result = service.call(op, params)
             else:
                 # Parent under the client's RPC span (propagated in the
                 # frame) so the wire hop decomposes: service handling
@@ -141,14 +145,11 @@ class _Handler(socketserver.StreamRequestHandler):
                     parent=protocol.extract_trace(message),
                 ):
                     with tracer.span(f"db.{method}", component="db"):
-                        result = service.call(method, params)
-            journal = service.journal
-            if journal.enabled:
-                service.journal_request(journal, method, params, result, message)
+                        result = service.call(op, params)
+            if hop is not None and began is not None:
+                service.journal_hop(hop, params, result, message, began)
             service.m_requests.inc()
-            method_counter = service.m_method_requests.get(method)
-            if method_counter is not None:
-                method_counter.inc()
+            service.m_method_requests[method].inc()
             return protocol.ok_response(request_id, result)
         except Exception as exc:
             service.m_errors.inc()
@@ -243,40 +244,6 @@ class TaskService:
         surfaced in ``/status``; :meth:`stop` wakes them all.
     """
 
-    #: Store methods callable over the wire, with result encoders where
-    #: the raw return value is not JSON-ready.
-    _METHODS = frozenset(
-        {
-            "create_task",
-            "create_tasks",
-            "pop_out",
-            "queue_out_length",
-            "report",
-            "report_batch",
-            "pop_in",
-            "pop_in_any",
-            "queue_in_length",
-            "get_task",
-            "get_statuses",
-            "get_priorities",
-            "update_priorities",
-            "cancel_tasks",
-            "requeue",
-            "renew_leases",
-            "requeue_expired",
-            "tasks_for_experiment",
-            "tasks_for_tag",
-            "cache_get",
-            "cache_put",
-            "cache_stats",
-            "max_task_id",
-            "stats",
-            "clear",
-            "ping",
-            "telemetry",
-        }
-    )
-
     def __init__(
         self,
         store: TaskStore,
@@ -335,7 +302,7 @@ class TaskService:
             method: registry.counter(
                 f"service.requests.{method}", f"{method} requests handled"
             )
-            for method in self._METHODS
+            for method in OPS
         }
         self._server = _Server((host, port), _Handler)
         self._server.service = self
@@ -413,70 +380,36 @@ class TaskService:
         """The task store behind this service."""
         return self._store
 
-    #: RPC method -> journal event for the service-role hop record.
-    _JOURNAL_EVENTS = {
-        "create_task": EV_ENQUEUE,
-        "create_tasks": EV_ENQUEUE,
-        "pop_out": EV_POP,
-        "report": EV_REPORT,
-        "report_batch": EV_REPORT,
-        "renew_leases": EV_LEASE_RENEW,
-        "requeue": EV_REQUEUE,
-        "requeue_expired": EV_REQUEUE,
-        "cancel_tasks": EV_CANCEL,
-    }
+    @property
+    def clock(self) -> Clock:
+        """The service's time source (hop stamps, reaper, fleet liveness)."""
+        return self._clock
 
-    def journal_request(
+    def journal_hop(
         self,
-        journal: Journal,
-        method: str,
+        hop: Hop,
         params: dict[str, Any],
         result: Any,
         message: dict[str, Any],
+        began: float,
     ) -> None:
         """Emit service-role hop records for one handled RPC.
 
         The DB backend already journals the authoritative state change;
         these records add the *service observed it* hop (with the
         client's trace id off the frame), which the timeline merge
-        interleaves to show wire latency per hop.  Only called when the
-        journal is enabled.
+        interleaves to show wire latency per hop.  Only called for ops
+        that declare a hop, when the journal is enabled.
         """
-        event = self._JOURNAL_EVENTS.get(method)
-        if event is None:
-            return
+        journal = self.journal
         context = protocol.extract_trace(message)
         trace_id = context.trace_id if context is not None else ""
-        work_type = int(params.get("eq_type", -1))
-        now = self._clock.now()
-        if method == "create_task":
-            task_ids = [int(result)]
-        elif method == "create_tasks":
-            task_ids = [int(tid) for tid in result]
-        elif method == "pop_out":
-            task_ids = [int(tid) for tid, _payload in result]
-        elif method == "report":
-            task_ids = [int(params["eq_task_id"])]
-        elif method == "report_batch":
-            for tid, eq_type, _res in params.get("reports", []):
-                journal.emit(
-                    event, int(tid), role=ROLE_SERVICE,
-                    work_type=int(eq_type), trace_id=trace_id, time=now,
-                )
-            return
-        elif method == "requeue":
-            if not result:
-                return
-            task_ids = [int(params["eq_task_id"])]
-        elif method == "requeue_expired":
-            task_ids = [int(tid) for tid in result]
-        else:  # renew_leases / cancel_tasks: per requested id
-            task_ids = [int(tid) for tid in params.get("eq_task_ids", [])]
-        source = str(params.get("worker_pool", "")) if method == "pop_out" else ""
-        for tid in task_ids:
+        # Only a pop names the pool it serves; every other hop is unsourced.
+        source = str(params.get("worker_pool", ""))
+        for task_id, work_type in hop.tasks(params, result):
             journal.emit(
-                event, tid, role=ROLE_SERVICE, work_type=work_type,
-                trace_id=trace_id, source=source, time=now,
+                hop.event, task_id, role=ROLE_SERVICE, work_type=work_type,
+                trace_id=trace_id, source=source, time=began,
             )
 
     @property
@@ -490,10 +423,7 @@ class TaskService:
         if self._auth_token is not None and token != self._auth_token:
             raise AuthenticationError("invalid or missing service token")
 
-    #: RPCs that accept a ``wait_ms`` long-poll bound.
-    _WAIT_METHODS = frozenset({"pop_out", "pop_in_any"})
-
-    def _resolve_wait(self, method: str, params: dict[str, Any]) -> float:
+    def _resolve_wait(self, params: dict[str, Any]) -> float:
         """Pop ``wait_ms`` off ``params``; return the granted wait seconds.
 
         The grant is clamped to ``max_wait_ms``, zeroed while stopping
@@ -510,38 +440,40 @@ class TaskService:
             return 0.0
         return min(float(wait_ms), float(self._max_wait_ms)) / 1000.0
 
-    def call(self, method: str, params: dict[str, Any]) -> Any:
-        """Dispatch one store method; encodes non-JSON results."""
-        if method == "ping":
-            return {"version": protocol.PROTOCOL_VERSION}
-        if method == "telemetry":
-            # Fleet push: handled by the registry, never by the store.
-            return self._fleet.observe(params.get("envelope") or {})
-        if method not in self._METHODS:
-            raise ValueError(f"unknown method: {method}")
-        if method in self._WAIT_METHODS and "wait_ms" in params:
-            wait = self._resolve_wait(method, params)
-            if wait > 0:
-                # The handler thread blocks in the store; count it so
-                # /status shows how many clients are parked in waits.
-                self.g_waiters.inc()
-                try:
-                    result = getattr(self._store, method)(**params, wait=wait)
-                finally:
-                    self.g_waiters.dec()
-                return result
-        result = getattr(self._store, method)(**params)
-        if method == "get_task":
-            return protocol.task_row_to_dict(result)
-        if method == "get_statuses":
-            return [[tid, int(status)] for tid, status in result]
-        # Report-path profiles also feed the fleet aggregates, so
-        # per-work-type tables fill even without push telemetry.  The
-        # key checks keep the non-profiling hot path at two dict probes.
-        if method == "report" and params.get("profile"):
-            self._fleet.observe_profiles([params["profile"]])
-        elif method == "report_batch" and params.get("profiles"):
-            self._fleet.observe_profiles(list(params["profiles"].values()))
+    def _rpc_ping(self, params: dict[str, Any]) -> dict[str, Any]:
+        return {"version": protocol.PROTOCOL_VERSION}
+
+    def _rpc_telemetry(self, params: dict[str, Any]) -> dict[str, Any]:
+        # Fleet push: handled by the registry, never by the store.
+        return self._fleet.observe(params.get("envelope") or {})
+
+    def call(self, op: Op, params: dict[str, Any]) -> Any:
+        """Dispatch one op (a row of :data:`repro.core.ops.OPS`) and
+        return its JSON-ready result."""
+        if not op.on_store:
+            return getattr(self, f"_rpc_{op.name}")(params)
+        # By keyword on whatever object we were given: the store may be
+        # a duck-typed wrapper (fault injector, timing proxy).
+        method = getattr(self._store, op.name)
+        wait = self._resolve_wait(params) if op.waitable and "wait_ms" in params else 0.0
+        if wait > 0:
+            # The handler thread blocks in the store; count it so
+            # /status shows how many clients are parked in waits.
+            self.g_waiters.inc()
+            try:
+                result = method(**params, wait=wait)
+            finally:
+                self.g_waiters.dec()
+        else:
+            result = method(**params)
+        if op.encode_result is not None:
+            result = op.encode_result(result)
+        if op.profiles is not None:
+            # Report-path profiles also feed the fleet aggregates, so
+            # per-work-type tables fill even without push telemetry.
+            profiles = op.profiles(params)
+            if profiles:
+                self._fleet.observe_profiles(profiles)
         return result
 
     @property

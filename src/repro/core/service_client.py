@@ -17,13 +17,15 @@ still open one client each.
 
 Long-poll RPCs (``pop_out``/``pop_in_any`` with a ``wait``) are the one
 exception to the shared socket: each rides a dedicated wait-channel
-connection from a small pool (:class:`_WaitConn`), because a request
+connection from a small pool (see :class:`_Conn`), because a request
 that blocks server-side for seconds must not hold the lockstep lock and
 starve the fetches and reports sharing the store.
 
 Resilience (paper §IV-B: tasks "are not lost when a resource fails"):
-a dropped connection no longer kills the store.  Every RPC classifies
-itself as idempotent or not:
+a dropped connection no longer kills the store.  Every RPC is
+idempotent or not — the flag, and the reason for it, is on the op's row
+in :mod:`repro.core.ops`, from which this class's ``TaskStore`` methods
+are also derived:
 
 - **Idempotent** methods (reads, ``report``, ``requeue``, lease
   renewal, ...) are retried transparently — the client tears down the
@@ -54,13 +56,20 @@ import random
 import socket
 import threading
 import time
-from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core import protocol
+from repro.core.ops import (
+    PING,
+    TELEMETRY,
+    Op,
+    retryable,
+    signature_method,
+    store_methods,
+    wait_seconds,
+)
 from repro.db.backend import TaskStore
-from repro.db.schema import TaskRow, TaskStatus
 from repro.telemetry.metrics import COUNT_BUCKETS, MetricsRegistry, get_metrics
 from repro.telemetry.tracing import Span, Tracer, get_tracer
 from repro.util.errors import (
@@ -95,57 +104,6 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * rng.random())
 
 
-#: Methods safe to re-send after an ambiguous failure: reads, and writes
-#: whose double application converges to the same state (``report`` is
-#: first-write-wins in every backend; ``requeue``/``renew_leases``/
-#: ``requeue_expired`` check state server-side; ``update_priorities`` /
-#: ``cancel_tasks`` / ``clear`` set absolute state).
-IDEMPOTENT_METHODS: frozenset[str] = frozenset(
-    {
-        "ping",
-        "telemetry",
-        "queue_out_length",
-        "queue_in_length",
-        "report",
-        "report_batch",
-        "get_task",
-        "get_statuses",
-        "get_priorities",
-        "update_priorities",
-        "cancel_tasks",
-        "requeue",
-        "renew_leases",
-        "requeue_expired",
-        "tasks_for_experiment",
-        "tasks_for_tag",
-        # Cache ops: get is a read (the LRU touch converges), put is
-        # last-write-wins on a content hash — re-sending either lands
-        # the same state.
-        "cache_get",
-        "cache_put",
-        "cache_stats",
-        "max_task_id",
-        "stats",
-        "clear",
-    }
-)
-
-#: Methods that must not be blindly re-sent: creation would duplicate
-#: rows; pops would claim extra tasks (``pop_out``) or silently consume
-#: a result whose response was lost (``pop_in``/``pop_in_any``).
-#:
-#: Exception: a pop that carries ``wait_ms`` (a long-poll) *is* re-sent
-#: after a connection break.  A wait RPC spends almost its whole
-#: lifetime blocked server-side before any row is claimed, so a severed
-#: connection is overwhelmingly pre-pop; in the rare post-pop race the
-#: claimed rows are leased, the reaper requeues them, and ``report`` is
-#: first-write-wins — the same recovery chain that already covers a
-#: pop whose pool dies.  Not retrying would turn every transient drop
-#: during an idle wait into a caller-visible error.
-NON_IDEMPOTENT_METHODS: frozenset[str] = frozenset(
-    {"create_task", "create_tasks", "pop_out", "pop_in", "pop_in_any"}
-)
-
 #: Extra socket-read headroom on top of a long-poll's wait, so a server
 #: that blocks the full ``wait_ms`` (plus scheduling noise) is not
 #: misread as dead by a client with a bounded ``io_timeout``.
@@ -155,19 +113,6 @@ WAIT_SLACK: float = 5.0
 #: dedicated sockets (see :class:`RemoteTaskStore`); finished ones are
 #: parked for reuse up to this many, the rest closed.
 WAIT_POOL_SIZE: int = 2
-
-
-def _wait_seconds(params: Mapping[str, Any]) -> float:
-    """Seconds of server-side long-poll requested by ``params`` (0 if none)."""
-    wait_ms = params.get("wait_ms")
-    if not wait_ms:
-        return 0.0
-    return float(wait_ms) / 1000.0
-
-
-def _retryable_call(method: str, params: Mapping[str, Any]) -> bool:
-    """Whether an ambiguous failure of this call may be re-sent."""
-    return method in IDEMPOTENT_METHODS or _wait_seconds(params) > 0.0
 
 
 class PipelinedCall:
@@ -217,9 +162,10 @@ class PipelinedCall:
         """Resolve from a matched response frame (a typed error frame is
         a *successful* exchange — the server handled the request)."""
         if response.get("ok"):
-            self._set_result(response.get("result"))
+            self._result = response.get("result")
         else:
-            self._set_error(protocol.remote_error(response.get("error", {})))
+            self._error = protocol.remote_error(response.get("error", {}))
+        self._done = True
 
 
 class RpcPipeline:
@@ -284,23 +230,16 @@ class RpcPipeline:
             self.flush()
 
 
-class _WaitConn:
-    """One dedicated socket for a long-poll RPC.
-
-    A wait RPC parks its connection server-side for seconds at a time;
-    running it on the store's shared lockstep socket would hold the
-    connection lock and starve every fetch/report sharing the store.
-    Wait RPCs therefore check a connection out of a small pool, use it
-    exclusively, and return it — concurrent waiters each get their own
-    socket, and ordinary RPCs never queue behind a wait.
-    """
+class _Conn:
+    """One handshaken connection: the shared lockstep channel, or a wait
+    channel checked out of the pool for one long-poll's exclusive use."""
 
     __slots__ = ("sock", "rfile", "wfile")
 
-    def __init__(self, sock: socket.socket, rfile: Any, wfile: Any) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.rfile = rfile
-        self.wfile = wfile
+        self.rfile = sock.makefile("rb")
+        self.wfile = sock.makefile("wb")
 
     def close(self) -> None:
         for f in (self.rfile, self.wfile, self.sock):
@@ -310,6 +249,23 @@ class _WaitConn:
                 pass
 
 
+def _store_stub(op: Op) -> Any:
+    """The :class:`RemoteTaskStore` method for one store op: arguments
+    bound as the ABC declares them, encoded, round-tripped, decoded."""
+    to_wire, decode, name = op.to_wire, op.decode_result, op.name
+
+    def finish(self: "RemoteTaskStore", params: dict[str, Any]) -> Any:
+        if to_wire is not None:
+            params = to_wire(params)
+            if params is None:  # nothing to send (an empty batch)
+                return None
+        result = self._call(name, params)
+        return decode(result) if decode is not None else result
+
+    return signature_method(name, finish)
+
+
+@store_methods(_store_stub)
 class RemoteTaskStore(TaskStore):
     """A TaskStore proxied over the EMEWS service protocol."""
 
@@ -359,18 +315,16 @@ class RemoteTaskStore(TaskStore):
             COUNT_BUCKETS,
             "requests per pipeline flush",
         )
-        self._sock: socket.socket | None = None
-        self._rfile: Any = None
-        self._wfile: Any = None
+        self._conn: _Conn | None = None
         self._next_id = 0
         self._id_lock = threading.Lock()
         self._closed = False
         self._ever_connected = False
-        # Dedicated long-poll connections (see _WaitConn): a small pool,
+        # Dedicated long-poll connections (see _Conn): a small pool,
         # lazily opened on the first wait RPC.
         self._wpool_lock = threading.Lock()
-        self._wait_idle: list[_WaitConn] = []
-        self._wait_busy: set[_WaitConn] = set()
+        self._wait_idle: list[_Conn] = []
+        self._wait_busy: set[_Conn] = set()
         with self._lock:
             # Fail fast on unreachable service / version / auth problems.
             self._connect_locked()
@@ -383,25 +337,97 @@ class RemoteTaskStore(TaskStore):
     def connected(self) -> bool:
         """Whether a live socket is currently held (no probe is sent)."""
         with self._lock:
-            return self._sock is not None
+            return self._conn is not None
+
+    # -- the one exchange ----------------------------------------------------
+
+    def _exchange(
+        self, conn: _Conn, calls: list[PipelinedCall], span: Span | None
+    ) -> None:
+        """Send ``calls`` as one write; resolve each from its response.
+
+        The single send / receive / id-check path under the handshake,
+        lockstep, wait-channel and pipeline callers (a lockstep RPC is a
+        batch of one).  Each response must answer a distinct in-flight
+        request id: a frame answering none of them is a stale reply from
+        an interrupted exchange, i.e. the stream is desynced.
+
+        On any fault the connection is closed before the error
+        propagates — a connection that died between write and read may
+        hold a stale frame that would answer the *next* request, so it
+        is never reused; the owner only has to forget it.  Calls
+        resolved before the fault keep their results.
+        """
+        pending: dict[int, PipelinedCall] = {}
+        requests: list[dict[str, Any]] = []
+        for call in calls:
+            with self._id_lock:  # ids are unique across all channels
+                self._next_id += 1
+                call.request_id = self._next_id
+            request: dict[str, Any] = {
+                "id": call.request_id,
+                "method": call.method,
+                "params": call.params,
+            }
+            if self._token is not None:
+                request["token"] = self._token
+            if span is not None:
+                protocol.inject_trace(request, span.context)
+            requests.append(request)
+            pending[call.request_id] = call
+        # The server answers frame-by-frame and legitimately goes quiet
+        # for a whole long-poll before answering; a bounded per-RPC read
+        # timeout must cover the largest wait aboard plus slack, or every
+        # empty wait reads as a dead connection.
+        io_timeout = self._io_timeout
+        stretch = io_timeout is not None and any(
+            wait_seconds(call.params) > 0.0 for call in calls
+        )
+        try:
+            if stretch:
+                longest = max(wait_seconds(call.params) for call in calls)
+                conn.sock.settimeout(longest + max(io_timeout, WAIT_SLACK))  # type: ignore[type-var]
+            if span is not None:
+                tracer = self.tracer
+                with tracer.span("rpc.send", component="service_client"):
+                    protocol.write_messages(conn.wfile, requests)
+                with tracer.span("rpc.recv", component="service_client"):
+                    self._receive(conn, pending)
+            else:
+                protocol.write_messages(conn.wfile, requests)
+                self._receive(conn, pending)
+            if stretch:
+                conn.sock.settimeout(io_timeout)
+        except (OSError, ConnectionError, ReproError):
+            # ReproError: framing/serialization trouble from the
+            # protocol layer — the same desync.
+            conn.close()
+            raise
+
+    @staticmethod
+    def _receive(conn: _Conn, pending: dict[int, PipelinedCall]) -> None:
+        while pending:
+            response = protocol.read_message(conn.rfile)
+            if response is None:
+                raise ConnectionError("service closed the connection")
+            request_id = response.get("id")
+            call = pending.pop(request_id, None) if isinstance(request_id, int) else None
+            if call is None:
+                raise ConnectionError("service response id mismatch (desynced)")
+            call._resolve(response)
 
     # -- connection management ---------------------------------------------
 
-    def _new_id(self) -> int:
-        """Next request id — unique across the lockstep and wait channels."""
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
-
-    def _open_connection(self) -> tuple[socket.socket, Any, Any]:
+    def _open_connection(self) -> _Conn:
         """Dial, configure, and handshake one fresh connection.
 
-        Shared by the lockstep channel and the wait pool; returns
-        ``(sock, rfile, wfile)`` or raises with the socket closed.
+        Shared by the lockstep channel and the wait pool; raises with
+        the socket closed.
         """
         sock = socket.create_connection(
             (self._host, self._port), timeout=self._connect_timeout
         )
+        conn = _Conn(sock)
         try:
             # Blocking I/O after connect (polling timeouts live in EQSQL)
             # unless the caller bounded per-RPC I/O with io_timeout.
@@ -413,99 +439,81 @@ class RemoteTaskStore(TaskStore):
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
-            rfile = sock.makefile("rb")
-            wfile = sock.makefile("wb")
             # Handshake: ping carries the auth token and returns the
             # protocol version, so a bad token or an incompatible server
             # surfaces here as a typed remote error, not mid-workload.
-            request: dict[str, Any] = {
-                "id": self._new_id(),
-                "method": "ping",
-                "params": {},
-            }
-            if self._token is not None:
-                request["token"] = self._token
+            ping = PipelinedCall(PING.name, {})
             tracer = self.tracer
             if tracer.enabled:
                 # Trace the handshake like any other RPC so the server's
                 # service.ping span parents under it across the wire.
                 with tracer.span("rpc.ping", component="service_client") as sp:
-                    protocol.inject_trace(request, sp.context)
-                    protocol.write_message(wfile, request)
-                    response = protocol.read_message(rfile)
+                    self._exchange(conn, [ping], sp)
             else:
-                protocol.write_message(wfile, request)
-                response = protocol.read_message(rfile)
-            if response is None:
-                raise ConnectionError("service closed the connection during handshake")
-            if not response.get("ok"):
-                protocol.raise_remote_error(response.get("error", {}))
-            version = (response.get("result") or {}).get("version")
+                self._exchange(conn, [ping], None)
+            version = (ping.result() or {}).get("version")
             if version != protocol.PROTOCOL_VERSION:
                 raise ReproError(
                     f"protocol version mismatch: client {protocol.PROTOCOL_VERSION},"
                     f" server {version}"
                 )
         except BaseException:
-            sock.close()
+            conn.close()
             raise
-        return sock, rfile, wfile
+        return conn
 
     def _connect_locked(self) -> None:
-        """Open a fresh lockstep socket; caller holds the lock."""
-        self._sock, self._rfile, self._wfile = self._open_connection()
+        """Open a fresh lockstep connection; caller holds the lock."""
+        self._conn = self._open_connection()
         if self._ever_connected:
             self._m_reconnects.inc()
         self._ever_connected = True
 
-    def _teardown_locked(self) -> None:
-        """Drop the (possibly desynced) socket; caller holds the lock.
+    def _ensure_connected_locked(self) -> _Conn:
+        """The live lockstep connection, dialing if needed; caller holds
+        the lock.  A failed dial sent nothing: always safe to retry."""
+        if self._closed:
+            raise RuntimeError("remote store is closed")
+        if self._conn is None:
+            try:
+                self._connect_locked()
+            except (OSError, ConnectionError) as exc:
+                raise _RetryableFailure(exc) from exc
+        return self._conn  # type: ignore[return-value]
 
-        After a partial write or read the stream can hold a stale frame
-        that would answer the *next* request; the connection is
-        unrecoverable and must be replaced, never reused.
-        """
-        for f in (self._rfile, self._wfile, self._sock):
-            if f is not None:
-                try:
-                    f.close()
-                except OSError:
-                    pass
-        self._sock = None
-        self._rfile = None
-        self._wfile = None
+    def _teardown_locked(self) -> None:
+        """Drop the (possibly desynced) lockstep connection; caller
+        holds the lock.  It is replaced on the next call, never reused."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     # -- RPC core ----------------------------------------------------------
 
     def _call(self, method: str, params: dict[str, Any]) -> Any:
         tracer = self.tracer
         if not tracer.enabled:
-            return self._call_raw(method, params, tracer, None)
+            return self._call_raw(method, params, None)
         # The RPC span is the client-side half of the wire hop; the
         # service opens its child span from the propagated context, so
         # RTT decomposes into client wait vs server handling vs DB time.
         with tracer.span(f"rpc.{method}", component="service_client") as sp:
-            return self._call_raw(method, params, tracer, sp)
+            return self._call_raw(method, params, sp)
 
     def _call_raw(
-        self,
-        method: str,
-        params: dict[str, Any],
-        tracer: Tracer,
-        span: Span | None,
+        self, method: str, params: dict[str, Any], span: Span | None
     ) -> Any:
         t0 = time.monotonic()
-        retryable = _retryable_call(method, params)
-        wait_rpc = _wait_seconds(params) > 0.0
+        # Long-polls ride a dedicated wait channel so the lockstep
+        # socket (and its lock) stays free while they block server-side.
+        attempt_once = (
+            self._attempt_wait if wait_seconds(params) > 0.0 else self._attempt_lockstep
+        )
         attempt = 0
         while True:
+            call = PipelinedCall(method, params)
             try:
-                if wait_rpc:
-                    result = self._attempt_wait_once(method, params, tracer, span)
-                else:
-                    result = self._attempt_once(
-                        method, params, tracer, span, retryable
-                    )
+                attempt_once(call, span)
             except _RetryableFailure as failure:
                 attempt += 1
                 if span is not None:
@@ -518,79 +526,37 @@ class RemoteTaskStore(TaskStore):
                 self._m_retries.inc()
                 time.sleep(self._retry.delay(attempt - 1, self._rng))
                 continue
+            # A typed error response is a *successful* exchange: the
+            # server handled the request; no connection fault occurred.
+            result = call.result()
             self._m_rpcs.inc()
             self._m_rtt.observe(time.monotonic() - t0)
             return result
 
-    def _attempt_once(
-        self,
-        method: str,
-        params: dict[str, Any],
-        tracer: Tracer,
-        span: Span | None,
-        retryable: bool,
-    ) -> Any:
-        """One connect-if-needed + send + receive cycle.
+    def _attempt_lockstep(self, call: PipelinedCall, span: Span | None) -> None:
+        """One connect-if-needed + exchange cycle on the shared socket.
 
         Raises :class:`_RetryableFailure` when the RPC may be retried
-        (connect failure, or mid-request failure of an idempotent
-        method) and :class:`ConnectionBrokenError` when a
-        non-idempotent request's fate is unknown.
+        (connect failure, or mid-request failure of a retryable call)
+        and :class:`ConnectionBrokenError` when a non-idempotent
+        request's fate is unknown.
         """
         with self._lock:
-            if self._closed:
-                raise RuntimeError("remote store is closed")
-            if self._sock is None:
-                try:
-                    self._connect_locked()
-                except (OSError, ConnectionError) as exc:
-                    # Nothing was sent: always safe to retry.
-                    raise _RetryableFailure(exc) from exc
-            request: dict[str, Any] = {
-                "id": self._new_id(),
-                "method": method,
-                "params": params,
-            }
-            if self._token is not None:
-                request["token"] = self._token
+            conn = self._conn or self._ensure_connected_locked()
             try:
-                if span is not None:
-                    protocol.inject_trace(request, span.context)
-                    with tracer.span("rpc.send", component="service_client"):
-                        protocol.write_message(self._wfile, request)
-                    with tracer.span("rpc.recv", component="service_client"):
-                        response = protocol.read_message(self._rfile)
-                else:
-                    protocol.write_message(self._wfile, request)
-                    response = protocol.read_message(self._rfile)
-                if response is None:
-                    raise ConnectionError("service closed the connection")
-                if response.get("id") != request["id"]:
-                    # Stale frame from a previous, interrupted exchange:
-                    # the stream is desynced beyond repair.
-                    raise ConnectionError("service response id mismatch (desynced)")
+                self._exchange(conn, [call], span)
             except (OSError, ConnectionError, ReproError) as exc:
-                # The request may or may not have been applied (the
-                # ReproError arm is framing/serialization trouble from
-                # the protocol layer — same desync).  Either way this
-                # socket is done: a later read could return this
-                # request's stale response paired with a new id.
                 self._teardown_locked()
-                if retryable:
+                if retryable(call.method, call.params):
                     raise _RetryableFailure(exc) from exc
                 raise ConnectionBrokenError(
-                    f"connection lost during non-idempotent rpc {method!r};"
+                    f"connection lost during non-idempotent rpc {call.method!r};"
                     " not retried (the request may have been applied)"
                 ) from exc
-        if not response.get("ok"):
-            # A typed error response is a *successful* exchange: the
-            # server handled the request; no connection fault occurred.
-            protocol.raise_remote_error(response.get("error", {}))
-        return response.get("result")
 
     # -- wait channel --------------------------------------------------------
 
-    def _checkout_wait(self) -> _WaitConn:
+    def _checkout_wait(self) -> _Conn:
         """A pooled (or fresh) dedicated connection for one wait RPC."""
         with self._wpool_lock:
             if self._closed:
@@ -600,11 +566,10 @@ class RemoteTaskStore(TaskStore):
                 self._wait_busy.add(conn)
                 return conn
         try:
-            sock, rfile, wfile = self._open_connection()
+            conn = self._open_connection()
         except (OSError, ConnectionError) as exc:
             # Nothing was sent: always safe to retry.
             raise _RetryableFailure(exc) from exc
-        conn = _WaitConn(sock, rfile, wfile)
         with self._wpool_lock:
             if self._closed:
                 conn.close()
@@ -612,75 +577,26 @@ class RemoteTaskStore(TaskStore):
             self._wait_busy.add(conn)
         return conn
 
-    def _checkin_wait(self, conn: _WaitConn) -> None:
-        """Return a healthy wait connection to the pool (or close it)."""
+    def _attempt_wait(self, call: PipelinedCall, span: Span | None) -> None:
+        """One exchange for a long-poll RPC on its own connection.
+
+        Failures always raise :class:`_RetryableFailure` — wait RPCs are
+        classified retryable (see :func:`repro.core.ops.retryable`).
+        """
+        conn = self._checkout_wait()
+        try:
+            self._exchange(conn, [call], span)
+        except (OSError, ConnectionError, ReproError) as exc:
+            with self._wpool_lock:
+                self._wait_busy.discard(conn)
+            raise _RetryableFailure(exc) from exc
+        # Healthy: park it for reuse (up to WAIT_POOL_SIZE), else close.
         with self._wpool_lock:
             self._wait_busy.discard(conn)
             if not self._closed and len(self._wait_idle) < WAIT_POOL_SIZE:
                 self._wait_idle.append(conn)
                 return
         conn.close()
-
-    def _discard_wait(self, conn: _WaitConn) -> None:
-        """Drop a wait connection that failed mid-request (desync rule)."""
-        with self._wpool_lock:
-            self._wait_busy.discard(conn)
-        conn.close()
-
-    def _attempt_wait_once(
-        self,
-        method: str,
-        params: dict[str, Any],
-        tracer: Tracer,
-        span: Span | None,
-    ) -> Any:
-        """One send + receive cycle for a long-poll RPC.
-
-        Runs on a dedicated wait-channel connection so the store's
-        lockstep socket (and its lock) stays free for fetches and
-        reports while this request blocks server-side.  Failures always
-        raise :class:`_RetryableFailure` — wait RPCs are classified
-        retryable (see :data:`NON_IDEMPOTENT_METHODS`).
-        """
-        conn = self._checkout_wait()
-        request: dict[str, Any] = {
-            "id": self._new_id(),
-            "method": method,
-            "params": params,
-        }
-        if self._token is not None:
-            request["token"] = self._token
-        stretch = self._io_timeout is not None
-        if stretch:
-            # The server legitimately goes quiet for the whole wait
-            # before answering; the per-RPC I/O bound must cover that
-            # plus slack or every empty wait reads as a dead connection.
-            conn.sock.settimeout(
-                _wait_seconds(params) + max(self._io_timeout, WAIT_SLACK)  # type: ignore[arg-type]
-            )
-        try:
-            if span is not None:
-                protocol.inject_trace(request, span.context)
-                with tracer.span("rpc.send", component="service_client"):
-                    protocol.write_message(conn.wfile, request)
-                with tracer.span("rpc.recv", component="service_client"):
-                    response = protocol.read_message(conn.rfile)
-            else:
-                protocol.write_message(conn.wfile, request)
-                response = protocol.read_message(conn.rfile)
-            if response is None:
-                raise ConnectionError("service closed the connection")
-            if response.get("id") != request["id"]:
-                raise ConnectionError("service response id mismatch (desynced)")
-        except (OSError, ConnectionError, ReproError) as exc:
-            self._discard_wait(conn)
-            raise _RetryableFailure(exc) from exc
-        if stretch:
-            conn.sock.settimeout(self._io_timeout)
-        self._checkin_wait(conn)
-        if not response.get("ok"):
-            protocol.raise_remote_error(response.get("error", {}))
-        return response.get("result")
 
     # -- pipelining ---------------------------------------------------------
 
@@ -716,86 +632,39 @@ class RemoteTaskStore(TaskStore):
         t0 = time.monotonic()
         to_replay: list[PipelinedCall] = []
         with self._lock:
-            if self._closed:
-                raise RuntimeError("remote store is closed")
-            if self._sock is None:
+            try:
+                conn = self._ensure_connected_locked()
+            except _RetryableFailure:
+                # Nothing was sent: every call — non-idempotent ones
+                # included — is provably unapplied, so all of them go
+                # through the lockstep path, which retries connecting
+                # with backoff.
+                to_replay = list(batch)
+            else:
                 try:
-                    self._connect_locked()
-                except (OSError, ConnectionError):
-                    # Nothing was sent: every call — non-idempotent ones
-                    # included — is provably unapplied, so all of them go
-                    # through the lockstep path, which retries connecting
-                    # with backoff.
-                    to_replay = list(batch)
-            if self._sock is not None:
-                requests: list[dict[str, Any]] = []
-                pending: dict[int, PipelinedCall] = {}
-                for call in batch:
-                    call.request_id = self._new_id()
-                    request: dict[str, Any] = {
-                        "id": call.request_id,
-                        "method": call.method,
-                        "params": call.params,
-                    }
-                    if self._token is not None:
-                        request["token"] = self._token
-                    if span is not None:
-                        protocol.inject_trace(request, span.context)
-                    requests.append(request)
-                    pending[call.request_id] = call
-                # The server answers frame-by-frame, so one long-poll in
-                # the batch can stall every later response by its full
-                # wait; size the read bound to the largest wait aboard.
-                max_wait = max(
-                    (_wait_seconds(call.params) for call in batch), default=0.0
-                )
-                stretch = max_wait > 0.0 and self._io_timeout is not None
-                if stretch:
-                    self._sock.settimeout(
-                        max_wait + max(self._io_timeout, WAIT_SLACK)  # type: ignore[arg-type]
-                    )
-                try:
-                    protocol.write_messages(self._wfile, requests)
-                    for _ in range(len(batch)):
-                        response = protocol.read_message(self._rfile)
-                        if response is None:
-                            raise ConnectionError("service closed the connection")
-                        call = pending.pop(response.get("id"), None)  # type: ignore[arg-type]
-                        if call is None:
-                            # A frame answering no in-flight request:
-                            # the stream is desynced beyond repair.
-                            raise ConnectionError(
-                                "service response id mismatch (desynced)"
-                            )
-                        call._resolve(response)
+                    self._exchange(conn, batch, span)
                 except (OSError, ConnectionError, ReproError) as exc:
-                    # Same teardown rule as the lockstep path: the socket
-                    # may hold stale frames and is never reused.  Calls
-                    # already resolved keep their results; the rest split
-                    # by idempotency.
+                    # Calls already resolved keep their results; the
+                    # rest split by idempotency.
                     self._teardown_locked()
                     for call in batch:
                         if call.done:
                             continue
-                        if _retryable_call(call.method, call.params):
+                        if retryable(call.method, call.params):
                             to_replay.append(call)
                         else:
-                            call._set_error(
-                                ConnectionBrokenError(
-                                    f"connection lost during non-idempotent rpc"
-                                    f" {call.method!r} in a pipeline; not retried"
-                                    " (the request may have been applied)"
-                                )
+                            error = ConnectionBrokenError(
+                                f"connection lost during non-idempotent rpc"
+                                f" {call.method!r} in a pipeline; not retried"
+                                " (the request may have been applied)"
                             )
-                            call._error.__cause__ = exc  # type: ignore[union-attr]
+                            error.__cause__ = exc
+                            call._set_error(error)
                 else:
                     self._m_rpcs.inc(len(batch))
                     self._m_rtt.observe(time.monotonic() - t0)
                     self._m_pipeline_flushes.inc()
                     self._m_pipeline_batch.observe(len(batch))
-                finally:
-                    if stretch and self._sock is not None:
-                        self._sock.settimeout(self._io_timeout)
         # Replay outside the connection lock: _call takes it per attempt
         # (and it is not reentrant).
         for call in to_replay:
@@ -806,120 +675,9 @@ class RemoteTaskStore(TaskStore):
         if span is not None and to_replay:
             span.set_attr("replayed", len(to_replay))
 
-    # -- TaskStore implementation -------------------------------------------
-
-    def create_task(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        *,
-        priority: int = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> int:
-        return self._call(
-            "create_task",
-            {
-                "exp_id": exp_id,
-                "eq_type": eq_type,
-                "payload": payload,
-                "priority": priority,
-                "tag": tag,
-                "time_created": time_created,
-            },
-        )
-
-    def create_tasks(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payloads: Sequence[str],
-        *,
-        priority: int | Sequence[int] = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> list[int]:
-        priority_param = priority if isinstance(priority, int) else list(priority)
-        return list(
-            self._call(
-                "create_tasks",
-                {
-                    "exp_id": exp_id,
-                    "eq_type": eq_type,
-                    "payloads": list(payloads),
-                    "priority": priority_param,
-                    "tag": tag,
-                    "time_created": time_created,
-                },
-            )
-        )
-
-    def pop_out(
-        self,
-        eq_type: int,
-        n: int = 1,
-        *,
-        worker_pool: str = "default",
-        now: float = 0.0,
-        lease: float | None = None,
-        wait: float | None = None,
-    ) -> list[tuple[int, str]]:
-        params: dict[str, Any] = {
-            "eq_type": eq_type,
-            "n": n,
-            "worker_pool": worker_pool,
-            "now": now,
-            "lease": lease,
-        }
-        if wait is not None and wait > 0:
-            # Milliseconds on the wire (integral JSON); the service clamps
-            # to its own max_wait_ms, so an oversized ask degrades to a
-            # shorter block rather than an error.
-            params["wait_ms"] = max(1, int(wait * 1000))
-        result = self._call("pop_out", params)
-        return [(tid, payload) for tid, payload in result]
-
-    def queue_out_length(self, eq_type: int | None = None) -> int:
-        return self._call("queue_out_length", {"eq_type": eq_type})
-
-    def report(
-        self,
-        eq_task_id: int,
-        eq_type: int,
-        result: str,
-        *,
-        now: float = 0.0,
-        profile: dict | None = None,
-    ) -> None:
-        # The profile rides the same frame but only when present, so a
-        # non-profiling pool sends byte-identical requests to before.
-        params: dict = {
-            "eq_task_id": eq_task_id,
-            "eq_type": eq_type,
-            "result": result,
-            "now": now,
-        }
-        if profile is not None:
-            params["profile"] = profile
-        self._call("report", params)
-
-    def report_batch(
-        self,
-        reports: Sequence[tuple[int, int, str]],
-        *,
-        now: float = 0.0,
-        profiles: Mapping[int, dict] | None = None,
-    ) -> None:
-        # One RPC for the whole batch (not the base class's report loop):
-        # this is the wire-level win the shared pool reporter rides on.
-        if not reports:
-            return
-        params: dict = {"reports": [list(r) for r in reports], "now": now}
-        if profiles:
-            # JSON object keys are strings; the backend int-normalizes.
-            params["profiles"] = {str(tid): p for tid, p in profiles.items()}
-        self._call("report_batch", params)
+    # -- beyond the TaskStore contract ---------------------------------------
+    # (the contract's own methods are derived from repro.core.ops.OPS by
+    # the @store_methods decorator on this class)
 
     def telemetry(self, envelope: dict) -> dict:
         """Push one fleet telemetry envelope; returns the service ack.
@@ -928,117 +686,7 @@ class RemoteTaskStore(TaskStore):
         Classified idempotent (re-delivering a heartbeat is harmless),
         so the client retries it across reconnects like any read.
         """
-        return self._call("telemetry", {"envelope": envelope})
-
-    def pop_in(self, eq_task_id: int) -> str | None:
-        return self._call("pop_in", {"eq_task_id": eq_task_id})
-
-    def pop_in_any(
-        self,
-        eq_task_ids: Iterable[int],
-        limit: int | None = None,
-        *,
-        wait: float | None = None,
-    ) -> list[tuple[int, str]]:
-        params: dict[str, Any] = {"eq_task_ids": list(eq_task_ids), "limit": limit}
-        if wait is not None and wait > 0:
-            params["wait_ms"] = max(1, int(wait * 1000))
-        result = self._call("pop_in_any", params)
-        return [(tid, payload) for tid, payload in result]
-
-    def queue_in_length(self) -> int:
-        return self._call("queue_in_length", {})
-
-    def get_task(self, eq_task_id: int) -> TaskRow:
-        return protocol.task_row_from_dict(
-            self._call("get_task", {"eq_task_id": eq_task_id})
-        )
-
-    def get_statuses(self, eq_task_ids: Sequence[int]) -> list[tuple[int, TaskStatus]]:
-        result = self._call("get_statuses", {"eq_task_ids": list(eq_task_ids)})
-        return [(tid, TaskStatus(status)) for tid, status in result]
-
-    def get_priorities(self, eq_task_ids: Sequence[int]) -> list[tuple[int, int]]:
-        result = self._call("get_priorities", {"eq_task_ids": list(eq_task_ids)})
-        return [(tid, priority) for tid, priority in result]
-
-    def update_priorities(
-        self, eq_task_ids: Sequence[int], priorities: int | Sequence[int]
-    ) -> int:
-        priority_param = (
-            priorities if isinstance(priorities, int) else list(priorities)
-        )
-        return self._call(
-            "update_priorities",
-            {"eq_task_ids": list(eq_task_ids), "priorities": priority_param},
-        )
-
-    def cancel_tasks(self, eq_task_ids: Sequence[int]) -> int:
-        return self._call("cancel_tasks", {"eq_task_ids": list(eq_task_ids)})
-
-    def requeue(self, eq_task_id: int, *, priority: int | None = None) -> bool:
-        # priority=None rides the wire as JSON null and means "restore
-        # the task's sticky priority" server-side (wire compat: explicit
-        # integers behave exactly as before).
-        return self._call(
-            "requeue", {"eq_task_id": eq_task_id, "priority": priority}
-        )
-
-    def renew_leases(
-        self, eq_task_ids: Sequence[int], *, now: float, lease: float
-    ) -> int:
-        return self._call(
-            "renew_leases",
-            {"eq_task_ids": list(eq_task_ids), "now": now, "lease": lease},
-        )
-
-    def requeue_expired(
-        self, *, now: float, priority: int | None = None
-    ) -> list[int]:
-        return list(
-            self._call("requeue_expired", {"now": now, "priority": priority})
-        )
-
-    def tasks_for_experiment(self, exp_id: str) -> list[int]:
-        return list(self._call("tasks_for_experiment", {"exp_id": exp_id}))
-
-    def tasks_for_tag(self, tag: str) -> list[int]:
-        return list(self._call("tasks_for_tag", {"tag": tag}))
-
-    def cache_get(self, cache_key: str, *, now: float = 0.0) -> str | None:
-        return self._call("cache_get", {"cache_key": cache_key, "now": now})
-
-    def cache_put(
-        self,
-        cache_key: str,
-        eq_type: int,
-        result: str,
-        *,
-        now: float = 0.0,
-        ttl: float | None = None,
-    ) -> None:
-        self._call(
-            "cache_put",
-            {
-                "cache_key": cache_key,
-                "eq_type": eq_type,
-                "result": result,
-                "now": now,
-                "ttl": ttl,
-            },
-        )
-
-    def cache_stats(self) -> dict:
-        return self._call("cache_stats", {})
-
-    def stats(self, *, now: float = 0.0) -> dict:
-        return self._call("stats", {"now": now})
-
-    def max_task_id(self) -> int:
-        return self._call("max_task_id", {})
-
-    def clear(self) -> None:
-        self._call("clear", {})
+        return self._call(TELEMETRY.name, {"envelope": envelope})
 
     def close(self) -> None:
         with self._lock:

@@ -524,6 +524,13 @@ class SqliteTaskStore(TaskStore):
                         [tid for tid, _, _ in fresh],
                     )
                     withdrawn = {row[0] for row in cur.fetchall()}
+                    # ... and the reporting pool, as report() records it.
+                    cur.execute(
+                        f"SELECT eq_task_id, worker_pool FROM eq_tasks"
+                        f" WHERE eq_task_id IN ({fmarks})",
+                        [tid for tid, _, _ in fresh],
+                    )
+                    pool_by_id = dict(cur.fetchall())
                 cur.executemany(
                     "UPDATE eq_tasks SET json_in = ?, eq_status = ?,"
                     " time_stop = ?, lease_expiry = NULL WHERE eq_task_id = ?",
@@ -556,7 +563,7 @@ class SqliteTaskStore(TaskStore):
                         profile = profile_by_id.get(tid)
                         journal.emit(
                             EV_REPORT, tid, role=ROLE_DB, work_type=eq_type,
-                            time=now,
+                            time=now, source=pool_by_id.get(tid) or "",
                             extra={"profile": profile} if profile else None,
                         )
         if missing:

@@ -620,14 +620,20 @@ class ThreadedWorkerPool:
                     pool=self.name, eq_task_id=eq_task_id, error=str(exc),
                 )
         finally:
-            self._finalize(eq_task_id, failed=failed, lost=lost)
+            self._finalize(eq_task_id, failed=failed, lost=lost, report_began=ran_at)
 
-    def _finalize(self, eq_task_id: int, *, failed: bool, lost: bool) -> None:
+    def _finalize(
+        self, eq_task_id: int, *, failed: bool, lost: bool, report_began: float
+    ) -> None:
         """Book-keeping after a task's report settles (or is lost).
 
         Shared by the synchronous report path and the batch reporter;
         the owned count must only drop here, after the report, because
-        it drives the fetch policy.
+        it drives the fetch policy.  The journal's report hop carries
+        ``report_began`` — the time the report call started — not the
+        time it was acknowledged: the store write wakes the ME's
+        long-poll before the ack returns, so an ack-time stamp could
+        sort this hop after the collect it caused.
         """
         if self._trace is not None:
             self._trace.task_stop(
@@ -641,7 +647,7 @@ class ThreadedWorkerPool:
                 role=ROLE_POOL,
                 work_type=self._config.work_type,
                 source=self.name,
-                time=self._eqsql.clock.now(),
+                time=report_began,
                 extra={"lost": True} if lost else None,
             )
         with self._owned_lock:
@@ -751,6 +757,7 @@ class _BatchReporter:
             tid: profile for tid, _res, _f, _r, profile in batch if profile
         } or None
         lost_ids: set[int] = set()
+        began = pool._eqsql.clock.now()
         try:
             if tracer.enabled:
                 with tracer.span(
@@ -778,4 +785,4 @@ class _BatchReporter:
             lost = tid in lost_ids
             if not lost:
                 pool._m_report.observe(now - ran_at)
-            pool._finalize(tid, failed=failed, lost=lost)
+            pool._finalize(tid, failed=failed, lost=lost, report_began=began)

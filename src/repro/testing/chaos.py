@@ -24,11 +24,11 @@ import random
 import socket
 import threading
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Any, Callable
 
+from repro.core.ops import Op, store_methods
 from repro.db.backend import TaskStore
-from repro.db.schema import TaskRow, TaskStatus
 
 _CHUNK = 65536
 
@@ -231,8 +231,27 @@ class ChaosProxy:
         pipe.close()
 
 
+def _flaky_delegate(op: Op) -> Any:
+    """One op's :class:`FlakyTaskStore` method: the inner store's own
+    method, arguments untouched, behind the fault injector."""
+    name = op.name
+
+    def delegate(self: "FlakyTaskStore", *args: Any, **kwargs: Any) -> Any:
+        return self._invoke(
+            name, lambda: getattr(self._inner, name)(*args, **kwargs)
+        )
+
+    return delegate
+
+
+@store_methods(_flaky_delegate)
 class FlakyTaskStore(TaskStore):
     """A TaskStore wrapper that injects connection faults around calls.
+
+    Every op of the store contract is delegated (derived from
+    :data:`repro.core.ops.OPS`, so none can be missed and no default is
+    restated); only ``close`` and ``wake_waiters`` — shutdown paths —
+    never inject.
 
     ``failure_rate`` is the per-call probability of raising
     ``ConnectionError``.  When a fault fires, ``lost_response_rate``
@@ -290,164 +309,6 @@ class FlakyTaskStore(TaskStore):
             self.faults_injected[method] = self.faults_injected.get(method, 0) + 1
             raise ConnectionError(f"injected fault after {method} (response lost)")
         return result
-
-    # -- delegated TaskStore contract --------------------------------------
-
-    def create_task(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        *,
-        priority: int = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> int:
-        return self._invoke(
-            "create_task",
-            lambda: self._inner.create_task(
-                exp_id, eq_type, payload,
-                priority=priority, tag=tag, time_created=time_created,
-            ),
-        )
-
-    def create_tasks(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payloads: Sequence[str],
-        *,
-        priority: int | Sequence[int] = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> list[int]:
-        return self._invoke(
-            "create_tasks",
-            lambda: self._inner.create_tasks(
-                exp_id, eq_type, payloads,
-                priority=priority, tag=tag, time_created=time_created,
-            ),
-        )
-
-    def pop_out(
-        self,
-        eq_type: int,
-        n: int = 1,
-        *,
-        worker_pool: str = "default",
-        now: float = 0.0,
-        lease: float | None = None,
-        wait: float | None = None,
-    ) -> list[tuple[int, str]]:
-        return self._invoke(
-            "pop_out",
-            lambda: self._inner.pop_out(
-                eq_type, n, worker_pool=worker_pool, now=now, lease=lease,
-                wait=wait,
-            ),
-        )
-
-    def queue_out_length(self, eq_type: int | None = None) -> int:
-        return self._invoke(
-            "queue_out_length", lambda: self._inner.queue_out_length(eq_type)
-        )
-
-    def report(
-        self,
-        eq_task_id: int,
-        eq_type: int,
-        result: str,
-        *,
-        now: float = 0.0,
-        profile: dict | None = None,
-    ) -> None:
-        return self._invoke(
-            "report",
-            lambda: self._inner.report(
-                eq_task_id, eq_type, result, now=now, profile=profile
-            ),
-        )
-
-    def pop_in(self, eq_task_id: int) -> str | None:
-        return self._invoke("pop_in", lambda: self._inner.pop_in(eq_task_id))
-
-    def pop_in_any(
-        self,
-        eq_task_ids: Iterable[int],
-        limit: int | None = None,
-        *,
-        wait: float | None = None,
-    ) -> list[tuple[int, str]]:
-        ids = list(eq_task_ids)
-        return self._invoke(
-            "pop_in_any",
-            lambda: self._inner.pop_in_any(ids, limit=limit, wait=wait),
-        )
-
-    def queue_in_length(self) -> int:
-        return self._invoke("queue_in_length", self._inner.queue_in_length)
-
-    def get_task(self, eq_task_id: int) -> TaskRow:
-        return self._invoke("get_task", lambda: self._inner.get_task(eq_task_id))
-
-    def get_statuses(self, eq_task_ids: Sequence[int]) -> list[tuple[int, TaskStatus]]:
-        return self._invoke(
-            "get_statuses", lambda: self._inner.get_statuses(eq_task_ids)
-        )
-
-    def get_priorities(self, eq_task_ids: Sequence[int]) -> list[tuple[int, int]]:
-        return self._invoke(
-            "get_priorities", lambda: self._inner.get_priorities(eq_task_ids)
-        )
-
-    def update_priorities(
-        self, eq_task_ids: Sequence[int], priorities: int | Sequence[int]
-    ) -> int:
-        return self._invoke(
-            "update_priorities",
-            lambda: self._inner.update_priorities(eq_task_ids, priorities),
-        )
-
-    def cancel_tasks(self, eq_task_ids: Sequence[int]) -> int:
-        return self._invoke(
-            "cancel_tasks", lambda: self._inner.cancel_tasks(eq_task_ids)
-        )
-
-    def requeue(self, eq_task_id: int, *, priority: int = 0) -> bool:
-        return self._invoke(
-            "requeue", lambda: self._inner.requeue(eq_task_id, priority=priority)
-        )
-
-    def renew_leases(
-        self, eq_task_ids: Sequence[int], *, now: float, lease: float
-    ) -> int:
-        return self._invoke(
-            "renew_leases",
-            lambda: self._inner.renew_leases(eq_task_ids, now=now, lease=lease),
-        )
-
-    def requeue_expired(self, *, now: float, priority: int = 0) -> list[int]:
-        return self._invoke(
-            "requeue_expired",
-            lambda: self._inner.requeue_expired(now=now, priority=priority),
-        )
-
-    def tasks_for_experiment(self, exp_id: str) -> list[int]:
-        return self._invoke(
-            "tasks_for_experiment", lambda: self._inner.tasks_for_experiment(exp_id)
-        )
-
-    def tasks_for_tag(self, tag: str) -> list[int]:
-        return self._invoke("tasks_for_tag", lambda: self._inner.tasks_for_tag(tag))
-
-    def stats(self, *, now: float = 0.0) -> dict:
-        return self._invoke("stats", lambda: self._inner.stats(now=now))
-
-    def max_task_id(self) -> int:
-        return self._invoke("max_task_id", self._inner.max_task_id)
-
-    def clear(self) -> None:
-        return self._invoke("clear", self._inner.clear)
 
     def close(self) -> None:
         # Never inject on close: cleanup must always succeed.

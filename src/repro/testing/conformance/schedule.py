@@ -54,6 +54,23 @@ _WAITER_SETTLE = 0.005
 _WAITER_JOIN = 30.0
 
 
+#: Ops of :data:`repro.core.ops.OPS` that no actor drives, each with the
+#: reason that is acceptable.  Everything else must be called by some
+#: schedule (``tests/testing/test_conformance_fuzzer.py`` checks), so a
+#: new RPC cannot ship without either an actor or a line here.
+UNDRIVEN_OPS: dict[str, str] = {
+    "create_task": "single-row form of create_tasks; same backend code path",
+    "pop_in": "single-id form of pop_in_any, which the collector drives",
+    "requeue": "manual recovery; the reaper actor drives requeue_expired",
+    "tasks_for_experiment": "read-only index query, no queue semantics",
+    "tasks_for_tag": "read-only index query, no queue semantics",
+    "max_task_id": "reattach helper; ids are verified on every create",
+    "clear": "would erase the state the schedule is verifying",
+    "ping": "connection handshake, exercised by every remote-path run",
+    "telemetry": "fleet heartbeat; never touches task state",
+}
+
+
 class ConformanceViolation(AssertionError):
     """A store's observable behavior diverged from the reference model."""
 
@@ -194,20 +211,34 @@ class ScheduleEngine:
                      [tid for tid, _ in want])
 
     def _op_report(self) -> None:
+        """One pool reports: a single ``report``, or a ``report_batch``
+        of up to three held results (mixed work types, and — when the
+        pool re-popped its own requeued task — the same id twice), each
+        item verified against the model's single-report semantics."""
         rng = self.rng
         candidates = [p for p in self.pools if p.held]
         if not candidates:
             return
         pool = rng.choice(candidates)
-        tid = pool.held.pop(rng.randrange(len(pool.held)))
-        eq_type = self.model.tasks[tid].eq_task_type
-        result = f'{{"task": {tid}, "by": "{pool.name}"}}'
+        batched = rng.random() < 0.4
+        count = rng.randint(1, min(3, len(pool.held))) if batched else 1
+        reports = []
+        for _ in range(count):
+            tid = pool.held.pop(rng.randrange(len(pool.held)))
+            reports.append((
+                tid, self.model.tasks[tid].eq_task_type,
+                f'{{"task": {tid}, "by": "{pool.name}"}}',
+            ))
         now = self.clock.now()
-        self.store.report(tid, eq_type, result, now=now)
-        outcome = self.model.report(tid, result)
-        if outcome == "missing":
-            self._fail("report", f"model lost task {tid}")
-        self._record("report", pool.name, tid, outcome)
+        if batched:
+            self.store.report_batch(reports, now=now)
+        else:
+            self.store.report(*reports[0], now=now)
+        for tid, _eq_type, result in reports:
+            outcome = self.model.report(tid, result)
+            if outcome == "missing":
+                self._fail("report", f"model lost task {tid}")
+            self._record("report", pool.name, tid, outcome, batched)
 
     def _op_renew(self) -> None:
         rng = self.rng
@@ -556,27 +587,13 @@ class ScheduleEngine:
         audit so drift that never surfaced through a probed operation is
         still caught.
         """
-        dispatch = {
-            "submit": self._op_submit,
-            "pop": self._op_pop,
-            "report": self._op_report,
-            "renew": self._op_renew,
-            "reap": self._op_reap,
-            "reprioritize": self._op_reprioritize,
-            "cancel": self._op_cancel,
-            "collect": self._op_collect,
-            "check": self._op_check,
-            "jump": self._op_jump,
-            "waiter": self._op_waiter,
-            "cacher": self._op_cacher,
-        }
         for step in range(self.config.steps):
             self._step = step
             # Strictly monotonic time: every step ticks a small amount,
             # so journal timestamps totally order within a run.
             self.clock.advance(self.rng.uniform(0.001, 0.05))
             op = self.rng.choices(self._ops, weights=self._weights, k=1)[0]
-            dispatch[op]()
+            getattr(self, f"_op_{op}")()  # every weight names an actor method
         self._step = self.config.steps
         self._final_audit()
         return self.history

@@ -17,11 +17,8 @@ import pytest
 
 from repro.core import RemoteTaskStore, TaskService
 from repro.core import protocol
-from repro.core.service_client import (
-    IDEMPOTENT_METHODS,
-    NON_IDEMPOTENT_METHODS,
-    RetryPolicy,
-)
+from repro.core.ops import OPS, retryable
+from repro.core.service_client import RetryPolicy
 from repro.db import MemoryTaskStore
 from repro.db.backend import TaskStore
 from repro.telemetry.metrics import MetricsRegistry
@@ -59,24 +56,70 @@ def client(proxy):
 
 class TestRetryClassification:
     def test_every_store_method_is_classified(self):
-        # A new TaskStore method must be placed in exactly one bucket —
-        # an unclassified method would silently default to non-retry.
-        rpc_methods = {
+        # The op table and the TaskStore contract are the same set: a
+        # new store method without a row would have no RPC (and no
+        # retry class); a row without a method would have no backend.
+        # Walks every public method, not just the abstract ones, so the
+        # default-implemented report_batch / cache ops are covered.
+        not_rpcs = {"close", "wake_waiters"}  # local lifecycle, never on the wire
+        contract = {
             name
-            for name in TaskStore.__abstractmethods__
-            if name != "close"
+            for name, member in vars(TaskStore).items()
+            if callable(member) and not name.startswith("_")
+        } - not_rpcs
+        on_store = {name for name, op in OPS.items() if op.on_store}
+        assert on_store == contract
+        assert {name for name, op in OPS.items() if not op.on_store} == {
+            "ping", "telemetry",
         }
-        classified = IDEMPOTENT_METHODS | NON_IDEMPOTENT_METHODS
-        assert rpc_methods <= classified
-        assert not (IDEMPOTENT_METHODS & NON_IDEMPOTENT_METHODS)
+        for name, op in OPS.items():
+            assert op.name == name and isinstance(op.idempotent, bool)
+
+    def test_derived_stubs_cover_the_contract(self):
+        # Nothing abstract is left, and no op silently falls back to the
+        # base class (the FlakyTaskStore drift this table removed).
+        from repro.testing import FlakyTaskStore
+
+        for cls in (RemoteTaskStore, FlakyTaskStore):
+            assert not cls.__abstractmethods__
+            for name, op in OPS.items():
+                if op.on_store:
+                    assert name in vars(cls), (cls.__name__, name)
+                    assert getattr(cls, name).__doc__ == getattr(TaskStore, name).__doc__
 
     def test_mutating_but_convergent_methods_are_idempotent(self):
         for method in ("report", "requeue", "renew_leases", "requeue_expired"):
-            assert method in IDEMPOTENT_METHODS
+            assert OPS[method].idempotent
 
     def test_pops_and_creates_are_not(self):
         for method in ("create_task", "create_tasks", "pop_out", "pop_in"):
-            assert method in NON_IDEMPOTENT_METHODS
+            assert not OPS[method].idempotent
+            assert not retryable(method, {})
+        # ... except a long-poll pop, which is always re-sent.
+        assert retryable("pop_out", {"wait_ms": 250})
+        assert not retryable("no_such_method", {})
+
+    def test_stubs_bind_exactly_like_the_abc_signature(self, client):
+        import inspect
+
+        for name, op in OPS.items():
+            if op.on_store:
+                declared = inspect.signature(getattr(TaskStore, name)).parameters
+                derived = inspect.signature(getattr(RemoteTaskStore, name)).parameters
+                assert [
+                    (p.name, p.kind, p.default) for p in derived.values()
+                ] == [(p.name, p.kind, p.default) for p in declared.values()]
+        rpcs = client.test_metrics.get("service.client.rpcs").value
+        for args, kwargs in [
+            ((), {}),                       # missing eq_type
+            ((0, 1, "pool"), {}),           # worker_pool is keyword-only
+            ((0,), {"eq_type": 1}),         # repeated
+            ((0,), {"bogus": 1}),           # unexpected
+        ]:
+            with pytest.raises(TypeError):
+                client.pop_out(*args, **kwargs)
+        # Rejected before anything was sent.
+        assert client.test_metrics.get("service.client.rpcs").value == rpcs
 
 
 class TestReconnectAndRetry:

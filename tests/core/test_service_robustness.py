@@ -88,7 +88,7 @@ class TestMalformedTraffic:
         store = RemoteTaskStore(host, port)
         store.create_tasks("e", 0, ["a", "b"])
         # Kill the socket without goodbye.
-        store._sock.close()
+        store._conn.sock.close()
         # State intact; fresh client sees both tasks.
         fresh = RemoteTaskStore(host, port)
         assert fresh.queue_out_length(0) == 2

@@ -1,0 +1,236 @@
+"""Golden wire frames: every RPC's bytes and decoded types, pinned.
+
+One representative call per op (defaults left implicit) plus the
+optional-field variants goes client → line tap → live ``TaskService``
+over a scripted duck-typed store.  For each call the tap records the
+exact request frame (id normalised) and response frame, the scripted
+store records the keyword arguments the service dispatched, and the
+client's decoded return value is captured by ``repr`` — type-exact, so
+a tuple that became a list, a reordered key, or a dropped default all
+change the record.
+
+The committed fixture was recorded at commit 73c8cf9 (the hand-written
+stubs and dispatch ladder).  Re-record only for a deliberate wire
+change::
+
+    PYTHONPATH=src python tests/core/test_wire_golden.py --record
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import socket
+import sys
+import threading
+from pathlib import Path
+from typing import Any
+
+from repro.core import RemoteTaskStore, TaskService
+from repro.db.schema import TaskRow, TaskStatus
+from repro.telemetry.metrics import MetricsRegistry
+from repro.util.clock import VirtualClock
+from repro.util.errors import NotFoundError
+
+FIXTURE = Path(__file__).parent / "fixtures" / "wire_golden.json"
+
+_ROW = TaskRow(
+    eq_task_id=4, eq_task_type=1, eq_status=TaskStatus.RUNNING,
+    worker_pool="w", json_out='{"x": 1}', json_in=None, time_created=1.0,
+    time_start=2.0, time_stop=None, lease_expiry=32.0, eq_priority=5,
+    tags=["a", "b"],
+)
+_PROFILE = {"task_id": 1, "work_type": 0, "cpu_seconds": 0.5}
+_CACHE_STATS = {
+    "entries": 1, "capacity": 8, "hits": 2, "misses": 3, "inserts": 1,
+    "evictions": 0,
+}
+_STATS = {
+    "tasks": {"queued": 1, "running": 0, "complete": 2, "canceled": 0, "total": 3},
+    "queue_out": {"0": 1}, "queue_out_total": 1, "queue_in": 2,
+    "leases": {"active": 0, "expired": 0, "unleased_running": 0},
+}
+
+#: (case name, method, args, kwargs, scripted store return or exception).
+CASES: list[tuple[str, str, tuple, dict, Any]] = [
+    ("create_task", "create_task", ("exp", 0, "p"), {}, 7),
+    ("create_task/all", "create_task", ("exp", 0, "p"),
+     {"priority": 5, "tag": "t", "time_created": 1.5}, 8),
+    ("create_tasks", "create_tasks", ("exp", 1, ("a", "b")), {}, [1, 2]),
+    ("create_tasks/seq-priority", "create_tasks", ("exp", 1, ["a", "b"]),
+     {"priority": (3, 4), "tag": "t", "time_created": 2.5}, [3, 4]),
+    ("pop_out", "pop_out", (0,), {}, [(1, "a")]),
+    ("pop_out/all", "pop_out", (0, 2),
+     {"worker_pool": "w", "now": 2.0, "lease": 30.0}, [(1, "a"), (2, "b")]),
+    ("pop_out/wait", "pop_out", (0,), {"wait": 0.25}, [(1, "a")]),
+    ("pop_out/wait-tiny", "pop_out", (0,), {"wait": 0.0004}, []),
+    ("pop_out/wait-zero", "pop_out", (0,), {"wait": 0}, []),
+    ("queue_out_length", "queue_out_length", (), {}, 3),
+    ("queue_out_length/type", "queue_out_length", (2,), {}, 1),
+    ("report", "report", (1, 0, "r"), {}, None),
+    ("report/profile", "report", (1, 0, "r"),
+     {"now": 3.0, "profile": _PROFILE}, None),
+    ("report_batch", "report_batch", ([(1, 0, "r1"), (2, 0, "r2")],),
+     {"now": 3.0}, None),
+    ("report_batch/profiles", "report_batch", (((1, 0, "r1"),),),
+     {"profiles": {1: _PROFILE}}, None),
+    ("report_batch/empty", "report_batch", ([],), {}, None),
+    ("telemetry", "telemetry",
+     ({"worker_id": "pool-a", "interval": 5.0, "n_workers": 2},), {}, None),
+    ("pop_in", "pop_in", (1,), {}, "res"),
+    ("pop_in/none", "pop_in", (1,), {}, None),
+    ("pop_in_any", "pop_in_any", (range(1, 4),), {},
+     [(1, "r1"), (3, "r3")]),
+    ("pop_in_any/limit-wait", "pop_in_any", ([1, 2],),
+     {"limit": 1, "wait": 1.5}, [(2, "r2")]),
+    ("queue_in_length", "queue_in_length", (), {}, 2),
+    ("get_task", "get_task", (4,), {}, _ROW),
+    ("get_task/bare", "get_task", (5,), {}, TaskRow(5, 0)),
+    ("get_task/missing", "get_task", (6,), {},
+     NotFoundError("no task with id 6")),
+    ("get_statuses", "get_statuses", ((1, 2),), {},
+     [(1, TaskStatus.QUEUED), (2, TaskStatus.COMPLETE)]),
+    ("get_priorities", "get_priorities", ([1, 2],), {}, [(1, 5), (2, 0)]),
+    ("update_priorities", "update_priorities", ([1, 2], 7), {}, 2),
+    ("update_priorities/seq", "update_priorities", ((1, 2), (3, 4)), {}, 1),
+    ("cancel_tasks", "cancel_tasks", ((1, 2),), {}, 1),
+    ("requeue", "requeue", (1,), {}, True),
+    ("requeue/priority", "requeue", (1,), {"priority": 3}, False),
+    ("renew_leases", "renew_leases", ((1, 2),), {"now": 1.0, "lease": 5.0}, 2),
+    ("requeue_expired", "requeue_expired", (), {"now": 9.0}, [1, 2]),
+    ("requeue_expired/priority", "requeue_expired", (),
+     {"now": 9.0, "priority": 4}, []),
+    ("tasks_for_experiment", "tasks_for_experiment", ("exp",), {}, [1, 2]),
+    ("tasks_for_tag", "tasks_for_tag", ("t",), {}, [2]),
+    ("cache_get", "cache_get", ("k",), {}, "v"),
+    ("cache_get/miss", "cache_get", ("k",), {"now": 4.0}, None),
+    ("cache_put", "cache_put", ("k", 0, "v"), {}, None),
+    ("cache_put/ttl", "cache_put", ("k", 0, "v"), {"now": 4.0, "ttl": 60.0},
+     None),
+    ("cache_stats", "cache_stats", (), {}, _CACHE_STATS),
+    ("stats", "stats", (), {}, _STATS),
+    ("stats/now", "stats", (), {"now": 5.0}, _STATS),
+    ("max_task_id", "max_task_id", (), {}, 9),
+    ("clear", "clear", (), {}, None),
+]
+
+
+class _ScriptedStore:
+    """Duck-typed store: returns the scripted value, records the call."""
+
+    supports_wait = True
+
+    def __init__(self) -> None:
+        self.outcome: Any = None
+        self.calls: list[tuple[str, dict]] = []
+
+    def wake_waiters(self) -> None:
+        pass
+
+    def __getattr__(self, name: str) -> Any:
+        def method(**kwargs: Any) -> Any:
+            self.calls.append((name, kwargs))
+            if isinstance(self.outcome, Exception):
+                raise self.outcome
+            return self.outcome
+
+        return method
+
+
+class _LineTap:
+    """Lockstep line proxy logging each (request, response) frame pair."""
+
+    def __init__(self, upstream: tuple[str, int]) -> None:
+        self._upstream = upstream
+        self.frames: list[tuple[bytes, bytes]] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(client,), daemon=True).start()
+
+    def _serve(self, client: socket.socket) -> None:
+        with client, socket.create_connection(self._upstream) as upstream:
+            requests, responses = client.makefile("rb"), upstream.makefile("rb")
+            for request in requests:
+                upstream.sendall(request)
+                response = responses.readline()
+                # Logged before the client can see the response, so the
+                # pair is in place by the time the client call returns.
+                self.frames.append((request, response))
+                client.sendall(response)
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+def _normalise(frame: bytes) -> str:
+    return re.sub(r'^\{"id":\d+,', '{"id":0,', frame.decode("utf-8"))
+
+
+def record_all() -> dict[str, dict[str, Any]]:
+    """Drive every case; returns ``{case: record}`` (JSON-ready)."""
+    store = _ScriptedStore()
+    service = TaskService(
+        store, clock=VirtualClock(), metrics=MetricsRegistry()  # type: ignore[arg-type]
+    ).start()
+    tap = _LineTap(service.address)
+    client = RemoteTaskStore(*tap.address, metrics=MetricsRegistry())
+    records: dict[str, dict[str, Any]] = {}
+    try:
+        ping = tap.frames[0]
+        records["ping"] = {
+            "request": _normalise(ping[0]), "response": _normalise(ping[1]),
+            "store_call": None, "decoded": None,
+        }
+        for case, method, args, kwargs, outcome in CASES:
+            store.outcome = outcome
+            store.calls.clear()
+            del tap.frames[:]
+            try:
+                decoded = repr(getattr(client, method)(*args, **kwargs))
+            except Exception as exc:  # noqa: BLE001 - the raise is the record
+                decoded = f"raises {exc!r}"
+            # Wait RPCs open a fresh wait-channel connection, whose
+            # handshake ping is not the frame under test.
+            frames = [f for f in tap.frames if b'"method":"ping"' not in f[0]]
+            assert len(frames) <= 1 and len(store.calls) <= 1, case
+            records[case] = {
+                "request": _normalise(frames[0][0]) if frames else None,
+                "response": _normalise(frames[0][1]) if frames else None,
+                "store_call": repr(store.calls[0]) if store.calls else None,
+                "decoded": decoded,
+            }
+    finally:
+        client.close()
+        tap.close()
+        service.stop()
+    return records
+
+
+def test_every_case_matches_the_parent_recording():
+    golden = json.loads(FIXTURE.read_text())
+    records = record_all()
+    assert list(records) == list(golden)
+    for case, record in records.items():
+        assert record == golden[case], case
+
+
+def test_every_op_has_a_golden_case():
+    from repro.core.ops import OPS
+
+    assert {method for _c, method, *_ in CASES} | {"ping"} == set(OPS)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(record_all(), indent=1) + "\n")
+    print(f"recorded {len(CASES) + 1} cases to {FIXTURE}")

@@ -189,7 +189,41 @@ class TestFlakyTaskStore:
 
     def test_close_never_faults(self, flaky_pair):
         flaky = FlakyTaskStore(flaky_pair, failure_rate=1.0)
-        flaky.close()  # must not raise
+        flaky.wake_waiters()  # shutdown paths: must not raise
+        flaky.close()
+        assert flaky.faults_injected == {}
+
+    def test_cache_ops_reach_the_inner_store(self, flaky_pair):
+        # Parity regression: the wrapper used to inherit the ABC's
+        # cacheless defaults, hiding the inner store's cache entirely.
+        flaky = FlakyTaskStore(flaky_pair, failure_rate=0.0)
+        assert flaky.cache_get("k") is None
+        flaky.cache_put("k", 0, "v", now=1.0)
+        assert flaky.cache_get("k", now=2.0) == "v"
+        stats = flaky.cache_stats()
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
+        assert stats == flaky_pair.cache_stats()
+
+    def test_report_batch_is_one_inner_call_under_its_own_name(self, flaky_pair):
+        # Parity regression: report_batch used to fall back to the ABC's
+        # per-item report loop, so it never reached the inner batch path
+        # and could not be fault-injected by name.
+        calls = []
+        inner_batch = flaky_pair.report_batch
+        flaky_pair.report_batch = lambda *a, **kw: (
+            calls.append((a, kw)), inner_batch(*a, **kw)
+        )[1]
+        flaky = FlakyTaskStore(
+            flaky_pair, failure_rate=1.0, lost_response_rate=1.0,
+            methods={"report_batch"}, rng=random.Random(3),
+        )
+        ids = flaky.create_tasks("exp", 0, ["a", "b"])
+        flaky.pop_out(0, 2)
+        with pytest.raises(ConnectionError, match="after report_batch"):
+            flaky.report_batch([(tid, 0, "r") for tid in ids], now=1.0)
+        assert len(calls) == 1
+        assert flaky.faults_injected == {"report_batch": 1}
+        assert flaky_pair.queue_in_length() == 2  # applied, ack lost
 
     def test_inner_accessor(self, flaky_pair):
         flaky = FlakyTaskStore(flaky_pair)

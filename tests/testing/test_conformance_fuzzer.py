@@ -8,9 +8,12 @@ demotion and duplicate-id lease renewal — as plain, readable examples.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.testing import FlakyTaskStore
 from repro.testing.conformance import (
     ModelStore,
     ScheduleConfig,
@@ -94,14 +97,27 @@ def test_model_matches_contract_docs():
 # -- regressions the fuzzer surfaced ------------------------------------
 
 
-@pytest.mark.parametrize("path", ["memory", "sqlite", "remote"])
+@contextlib.contextmanager
+def _open(path):
+    """``open_path`` plus ``flaky``: a quiet fault-injection wrapper,
+    whose derived delegations must not restate (and so drift from) the
+    contract's defaults."""
+    if path == "flaky":
+        with open_path("memory", Journal(enabled=False)) as inner:
+            yield FlakyTaskStore(inner, failure_rate=0.0)
+    else:
+        with open_path(path, Journal(enabled=False)) as store:
+            yield store
+
+
+@pytest.mark.parametrize("path", ["memory", "sqlite", "remote", "flaky"])
 def test_requeue_restores_priority_over_queued_zeros(path):
     """A lease-expired priority-10 task requeues AHEAD of priority-0 tasks.
 
     The original bug: requeue_expired defaulted to priority=0, silently
     demoting exactly the tasks the ME had promoted (ISSUE 7).
     """
-    with open_path(path, Journal(enabled=False)) as store:
+    with _open(path) as store:
         low = store.create_tasks(
             "exp", 0, ["low-1", "low-2"], priority=0, time_created=0.0
         )
@@ -117,6 +133,9 @@ def test_requeue_restores_priority_over_queued_zeros(path):
         popped = store.pop_out(0, 3, worker_pool="live", now=11.0)
         assert [tid for tid, _ in popped] == [hot, *low]
         assert store.get_task(hot).eq_priority == 10
+        # The single-task form restores the sticky priority too.
+        assert store.requeue(hot) is True
+        assert store.get_priorities([hot]) == [(hot, 10)]
 
 
 def test_requeue_explicit_priority_still_wins(store):
@@ -143,6 +162,51 @@ def test_renew_duplicate_ids_count_once(store):
     [tid] = store.create_tasks("exp", 0, ["t"], priority=0, time_created=0.0)
     store.pop_out(0, 1, worker_pool="p", now=0.0, lease=5.0)
     assert store.renew_leases([tid, tid, tid], now=1.0, lease=5.0) == 1
+
+
+@pytest.mark.parametrize("path", ["memory", "sqlite"])
+def test_report_batch_journal_names_the_reporting_pool(path):
+    """Found once the pool actor drove report_batch: sqlite's batch path
+    journaled its report records unsourced, memory's (and both single
+    report paths) with the pool that held the task."""
+    journal = Journal(clock=VirtualClock())
+    with open_path(path, journal) as store:
+        ids = store.create_tasks("exp", 0, ["a", "b"], time_created=0.0)
+        store.pop_out(0, 2, worker_pool="pool-7", now=1.0)
+        store.report_batch([(tid, 0, "r") for tid in ids], now=2.0)
+    reports = [r for r in journal.records() if r.event == EV_REPORT]
+    assert [(r.task_id, r.role, r.source) for r in reports] == [
+        (tid, ROLE_DB, "pool-7") for tid in ids
+    ]
+
+
+def test_every_op_is_driven_by_an_actor_or_exempt():
+    """A new RPC cannot ship unverified: it is either called by some
+    fuzzer actor or listed, with its reason, in UNDRIVEN_OPS."""
+    from repro.core.ops import OPS
+    from repro.testing.conformance.schedule import UNDRIVEN_OPS
+
+    class CallLog:
+        def __init__(self, inner):
+            self.inner, self.called = inner, set()
+
+        def __getattr__(self, name):
+            self.called.add(name)
+            return getattr(self.inner, name)
+
+    config = ScheduleConfig()
+    driven: set[str] = set()
+    for seed in LOCAL_SEEDS:
+        with open_path(
+            "memory", Journal(enabled=False), config.cache_capacity
+        ) as store:
+            log = CallLog(store)
+            ScheduleEngine(log, seed, config).run()
+            driven |= log.called & set(OPS)
+    assert "report_batch" in driven  # about to become the default report path
+    assert driven.isdisjoint(UNDRIVEN_OPS)
+    assert driven | set(UNDRIVEN_OPS) == set(OPS)
+    assert all(reason.strip() for reason in UNDRIVEN_OPS.values())
 
 
 @pytest.mark.parametrize("path", ["memory", "sqlite", "remote"])
