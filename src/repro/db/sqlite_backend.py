@@ -58,6 +58,25 @@ from repro.telemetry.journal import (
 )
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.util.errors import NotFoundError
+from repro.util.serialization import json_dumps
+
+# pop_in_any's three statements (json_each: built in since SQLite 3.38).
+# CROSS JOIN pins json_each as the outer loop (SQLite never reorders
+# it), so rows come out in the caller's array order at one
+# emews_queue_in index probe per id.
+_WATCHED = (
+    " FROM json_each(?) AS j"
+    " CROSS JOIN emews_queue_in AS q ON q.eq_task_id = j.value"
+)
+_READY_IN_SQL = "SELECT q.eq_task_id" + _WATCHED + " ORDER BY j.key"
+_CLAIM_IN_SQL = (
+    "SELECT q.eq_task_id, t.json_in" + _WATCHED
+    + " JOIN eq_tasks AS t ON t.eq_task_id = q.eq_task_id ORDER BY j.key"
+)
+_DELETE_IN_SQL = (
+    "DELETE FROM emews_queue_in"
+    " WHERE eq_task_id IN (SELECT value FROM json_each(?))"
+)
 
 
 class SqliteTaskStore(TaskStore):
@@ -609,30 +628,29 @@ class SqliteTaskStore(TaskStore):
                         return []
                     self._in_cond.wait(min(remaining, self._wait_poll))
                     self._check_open()
-        marks = ",".join("?" for _ in ids)
-        with self._txn() as cur:
-            cur.execute(
-                f"SELECT q.eq_task_id, t.json_in FROM emews_queue_in q"
-                f" JOIN eq_tasks t ON t.eq_task_id = q.eq_task_id"
-                f" WHERE q.eq_task_id IN ({marks})",
-                ids,
-            )
-            found = cur.fetchall()
-            if not found:
+        # The watch list travels as ONE bound JSON array, so the
+        # statement text (and sqlite3's cached prepared statement) is
+        # the same for any list length.  json_each drives the join in
+        # array order, one index probe per watched id.
+        with self._read() as cur:
+            # Peek outside any transaction: the ME's wait loop wakes on
+            # every report, mostly for someone else's ids, and an empty
+            # wake must not take the database write lock.
+            cur.execute(_READY_IN_SQL, (json_dumps(ids),))
+            # Caller order; a repeated id counts once (memory parity).
+            ready = list(dict.fromkeys(row[0] for row in cur.fetchall()))[:limit]
+            if not ready:
                 return []
-            if limit is not None:
-                # Respect the caller's id order when limiting.
-                by_id_all = dict(found)
-                ordered = [tid for tid in ids if tid in by_id_all][:limit]
-                found = [(tid, by_id_all[tid]) for tid in ordered]
-            found_ids = [row[0] for row in found]
-            fmarks = ",".join("?" for _ in found_ids)
-            cur.execute(
-                f"DELETE FROM emews_queue_in WHERE eq_task_id IN ({fmarks})", found_ids
-            )
-            # Preserve the caller's id order for determinism.
-            by_id = {tid: (json_in if json_in is not None else "") for tid, json_in in found}
-            return [(tid, by_id[tid]) for tid in ids if tid in by_id]
+            chosen = json_dumps(ready)
+            with self._txn() as cur:
+                # The claim re-reads under the write lock: another
+                # handle on this file may have popped some of ``ready``
+                # since the peek, and what this SELECT still sees is
+                # exactly what the DELETE below removes.
+                cur.execute(_CLAIM_IN_SQL, (chosen,))
+                claimed = cur.fetchall()
+                cur.execute(_DELETE_IN_SQL, (chosen,))
+            return [(tid, res if res is not None else "") for tid, res in claimed]
 
     def queue_in_length(self) -> int:
         with self._read() as cur:

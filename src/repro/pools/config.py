@@ -16,6 +16,10 @@ class PoolConfig:
     regime: every owned task is immediately runnable); set it above
     ``n_workers`` to oversubscribe (top panel), and raise ``threshold``
     to delay fetching until a larger deficit accumulates (bottom panel).
+
+    Reporting has no setting: results that finish while a report round
+    trip is in flight leave together in the next one (``pool._report``),
+    so batch size follows load and a lone result is never held back.
     """
 
     work_type: int
@@ -23,8 +27,10 @@ class PoolConfig:
     batch_size: int | None = None
     threshold: int = 1
     name: str = field(default_factory=lambda: short_id("pool"))
-    #: Sleep between fetch attempts when the policy says not to fetch
-    #: or the queue is empty.
+    #: Pause after a failed fetch, and between fetch attempts against a
+    #: store that cannot long-poll (``fetch_wait`` covers the others).
+    #: Nothing sleeps on it while the pool is at capacity: the fetcher
+    #: waits for the deficit a reported result opens.
     poll_delay: float = 0.02
     #: Timeout for each individual batch query against the DB.
     query_timeout: float = 0.0
@@ -47,17 +53,6 @@ class PoolConfig:
     #: ``lease_duration`` so two consecutive heartbeats can be lost
     #: before the lease lapses.
     heartbeat_interval: float | None = None
-    #: Results per shared-reporter flush.  At the default of 1 each
-    #: worker reports its own result synchronously (the pre-batching
-    #: behaviour); above 1 workers enqueue results and a single flusher
-    #: thread reports them in one ``report_batch`` RPC — the round trip
-    #: is paid once per flush, not once per task.
-    report_batch_size: int = 1
-    #: Max seconds the reporter lingers waiting to fill a batch before
-    #: flushing what it has, so single-task latency stays bounded even
-    #: when results trickle in.  Only meaningful with
-    #: ``report_batch_size > 1``.
-    report_linger: float = 0.05
     #: Wrap each task execution in a resource profile (wall/CPU/RSS,
     #: see :mod:`repro.telemetry.profiling`) attached to its report and
     #: journal run_end.  Off by default: the disabled path must stay
@@ -93,14 +88,6 @@ class PoolConfig:
         if self.fetch_wait < 0:
             raise ValueError(
                 f"fetch_wait must be >= 0, got {self.fetch_wait}"
-            )
-        if self.report_batch_size < 1:
-            raise ValueError(
-                f"report_batch_size must be >= 1, got {self.report_batch_size}"
-            )
-        if self.report_linger <= 0:
-            raise ValueError(
-                f"report_linger must be positive, got {self.report_linger}"
             )
         if self.profile_memory and not self.profile_tasks:
             raise ValueError("profile_memory requires profile_tasks")

@@ -12,21 +12,20 @@ tasks, and exit; the sentinel task itself is reported back (payload
 ``EQ_STOP``) so the submitter's future completes.  ``stop()`` forces the
 same path locally.
 
-With ``report_batch_size > 1`` the pool runs a shared reporter: workers
-enqueue completed results instead of reporting them inline, and a single
-flusher thread pushes each batch to the DB in one ``report_batch`` store
-operation — flushing at K results or after a bounded linger, whichever
-comes first, so a remote store's round trip is paid per batch while a
-lone result still reports promptly.
+Results leave through one combining reporter (``_report``): a worker
+that finishes a task appends the result to a pending buffer and, unless
+a flush is already in flight, flushes the buffer itself — a lone result
+as a plain ``report``, several as one ``report_batch`` — so the batch
+size emerges from load, a remote store's round trip is paid per flush,
+and a lone result still leaves at once on the thread that produced it.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import deque
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.constants import EQ_ABORT, EQ_STOP
 from repro.core.eqsql import EQSQL
@@ -56,6 +55,28 @@ from repro.util.serialization import json_dumps
 
 _log = get_logger(__name__)
 
+#: Most result text (summed ``len``) one flush carries; it always takes
+#: one result, so a larger one goes alone, as it always did.  The count
+#: needs no bound (``pending <= owned <= batch_size``) but the bytes do:
+#: big results would build a frame, and transient copies of it in pool
+#: and service, that grow with ``batch_size`` — and that the service
+#: refuses whole past ``MAX_FRAME_BYTES`` (64 MiB).  1 MiB stays under
+#: that even at JSON's worst escape expansion (12 bytes per character).
+FLUSH_BYTES = 1 << 20
+
+
+class _Done(NamedTuple):
+    """One executed task waiting to be reported.  ``ctx`` is its
+    ``pool.task`` span context (None when untraced), so the ``pool.report``
+    child can be recorded from whichever thread flushes it."""
+
+    eq_task_id: int
+    result: str
+    failed: bool
+    ran_at: float
+    profile: dict[str, Any] | None
+    ctx: SpanContext | None
+
 
 class ThreadedWorkerPool:
     """A pilot-job worker pool running on threads.
@@ -63,8 +84,9 @@ class ThreadedWorkerPool:
     Under an enabled tracer, each fetch that returns work records a
     ``pool.fetch`` span and each task executes inside a ``pool.task``
     span parented to the submitter's span (the context rides the task
-    payload), with ``pool.report`` nested for the result write — the
-    queue-wait / run / report decomposition of the task lifecycle.
+    payload), with a ``pool.report`` child for the result write (``n`` =
+    results in its flush) — the queue-wait / run / report decomposition
+    of the task lifecycle.
     """
 
     def __init__(
@@ -115,9 +137,11 @@ class ThreadedWorkerPool:
         )
         self._policy = config.policy()
 
+        # Owned count and ids, under a condition the fetcher and the
+        # drain wait on; notified when a flush settles and by stop().
         self._owned = 0
         self._owned_ids: set[int] = set()
-        self._owned_lock = threading.Lock()
+        self._owned_cond = threading.Condition()
         self._local: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
         self._stop_fetching = threading.Event()
         self._stop_heartbeat = threading.Event()
@@ -125,9 +149,11 @@ class ThreadedWorkerPool:
         self._threads: list[threading.Thread] = []
         self._heartbeat: threading.Thread | None = None
         self._started = False
-        self._reporter: _BatchReporter | None = (
-            _BatchReporter(self) if config.report_batch_size > 1 else None
-        )
+        # Combining reporter (see _report): results awaiting a flush, and
+        # whether some worker holds the flusher role.
+        self._pending: deque[_Done] = deque()
+        self._flushing = False
+        self._report_lock = threading.Lock()
 
         self._stats_lock = threading.Lock()
         self._busy = 0
@@ -161,7 +187,7 @@ class ThreadedWorkerPool:
 
     def owned(self) -> int:
         """Tasks claimed from the DB but not yet completed."""
-        with self._owned_lock:
+        with self._owned_cond:
             return self._owned
 
     def busy(self) -> int:
@@ -239,8 +265,6 @@ class ThreadedWorkerPool:
         self._threads = [fetcher, *workers]
         for t in self._threads:
             t.start()
-        if self._reporter is not None:
-            self._reporter.start()
         if self._config.telemetry_interval is not None:
             sink = getattr(self._eqsql.store, "telemetry", None)
             if sink is None:
@@ -281,6 +305,8 @@ class ThreadedWorkerPool:
         self._stop_fetching.set()
         if not drain:
             self._abort.set()
+        with self._owned_cond:
+            self._owned_cond.notify_all()  # a fetcher waiting for a deficit
         # A fetcher blocked in a long-poll wakes instantly when the
         # store is in-process; against a remote store this is a no-op
         # and fetch_wait bounds how long the fetcher can stay blocked.
@@ -293,13 +319,6 @@ class ThreadedWorkerPool:
         """Wait for the pool's threads to exit."""
         for t in self._threads:
             t.join(timeout)
-        # The reporter outlives the workers: the fetcher's drain waits
-        # for the owned count to reach zero, which only happens once the
-        # flusher has reported every enqueued result.  On abort pending
-        # results are discarded (their tasks stay RUNNING for the lease
-        # reaper, like any abandoned work).
-        if self._reporter is not None:
-            self._reporter.stop(discard=self._abort.is_set(), timeout=timeout)
         # The heartbeat outlives the fetcher so leases stay fresh while
         # owned tasks drain; it only stops once the workers are done (or
         # on abort, where renewing would keep abandoned tasks from the
@@ -340,13 +359,18 @@ class ThreadedWorkerPool:
             if long_poll
             else config.query_timeout
         )
-        while not self._stop_fetching.is_set():
-            with self._owned_lock:
+        while True:
+            # Refill is event-driven: wait for the deficit a settling
+            # flush opens rather than sleeping poll_delay, which would
+            # cap an oversubscribed pool at batch_size / poll_delay.
+            with self._owned_cond:
+                self._owned_cond.wait_for(
+                    lambda: self._stop_fetching.is_set()
+                    or self._policy.to_fetch(self._owned)
+                )
                 owned = self._owned
-            want = self._policy.to_fetch(owned)
-            if want == 0:
-                clock.sleep(config.poll_delay)
-                continue
+            if self._stop_fetching.is_set():
+                break
             t0 = clock.now() if tracer.enabled else 0.0
             try:
                 messages = self._eqsql.query_task_batch(
@@ -419,16 +443,16 @@ class ThreadedWorkerPool:
                     if message["payload"] == EQ_ABORT:
                         self._abort.set()
                     continue
-                with self._owned_lock:
+                with self._owned_cond:
                     self._owned += 1
                     self._owned_ids.add(message["eq_task_id"])
                 self._local.put(message)
-        # Drain: wait for owned tasks to complete, then release workers.
-        while not self._abort.is_set():
-            with self._owned_lock:
-                if self._owned == 0:
-                    break
-            clock.sleep(config.poll_delay)
+        # Drain: wait for owned tasks to be reported (which empties the
+        # pending buffer too), then release workers.
+        with self._owned_cond:
+            self._owned_cond.wait_for(
+                lambda: not self._owned or self._abort.is_set()
+            )
         for _ in range(config.n_workers):
             self._local.put(None)
 
@@ -457,7 +481,7 @@ class ThreadedWorkerPool:
         lease = self._config.lease_duration
         if lease is None:
             return 0
-        with self._owned_lock:
+        with self._owned_cond:
             ids = list(self._owned_ids)
         if not ids:
             return 0
@@ -582,86 +606,158 @@ class ThreadedWorkerPool:
                 time=ran_at,
                 extra=extra,
             )
-        if self._reporter is not None:
-            # Batched mode: hand the result to the shared reporter and
-            # release this worker immediately.  Finalization (owned
-            # decrement, stats, task-stop trace) happens on the flusher
-            # thread once the result actually reaches the DB, so the
-            # fetch policy never double-counts capacity for a task whose
-            # report is still in flight.
-            self._reporter.submit(eq_task_id, result, failed, ran_at, profile_dict)
-            return
-        lost = False
-        try:
-            try:
-                if sp is not None:
-                    with self.tracer.span(
-                        "pool.report", component="pool", eq_task_id=eq_task_id
-                    ):
-                        self._eqsql.report_task(
-                            eq_task_id, config.work_type, result,
-                            profile=profile_dict,
-                        )
-                else:
-                    self._eqsql.report_task(
-                        eq_task_id, config.work_type, result, profile=profile_dict
-                    )
-                self._m_report.observe(clock.now() - ran_at)
-            except (ReproError, OSError) as exc:
-                # The connection died beyond the client's retries and the
-                # result could not be recorded.  The worker must survive:
-                # the task's lease lapses without renewal (it leaves the
-                # owned set below), the reaper requeues it, and another
-                # pool re-executes — the result is recovered, not lost.
-                lost = True
-                self._m_report_errors.inc()
-                log_event(
-                    _log, "pool.report_error", level=30,
-                    pool=self.name, eq_task_id=eq_task_id, error=str(exc),
-                )
-        finally:
-            self._finalize(eq_task_id, failed=failed, lost=lost, report_began=ran_at)
+        ctx = sp.context if sp is not None else None
+        self._report(_Done(eq_task_id, result, failed, ran_at, profile_dict, ctx))
 
-    def _finalize(
-        self, eq_task_id: int, *, failed: bool, lost: bool, report_began: float
-    ) -> None:
-        """Book-keeping after a task's report settles (or is lost).
+    # -- reporting ------------------------------------------------------------------
 
-        Shared by the synchronous report path and the batch reporter;
-        the owned count must only drop here, after the report, because
-        it drives the fetch policy.  The journal's report hop carries
-        ``report_began`` — the time the report call started — not the
-        time it was acknowledged: the store write wakes the ME's
-        long-poll before the ack returns, so an ack-time stamp could
-        sort this hop after the collect it caused.
+    def _report(self, done: _Done) -> None:
+        """Hand one result to the combining reporter — the only report path.
+
+        The result joins the pending buffer.  If a flush is in flight
+        its flusher will carry it and this worker goes straight back to
+        work; otherwise this worker becomes the flusher and sends what
+        is pending, flush after flush, until the buffer is empty.  So a
+        lone result leaves at once on its own thread (no linger, no
+        hand-off) and results that finish during a round trip share the
+        next one.  Ids in the buffer stay owned: the fetch policy counts
+        no capacity for them and the heartbeat keeps renewing them.
         """
-        if self._trace is not None:
-            self._trace.task_stop(
-                self._eqsql.clock.now(), eq_task_id, source=self.name
-            )
+        with self._report_lock:
+            self._pending.append(done)
+            if self._flushing:
+                return
+            self._flushing = True
+        while batch := self._next_flush():
+            try:
+                self._flush(batch)
+            except Exception:  # noqa: BLE001 - the flusher must outlive faults
+                # A bug below us, not a connection fault (_flush absorbs
+                # those, and settled this batch as lost).  Every worker's
+                # results queue behind this role: carry on, don't die in it.
+                _log.exception("pool.flush_error pool=%s", self.name)
+
+    def _next_flush(self) -> list[_Done]:
+        """Take the next flush off the buffer: at least one result, then
+        as many as fit ``FLUSH_BYTES``.  An empty buffer ends the
+        flusher's turn in the same critical section, so a result
+        appended concurrently is either taken here or finds the role
+        free.  After an abort the buffer is discarded: those tasks stay
+        RUNNING for the lease reaper, like any abandoned work.
+        """
+        with self._report_lock:
+            pending = self._pending
+            if self._abort.is_set():
+                pending.clear()
+            batch: list[_Done] = []
+            size = 0
+            while pending and (
+                not batch or size + len(pending[0].result) <= FLUSH_BYTES
+            ):
+                size += len(pending[0].result)
+                batch.append(pending.popleft())
+            if not batch:
+                self._flushing = False
+            return batch
+
+    def _flush(self, batch: list[_Done]) -> None:
+        """Report one flush: several results as one ``report_batch``, a
+        lone one as a plain ``report`` (the same bytes on the wire as an
+        uncoalesced pool sends).
+
+        If the batch RPC fails the flush degrades to per-item reports
+        (``report`` is first-write-wins idempotent, so items the broken
+        batch may already have applied re-send safely); only items whose
+        own report also fails are lost.
+        """
+        eqsql = self._eqsql
+        work_type = self._config.work_type
+        began = eqsql.clock.now()
+        unacked = {done.eq_task_id for done in batch}
+        try:
+            if len(batch) > 1:
+                profiles = {d.eq_task_id: d.profile for d in batch if d.profile}
+                try:
+                    eqsql.report_tasks(
+                        [(d.eq_task_id, work_type, d.result) for d in batch],
+                        profiles=profiles or None,
+                    )
+                    unacked.clear()
+                except (ReproError, OSError):
+                    pass  # degrade to the per-item loop below
+            if unacked:  # a lone result, or a batch whose RPC failed
+                for done in batch:
+                    try:
+                        eqsql.report_task(
+                            done.eq_task_id, work_type, done.result,
+                            profile=done.profile,
+                        )
+                        unacked.discard(done.eq_task_id)
+                    except (ReproError, OSError) as exc:
+                        # The connection died beyond the client's retries and
+                        # the result could not be recorded.  The worker must
+                        # survive: the task's lease lapses without renewal (it
+                        # leaves the owned set in _settle), the reaper requeues
+                        # it, and another pool re-executes — the result is
+                        # recovered, not lost.
+                        self._m_report_errors.inc()
+                        log_event(
+                            _log, "pool.report_error", level=30, pool=self.name,
+                            eq_task_id=done.eq_task_id, error=str(exc),
+                        )
+        finally:
+            # Also on an unexpected exception: whatever was not
+            # acknowledged settles as lost (its lease lapses), so the
+            # drain cannot wait forever on results nobody will send.
+            self._settle(batch, unacked, began)
+
+    def _settle(self, batch: list[_Done], lost: set[int], began: float) -> None:
+        """Book-keeping once a flush's reports are acknowledged (or lost).
+
+        The owned count must only drop here, after the report, because
+        it drives the fetch policy — once per flush, under one lock
+        acquisition, waking the fetcher.  The journal's report hop and
+        the ``pool.report`` span carry ``began`` — the time the flush
+        started — not the time it was acknowledged: the store write
+        wakes the ME's long-poll before the ack returns, so an ack-time
+        stamp could sort this hop after the collect it caused.
+        """
+        now = self._eqsql.clock.now()
+        tracer = self.tracer
         journal = self._jrnl()
-        if journal.enabled:
-            journal.emit(
-                EV_REPORT,
-                eq_task_id,
-                role=ROLE_POOL,
-                work_type=self._config.work_type,
-                source=self.name,
-                time=report_began,
-                extra={"lost": True} if lost else None,
-            )
-        with self._owned_lock:
-            self._owned -= 1
-            self._owned_ids.discard(eq_task_id)
+        n_lost = n_failed = 0
+        for done in batch:
+            eq_task_id = done.eq_task_id
+            is_lost = eq_task_id in lost
+            n_lost += is_lost
+            if not is_lost:
+                self._m_report.observe(now - done.ran_at)
+                n_failed += done.failed
+            if self._trace is not None:
+                self._trace.task_stop(now, eq_task_id, source=self.name)
+            if done.ctx is not None:
+                # Explicit parent: the flusher may be another worker.
+                tracer.add_span(
+                    "pool.report", "pool", began, now, parent=done.ctx,
+                    attrs={"eq_task_id": eq_task_id, "n": len(batch)},
+                )
+            if journal.enabled:
+                journal.emit(
+                    EV_REPORT, eq_task_id, role=ROLE_POOL,
+                    work_type=self._config.work_type, source=self.name,
+                    time=began, extra={"lost": True} if is_lost else None,
+                )
+        with self._owned_cond:
+            self._owned -= len(batch)
+            self._owned_ids.difference_update(done.eq_task_id for done in batch)
+            self._owned_cond.notify_all()
+        n_completed = len(batch) - n_lost - n_failed
         with self._stats_lock:
-            if lost:
-                self.reports_lost += 1
-            elif failed:
-                self.tasks_failed += 1
-            else:
-                self.tasks_completed += 1
-        if not lost:
-            (self._m_failed if failed else self._m_completed).inc()
+            self.reports_lost += n_lost
+            self.tasks_failed += n_failed
+            self.tasks_completed += n_completed
+        self._m_failed.inc(n_failed)
+        self._m_completed.inc(n_completed)
 
     # -- context manager ----------------------------------------------------------------
 
@@ -670,119 +766,3 @@ class ThreadedWorkerPool:
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
-
-
-class _BatchReporter:
-    """Shared result reporter: workers enqueue, one flusher reports.
-
-    Batches are flushed at ``report_batch_size`` results or after
-    ``report_linger`` seconds, whichever comes first — the linger bounds
-    how long a lone result waits, the size bounds memory and RPC-frame
-    growth.  The linger uses wall-clock time (not the pool's injected
-    clock): it paces a real background thread, and a virtual clock would
-    make ``queue.Queue`` timeouts meaningless.
-
-    If the batch RPC fails, the flusher falls back to per-item reports
-    (``report`` is first-write-wins idempotent, so items the broken
-    batch may already have applied re-send safely); only items whose
-    individual report also fails count as lost.
-    """
-
-    def __init__(self, pool: ThreadedWorkerPool) -> None:
-        self._pool = pool
-        self._batch_size = pool.config.report_batch_size
-        self._linger = pool.config.report_linger
-        self._q: "queue.Queue[tuple[int, str, bool, float, dict | None]]" = (
-            queue.Queue()
-        )
-        self._stop_event = threading.Event()
-        self._discard = False
-        self._started = False
-        self._thread = threading.Thread(
-            target=self._run, name=f"{pool.name}-reporter", daemon=True
-        )
-
-    def start(self) -> None:
-        self._started = True
-        self._thread.start()
-
-    def submit(
-        self,
-        eq_task_id: int,
-        result: str,
-        failed: bool,
-        ran_at: float,
-        profile: dict | None = None,
-    ) -> None:
-        """Enqueue one completed task's result for the next flush."""
-        self._q.put((eq_task_id, result, failed, ran_at, profile))
-
-    def stop(self, discard: bool = False, timeout: float = 30.0) -> None:
-        """Stop the flusher; drains the queue first unless ``discard``."""
-        self._discard = discard
-        self._stop_event.set()
-        if self._started:
-            self._thread.join(timeout)
-
-    def _run(self) -> None:
-        while True:
-            if self._discard:
-                return
-            try:
-                first = self._q.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop_event.is_set():
-                    return
-                continue
-            batch = [first]
-            # Linger for more results unless shutting down (then flush
-            # whatever arrived immediately).
-            deadline = time.monotonic() + self._linger
-            while len(batch) < self._batch_size and not self._stop_event.is_set():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._q.get(timeout=remaining))
-                except queue.Empty:
-                    break
-            self._flush(batch)
-
-    def _flush(self, batch: list[tuple[int, str, bool, float, dict | None]]) -> None:
-        pool = self._pool
-        work_type = pool.config.work_type
-        tracer = pool.tracer
-        reports = [(tid, work_type, result) for tid, result, _f, _r, _p in batch]
-        profiles = {
-            tid: profile for tid, _res, _f, _r, profile in batch if profile
-        } or None
-        lost_ids: set[int] = set()
-        began = pool._eqsql.clock.now()
-        try:
-            if tracer.enabled:
-                with tracer.span(
-                    "pool.report_batch",
-                    component="pool",
-                    pool=pool.name,
-                    n=len(batch),
-                ):
-                    pool._eqsql.report_tasks(reports, profiles=profiles)
-            else:
-                pool._eqsql.report_tasks(reports, profiles=profiles)
-        except (ReproError, OSError):
-            for tid, result, _failed, _ran, profile in batch:
-                try:
-                    pool._eqsql.report_task(tid, work_type, result, profile=profile)
-                except (ReproError, OSError) as exc:
-                    lost_ids.add(tid)
-                    pool._m_report_errors.inc()
-                    log_event(
-                        _log, "pool.report_error", level=30,
-                        pool=pool.name, eq_task_id=tid, error=str(exc),
-                    )
-        now = pool._eqsql.clock.now()
-        for tid, _result, failed, ran_at, _profile in batch:
-            lost = tid in lost_ids
-            if not lost:
-                pool._m_report.observe(now - ran_at)
-            pool._finalize(tid, failed=failed, lost=lost, report_began=began)

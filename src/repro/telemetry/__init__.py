@@ -44,13 +44,6 @@ from repro.telemetry.journal import (
     set_journal,
     task_timeline,
 )
-from repro.telemetry.timeseries import (
-    ConcurrencySeries,
-    concurrency_series,
-    mean_concurrency,
-    sample_series,
-    utilization_stats,
-)
 from repro.telemetry.report import ascii_chart, render_table
 from repro.telemetry.export import load_trace, save_trace
 from repro.telemetry.tracing import (
@@ -80,6 +73,19 @@ from repro.telemetry.trace_export import (
     save_chrome_trace,
     save_spans,
 )
+
+def __getattr__(name: str):
+    # Reached only by the repro.telemetry.timeseries names of __all__
+    # (ConcurrencySeries … utilization_stats).  They compute with numpy,
+    # which nothing on the task plane (core, db, pools — all importers
+    # of this package) needs: resolving them on first use spares every
+    # service and pool process the numpy import (~0.16 s, ~17 MB).
+    if name in __all__:
+        from repro.telemetry import timeseries
+
+        return getattr(timeseries, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "load_trace",

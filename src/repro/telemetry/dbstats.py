@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.eqsql import EQSQL
 from repro.db.schema import TaskStatus
 
@@ -28,6 +26,8 @@ class TimingSummary:
 
     @classmethod
     def from_values(cls, values) -> "TimingSummary":
+        import numpy as np  # only this reduction needs it
+
         # Accept any sequence, not just ndarrays — callers pass plain
         # lists, and an empty list has no .size.
         values = np.asarray(values, dtype=float)
@@ -76,8 +76,8 @@ def task_timing_stats(eqsql: EQSQL, exp_id: str) -> ExperimentTiming:
         per_pool[pool] = per_pool.get(pool, 0) + 1
     return ExperimentTiming(
         exp_id=exp_id,
-        queue_wait=TimingSummary.from_values(np.asarray(waits)),
-        runtime=TimingSummary.from_values(np.asarray(runtimes)),
+        queue_wait=TimingSummary.from_values(waits),
+        runtime=TimingSummary.from_values(runtimes),
         per_pool_completed=dict(sorted(per_pool.items())),
         n_incomplete=incomplete,
     )

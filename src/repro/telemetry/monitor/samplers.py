@@ -22,18 +22,18 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.db.backend import TaskStore
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
-from repro.telemetry.timeseries import (
-    ConcurrencySeries,
-    mean_concurrency,
-    utilization_stats,
-)
 from repro.util.clock import Clock, SystemClock
 from repro.util.logging import get_logger, log_event
+
+if TYPE_CHECKING:
+    # numpy and the reducers load in the reductions below, not at import:
+    # sampling needs neither, and a service should not pay for numpy
+    # until someone asks for a summary.
+    from repro.telemetry.timeseries import ConcurrencySeries
 
 _log = get_logger(__name__)
 
@@ -83,6 +83,9 @@ class Sampler:
     def level_series(self) -> ConcurrencySeries:
         """The sampled level as a step function the timeseries reducers
         understand (an empty series when nothing was sampled yet)."""
+        import numpy as np
+        from repro.telemetry.timeseries import ConcurrencySeries
+
         with self._history_lock:
             points = list(self._history)
         if not points:
@@ -93,6 +96,8 @@ class Sampler:
 
     def summary(self) -> dict:
         """JSON-ready reduction of the level history."""
+        from repro.telemetry.timeseries import mean_concurrency
+
         series = self.level_series()
         n = len(series.times)
         return {
@@ -271,6 +276,8 @@ class PoolSampler(Sampler):
         self.record_level(busy)
 
     def summary(self) -> dict:
+        from repro.telemetry.timeseries import utilization_stats
+
         summary = super().summary()
         summary["utilization"] = utilization_stats(
             self.level_series(), self._pool.config.n_workers

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
@@ -25,6 +23,8 @@ def ascii_chart(
 
     Values are resampled to ``width`` columns by averaging.
     """
+    import numpy as np  # here, not at import: the task plane renders tables only
+
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return f"{label} (no data)"

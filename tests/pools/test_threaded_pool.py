@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -122,10 +124,51 @@ class TestShutdown:
         pool.stop()
 
 
+class TestEventDrivenRefill:
+    """The fetcher and the drain wait on the owned count, not on
+    ``poll_delay``: with ``poll_delay=5.0`` each test takes tens of
+    seconds if anything on those paths still sleeps on it."""
+
+    def test_sequential_tasks_never_wait_out_poll_delay(self, eq):
+        config = PoolConfig(work_type=0, n_workers=1, batch_size=1, poll_delay=5.0)
+        pool = ThreadedWorkerPool(eq, square_handler(), config).start()
+        try:
+            t0 = time.monotonic()
+            for i in range(20):
+                future = eq.submit_task("exp", 0, json.dumps({"x": i}))
+                status, _ = future.result(timeout=30, delay=0.001)
+                assert status == ResultStatus.SUCCESS
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            pool.stop(timeout=10)
+
+    def test_eq_stop_drain_ends_when_the_last_result_lands(self, eq):
+        gate = threading.Event()
+
+        def held(d):
+            assert gate.wait(10)
+            return d
+
+        config = PoolConfig(work_type=0, n_workers=1, batch_size=2, poll_delay=5.0)
+        pool = ThreadedWorkerPool(eq, PythonTaskHandler(held), config).start()
+        try:
+            task = eq.submit_task("exp", 0, "{}", priority=1)
+            stop = eq.submit_task("exp", 0, EQ_STOP)
+            # The sentinel is reported as the fetcher stops fetching, so
+            # from here it is draining on the one held task.
+            assert stop.result(timeout=10, delay=0.001)[1] == EQ_STOP
+            t0 = time.monotonic()
+            gate.set()
+            pool.join(timeout=10)
+            assert not pool.is_alive()
+            assert time.monotonic() - t0 < 2.0
+            assert task.done()
+        finally:
+            gate.set()
+
+
 class TestPolicyBehaviour:
     def test_owned_never_exceeds_batch(self, eq):
-        import threading
-
         observed_max = 0
         lock = threading.Lock()
 
@@ -161,12 +204,25 @@ class TestPolicyBehaviour:
 
 class TestMultiplePools:
     def test_two_pools_share_queue_equitably(self, eq):
+        # Tasks wait until a worker of each pool holds one: on no-op
+        # tasks the first pool can drain the whole queue before the
+        # second one's threads are even scheduled.
+        seen: set[str] = set()
+        both = threading.Event()
+
+        def square(d):
+            seen.add(threading.current_thread().name.split("-")[0])
+            if len(seen) == 2:
+                both.set()
+            assert both.wait(10)
+            return {"y": d["x"] ** 2}
+
         futures = submit_squares(eq, 40)
         pool_a = ThreadedWorkerPool(
-            eq, square_handler(), PoolConfig(work_type=0, n_workers=2, name="a")
+            eq, PythonTaskHandler(square), PoolConfig(work_type=0, n_workers=2, name="a")
         ).start()
         pool_b = ThreadedWorkerPool(
-            eq, square_handler(), PoolConfig(work_type=0, n_workers=2, name="b")
+            eq, PythonTaskHandler(square), PoolConfig(work_type=0, n_workers=2, name="b")
         ).start()
         done = list(as_completed(futures, timeout=20, delay=0.01))
         pool_a.stop()
