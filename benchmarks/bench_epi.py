@@ -25,9 +25,12 @@ from repro.epi import (
 PARAMS = SEIRParams(beta=0.5, sigma=0.25, gamma=0.2, population=100_000)
 
 
-def test_seir_ode(benchmark):
+# 120 days at dt=0.25 is the forward run inside every `seir_calib` task
+# of benchmarks/e2e.
+@pytest.mark.parametrize("t_end", [200.0, 120.0], ids=["200d", "e2e-120d"])
+def test_seir_ode(benchmark, t_end):
     result = benchmark(
-        simulate_seir, PARAMS, initial_infected=5, t_end=200.0, dt=0.25
+        simulate_seir, PARAMS, initial_infected=5, t_end=t_end, dt=0.25
     )
     assert result.attack_rate() > 0.5
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.epi.seir import SEIRParams, simulate_seir
-from repro.epi.surveillance import SurveillanceModel
+from repro.epi.surveillance import SurveillanceModel, apply_reporting_delay
 
 
 def poisson_deviance(observed: np.ndarray, expected: np.ndarray) -> float:
@@ -70,19 +70,12 @@ class CalibrationProblem:
         per_step = result.incidence
         steps_per_day = int(round(1.0 / 0.25))
         daily = per_step[1:].reshape(days, steps_per_day).sum(axis=1)
-        expected = daily * self.surveillance.reporting_rate
-        # Apply the (known) mean reporting delay as a shift-free
-        # geometric smoothing identical to the generator's.
-        if self.surveillance.delay_mean > 0:
-            p = 1.0 / (1.0 + self.surveillance.delay_mean)
-            max_delay = min(days, 30)
-            weights = p * (1 - p) ** np.arange(max_delay)
-            weights /= weights.sum()
-            smoothed = np.zeros(days)
-            for lag, w in enumerate(weights):
-                smoothed[lag:] += expected[: days - lag] * w
-            expected = smoothed
-        return expected
+        # The (known) observation model, through the generator's own
+        # delay kernel.
+        return apply_reporting_delay(
+            daily * self.surveillance.reporting_rate,
+            self.surveillance.delay_mean,
+        )
 
     def loss(self, theta: np.ndarray) -> float:
         """Poisson deviance of ``theta`` against the observed series."""
@@ -91,9 +84,11 @@ class CalibrationProblem:
             raise ValueError(f"theta must have 3 entries, got shape {theta.shape}")
         low = np.array([b[0] for b in self.bounds])
         high = np.array([b[1] for b in self.bounds])
-        if np.any(theta < low) or np.any(theta > high):
+        if not np.all(np.isfinite(theta) & (theta >= low) & (theta <= high)):
             # Out-of-box proposals get a large finite penalty so the
-            # surrogate stays informative near the boundary.
+            # surrogate stays informative near the boundary.  Phrased as
+            # "unless inside" so NaN, which compares False both ways,
+            # gets the penalty too instead of reaching the wire as NaN.
             return 1e12
         return poisson_deviance(self.observed, self.expected_cases(theta))
 

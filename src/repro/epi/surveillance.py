@@ -38,6 +38,26 @@ class SurveillanceModel:
             raise ValueError("dispersion must be positive")
 
 
+def apply_reporting_delay(expected: np.ndarray, delay_mean: float) -> np.ndarray:
+    """Distribute each day's expected reports over future days.
+
+    Delays are geometric with mean ``delay_mean`` days, truncated at 30
+    and renormalised.  The one delay kernel: the generator and the
+    calibration objective's observation model both call it, so what is
+    fitted is what was generated.
+    """
+    if delay_mean == 0:
+        return expected
+    days = expected.shape[0]
+    p = 1.0 / (1.0 + delay_mean)  # geometric success prob
+    weights = p * (1 - p) ** np.arange(min(days, 30))
+    weights /= weights.sum()
+    delayed = np.zeros(days)
+    for lag, w in enumerate(weights):
+        delayed[lag:] += expected[: days - lag] * w
+    return delayed
+
+
 def generate_surveillance(
     incidence: np.ndarray,
     model: SurveillanceModel,
@@ -52,20 +72,9 @@ def generate_surveillance(
     incidence = np.asarray(incidence, dtype=float)
     if np.any(incidence < 0):
         raise ValueError("incidence must be nonnegative")
-    days = incidence.shape[0]
-    expected = incidence * model.reporting_rate
-
-    # Distribute each day's expected reports over future days.
-    delayed = np.zeros(days)
-    if model.delay_mean == 0:
-        delayed = expected.copy()
-    else:
-        p = 1.0 / (1.0 + model.delay_mean)  # geometric success prob
-        max_delay = min(days, 30)
-        weights = p * (1 - p) ** np.arange(max_delay)
-        weights /= weights.sum()
-        for lag, w in enumerate(weights):
-            delayed[lag:] += expected[: days - lag] * w
+    delayed = apply_reporting_delay(
+        incidence * model.reporting_rate, model.delay_mean
+    )
 
     # Negative binomial noise: Poisson with gamma-distributed rate.
     k = model.dispersion

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.epi import (
     poisson_deviance,
     simulate_seir,
 )
+from repro.util.serialization import json_dumps
 
 
 def true_incidence(days=120, beta=0.5, population=1e5):
@@ -141,6 +144,22 @@ class TestCalibrationProblem:
     def test_out_of_bounds_penalized(self, problem):
         prob, _ = problem
         assert prob.loss(np.array([99.0, 0.25, 0.2])) == 1e12
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_penalized(self, problem, position, bad):
+        """NaN compares False against both bounds; it must still get the
+        finite penalty, and the handler's output must be strict JSON."""
+        prob, truth = problem
+        theta = list(truth)
+        theta[position] = bad
+        assert prob.loss(np.array(theta)) == 1e12
+        out = prob.task_function({"x": theta})
+
+        def refuse(name):
+            raise AssertionError(f"non-JSON constant {name} on the wire")
+
+        assert json.loads(json_dumps(out), parse_constant=refuse) == {"y": 1e12}
 
     def test_task_function_json_contract(self, problem):
         prob, truth = problem
