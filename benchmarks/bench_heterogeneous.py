@@ -21,8 +21,9 @@ import numpy as np
 from repro.core import EQSQL
 from repro.db import MemoryTaskStore
 from repro.sim import SimPoolConfig, SimWorkerPool
+from repro.sim.scenarios import complete_records
 from repro.simt import Environment
-from repro.telemetry import TraceCollector, concurrency_series, render_table, utilization_stats
+from repro.telemetry import Journal, concurrency_series, render_table, utilization_stats
 
 SIM_TYPE, ML_TYPE = 0, 1
 N_SIM = 600
@@ -32,7 +33,7 @@ ML_EVERY = 50
 def run_heterogeneous():
     env = Environment()
     eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
-    trace = TraceCollector()
+    journal = Journal(clock=env.clock)
     rng = np.random.default_rng(7)
     sim_runtimes = rng.lognormal(np.log(15.0), 0.4, N_SIM)
     ml_runtime = 6.0
@@ -44,13 +45,13 @@ def run_heterogeneous():
     cpu_pool = SimWorkerPool(
         env, eqsql,
         SimPoolConfig(name="cpu-pool", work_type=SIM_TYPE, n_workers=33),
-        runtime_fn=runtime_fn, trace=trace,
+        runtime_fn=runtime_fn, journal=journal,
     )
     gpu_pool = SimWorkerPool(
         env, eqsql,
         SimPoolConfig(name="gpu-pool", work_type=ML_TYPE, n_workers=4,
                       query_cost=0.1),
-        runtime_fn=runtime_fn, trace=trace,
+        runtime_fn=runtime_fn, journal=journal,
     )
 
     ml_submitted = [0]
@@ -84,15 +85,15 @@ def run_heterogeneous():
         pool.stop()
         env.run(until=pool.process)
 
-    events = trace.snapshot()
+    records = complete_records(journal)
     return {
         "eqsql": eqsql,
         "makespan": makespan,
         "cpu": cpu_pool,
         "gpu": gpu_pool,
         "ml_submitted": ml_submitted[0],
-        "cpu_series": concurrency_series(events, source="cpu-pool", end=makespan),
-        "gpu_series": concurrency_series(events, source="gpu-pool", end=makespan),
+        "cpu_series": concurrency_series(records, source="cpu-pool", end=makespan),
+        "gpu_series": concurrency_series(records, source="gpu-pool", end=makespan),
     }
 
 

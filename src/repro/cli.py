@@ -13,6 +13,8 @@ Usage::
     python -m repro monitor URL [--interval S] [--once] [--json]
     python -m repro timeline TASK_ID --journal FILE [--journal FILE ...]
     python -m repro stragglers URL [--interval S] [--once] [--json]
+    python -m repro fleet URL [--interval S] [--once] [--json]
+    python -m repro conform [--seeds N] [--start-seed S] [--paths P,...]
     python -m repro bench [NAME ...] [--smoke] [--baseline FILE]
 
 Every command prints the same text series the benchmark harness writes
@@ -27,7 +29,9 @@ kill) and verifies zero lost or duplicated results; ``monitor`` renders
 a live terminal view of a running service's ``/status`` endpoint;
 ``timeline`` merges flight-recorder journal files from any number of
 roles into one task's causally-ordered lifecycle; ``stragglers`` is the
-live view over a service's ``/events`` route; and ``bench`` runs the
+live view over a service's ``/events`` route, ``fleet`` the one over
+``/fleet``; ``conform`` fuzzes the memory / sqlite / remote store paths
+against the reference model; and ``bench`` runs the
 benchmark-regression harness (see :mod:`repro.bench`).
 """
 

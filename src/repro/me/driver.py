@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.eqsql import EQSQL
 from repro.core.futures import Future, as_completed, update_priority
-from repro.telemetry.events import EventKind, TraceCollector
 from repro.telemetry.journal import EV_COLLECT, EV_SUBMIT, ROLE_ME, get_journal
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracing import get_tracer
@@ -102,7 +101,6 @@ def run_async_optimization(
     batch_completed: int = 50,
     delay: float = 0.01,
     timeout: float | None = 120.0,
-    trace: TraceCollector | None = None,
     telemetry_interval: float | None = None,
 ) -> AsyncOptimizationResult:
     """Submit ``points`` and drive completions to exhaustion.
@@ -198,11 +196,6 @@ def run_async_optimization(
             g_pending.set(len(pending))
             if reprioritizer is not None and pending:
                 t0 = eqsql.clock.now()
-                if trace is not None:
-                    trace.record(
-                        EventKind.PHASE_START, t0, source="reprioritize",
-                        detail=str(len(done_y)),
-                    )
                 with tracer.span(
                     "driver.reprioritize",
                     component="driver",
@@ -218,11 +211,6 @@ def run_async_optimization(
                     sp.set_attr("n_reprioritized", n_updated)
                 m_repri.inc()
                 t1 = eqsql.clock.now()
-                if trace is not None:
-                    trace.record(
-                        EventKind.PHASE_STOP, t1, source="reprioritize",
-                        detail=str(n_updated),
-                    )
                 records.append(
                     ReprioritizationRecord(
                         time_start=t0,

@@ -22,7 +22,14 @@ from repro.core.eqsql import EQSQL
 from repro.mpilite import ANY_SOURCE, Communicator, Status, mpi_run
 from repro.pools.config import PoolConfig
 from repro.pools.handlers import TaskExecutionError, TaskHandler
-from repro.telemetry.events import EventKind, TraceCollector
+from repro.telemetry.journal import (
+    EV_FETCH,
+    EV_REPORT,
+    EV_RUN_END,
+    EV_RUN_START,
+    ROLE_POOL,
+    get_journal,
+)
 from repro.telemetry.profiling import TaskProfiler
 from repro.telemetry.tracing import Span, SpanContext, get_tracer
 from repro.util.errors import TimeoutError_
@@ -98,13 +105,18 @@ def _engine_rank(
     comm: Communicator,
     eqsql: EQSQL,
     config: PoolConfig,
-    trace: TraceCollector | None,
 ) -> MpiPoolStats:
-    """Rank 0: fetch, distribute, collect, report."""
+    """Rank 0: fetch, distribute, collect, report.
+
+    The engine is the pool's one journal emitter, so the pool-role hops
+    carry its view of a task: ``run_start`` is the dispatch to a worker
+    rank, ``run_end`` the receipt of that rank's result.
+    """
     stats = MpiPoolStats()
     policy = config.policy()
     clock = eqsql.clock
     tracer = get_tracer()
+    journal = get_journal()
     idle = list(range(1, comm.size))
     busy: dict[int, int] = {}  # worker rank -> eq_task_id
     # Fetched but no idle worker: (eq_task_id, payload, trace wire form).
@@ -114,8 +126,18 @@ def _engine_rank(
     stopping = False
     status = Status(-1, -1)
 
-    if trace is not None:
-        trace.record(EventKind.POOL_START, clock.now(), source=config.name)
+    def emit(event, eq_task_id, at, trace_wire=None, extra=None) -> None:
+        """One pool-role journal hop; callers guard on ``journal.enabled``."""
+        journal.emit(
+            event,
+            eq_task_id,
+            role=ROLE_POOL,
+            work_type=config.work_type,
+            trace_id=trace_wire[0] if trace_wire else "",
+            source=config.name,
+            time=at,
+            extra=extra,
+        )
 
     while True:
         owned = len(busy) + len(backlog)
@@ -141,13 +163,15 @@ def _engine_rank(
                         clock.now(),
                         attrs={"pool": config.name, "n": len(messages)},
                     )
-                if messages and trace is not None:
-                    trace.record(
-                        EventKind.FETCH,
-                        clock.now(),
-                        source=config.name,
-                        detail=str(len(messages)),
-                    )
+                if messages and journal.enabled:
+                    fetched_at = clock.now()
+                    for message in messages:
+                        emit(
+                            EV_FETCH,
+                            message["eq_task_id"],
+                            fetched_at,
+                            message.get("trace"),
+                        )
                 for message in messages:
                     if message["payload"] in (EQ_STOP, EQ_ABORT):
                         eqsql.report_task(
@@ -168,8 +192,8 @@ def _engine_rank(
             worker = idle.pop()
             eq_task_id, payload, trace_wire = backlog.pop(0)
             busy[worker] = eq_task_id
-            if trace is not None:
-                trace.task_start(clock.now(), eq_task_id, source=config.name)
+            if journal.enabled:
+                emit(EV_RUN_START, eq_task_id, clock.now(), trace_wire)
             if tracer.enabled:
                 span = tracer.start_span(
                     "pool.task",
@@ -200,6 +224,17 @@ def _engine_rank(
             worker = status.source
             del busy[worker]
             idle.append(worker)
+            if journal.enabled:
+                # Both hops carry the receipt time: the report is stamped
+                # before the store write, which wakes the ME's collect.
+                received_at = clock.now()
+                emit(
+                    EV_RUN_END,
+                    eq_task_id,
+                    received_at,
+                    extra={"failed": True} if failed else None,
+                )
+                emit(EV_REPORT, eq_task_id, received_at)
             eqsql.report_task(
                 eq_task_id, config.work_type, result, profile=profile
             )
@@ -209,8 +244,6 @@ def _engine_rank(
                     if failed:
                         span.set_attr("failed", True)
                     tracer.end_span(span)
-            if trace is not None:
-                trace.task_stop(clock.now(), eq_task_id, source=config.name)
             if failed:
                 stats.tasks_failed += 1
             else:
@@ -222,8 +255,6 @@ def _engine_rank(
 
     for worker in range(1, comm.size):
         comm.send(None, dest=worker, tag=_TAG_SHUTDOWN)
-    if trace is not None:
-        trace.record(EventKind.POOL_STOP, clock.now(), source=config.name)
     return stats
 
 
@@ -231,7 +262,6 @@ def run_mpi_pool(
     eqsql: EQSQL,
     handler: TaskHandler,
     config: PoolConfig,
-    trace: TraceCollector | None = None,
     timeout: float = 300.0,
 ) -> MpiPoolStats:
     """Run a Swift/T-style pool across ``config.n_workers + 1`` ranks.
@@ -243,7 +273,7 @@ def run_mpi_pool(
 
     def program(comm: Communicator):
         if comm.rank == 0:
-            return _engine_rank(comm, eqsql, config, trace)
+            return _engine_rank(comm, eqsql, config)
         _worker_rank(comm, handler, config)
         return None
 

@@ -31,7 +31,6 @@ from repro.core.constants import EQ_ABORT, EQ_STOP
 from repro.core.eqsql import EQSQL
 from repro.pools.config import PoolConfig
 from repro.pools.handlers import TaskExecutionError, TaskHandler
-from repro.telemetry.events import EventKind, TraceCollector
 from repro.telemetry.fleet import TelemetryPusher
 from repro.telemetry.profiling import ProfileHandle, TaskProfiler
 from repro.telemetry.journal import (
@@ -94,7 +93,6 @@ class ThreadedWorkerPool:
         eqsql: EQSQL,
         handler: TaskHandler,
         config: PoolConfig,
-        trace: TraceCollector | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         journal: Journal | None = None,
@@ -102,7 +100,6 @@ class ThreadedWorkerPool:
         self._eqsql = eqsql
         self._handler = handler
         self._config = config
-        self._trace = trace
         self._tracer = tracer
         # Flight recorder: resolved per call when not injected, so a
         # later configure_journal() is picked up (tracer discipline).
@@ -249,10 +246,6 @@ class ThreadedWorkerPool:
         if self._started:
             raise RuntimeError("pool already started")
         self._started = True
-        if self._trace is not None:
-            self._trace.record(
-                EventKind.POOL_START, self._eqsql.clock.now(), source=self.name
-            )
         fetcher = threading.Thread(
             target=self._fetch_loop, name=f"{self.name}-fetcher", daemon=True
         )
@@ -332,11 +325,6 @@ class ThreadedWorkerPool:
             # final counters before this pool disappears.
             self._pusher.stop()
             self._pusher = None
-        if self._trace is not None and self._started:
-            self._trace.record(
-                EventKind.POOL_STOP, self._eqsql.clock.now(), source=self.name
-            )
-            self._started = False
 
     def is_alive(self) -> bool:
         return any(t.is_alive() for t in self._threads)
@@ -422,13 +410,6 @@ class ThreadedWorkerPool:
                         source=self.name,
                         time=fetched_at,
                     )
-            if self._trace is not None:
-                self._trace.record(
-                    EventKind.FETCH,
-                    clock.now(),
-                    source=self.name,
-                    detail=str(len(messages)),
-                )
             for message in messages:
                 if message["payload"] in (EQ_STOP, EQ_ABORT):
                     # Report the sentinel so the submitter's future
@@ -517,8 +498,6 @@ class ThreadedWorkerPool:
             fetched_at = message.get("_fetched_at")
             if fetched_at is not None:
                 self._m_queue_wait.observe(started_at - fetched_at)
-            if self._trace is not None:
-                self._trace.task_start(started_at, eq_task_id, source=self.name)
             journal = self._jrnl()
             if journal.enabled:
                 journal.emit(
@@ -733,8 +712,6 @@ class ThreadedWorkerPool:
             if not is_lost:
                 self._m_report.observe(now - done.ran_at)
                 n_failed += done.failed
-            if self._trace is not None:
-                self._trace.task_stop(now, eq_task_id, source=self.name)
             if done.ctx is not None:
                 # Explicit parent: the flusher may be another worker.
                 tracer.add_span(

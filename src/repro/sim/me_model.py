@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.eqsql import EQSQL
 from repro.me.reprioritizer import GPRReprioritizer
 from repro.simt.environment import Environment
-from repro.telemetry.events import EventKind, TraceCollector
 
 
 @dataclass
@@ -54,7 +53,6 @@ class SimMEAlgorithm:
         remote_duration: Callable[[int], float] | None = None,
         reprioritizer: GPRReprioritizer | None = None,
         on_reprioritization: Callable[[int], None] | None = None,
-        trace: TraceCollector | None = None,
         exp_id: str = "exp-sim",
     ) -> None:
         """``remote_duration(n_completed)`` models the remote GPR
@@ -76,7 +74,6 @@ class SimMEAlgorithm:
             else GPRReprioritizer(optimize_hyperparameters=False, max_train=300)
         )
         self.on_reprioritization = on_reprioritization
-        self.trace = trace
         self.exp_id = exp_id
 
         self.reprioritizations: list[ReprioritizationTrace] = []
@@ -122,10 +119,6 @@ class SimMEAlgorithm:
     def _reprioritize(self, repri_index: int, index_of: dict[int, int], pending: set[int]):
         t0 = self.env.now
         n_done = len(self.completion_order)
-        if self.trace is not None:
-            self.trace.record(
-                EventKind.PHASE_START, t0, source="reprioritize", detail=str(n_done)
-            )
         done_idx = np.array(self.completion_order, dtype=int)
         pending_ids = sorted(pending)
         pending_idx = np.array([index_of[t] for t in pending_ids], dtype=int)
@@ -139,10 +132,6 @@ class SimMEAlgorithm:
             pending_ids, [int(p) for p in priorities]
         )
         t1 = self.env.now
-        if self.trace is not None:
-            self.trace.record(
-                EventKind.PHASE_STOP, t1, source="reprioritize", detail=str(n_updated)
-            )
         self.reprioritizations.append(
             ReprioritizationTrace(
                 index=repri_index,

@@ -25,7 +25,14 @@ from repro.core.eqsql import EQSQL
 from repro.core.fetch import FetchPolicy
 from repro.simt.environment import Environment
 from repro.simt.resources import Resource
-from repro.telemetry.events import EventKind, TraceCollector
+from repro.telemetry.journal import (
+    EV_FETCH,
+    EV_RUN_END,
+    EV_RUN_START,
+    ROLE_POOL,
+    Journal,
+    get_journal,
+)
 from repro.telemetry.tracing import SpanContext, get_tracer
 
 #: Maps (eq_task_id, payload) to the task's execution time.
@@ -61,19 +68,20 @@ class SimWorkerPool:
         eqsql: EQSQL,
         config: SimPoolConfig,
         runtime_fn: RuntimeFn,
-        trace: TraceCollector | None = None,
+        journal: Journal | None = None,
     ) -> None:
         self.env = env
         self.eqsql = eqsql
         self.config = config
         self._runtime_fn = runtime_fn
-        self._trace = trace
+        self._journal = journal if journal is not None else get_journal()
         self._policy = FetchPolicy(config.batch_size or config.n_workers, config.threshold)
         self._workers = Resource(env, config.n_workers)
         self._owned = 0
         self._stopping = False
         self._draining = False
         self.tasks_completed = 0
+        self.fetches = 0  # non-empty batch queries
         self.started_at: float | None = None
         self.process: Any = None
 
@@ -89,8 +97,6 @@ class SimWorkerPool:
         if self.process is not None:
             raise RuntimeError("pool already started")
         self.started_at = self.env.now
-        if self._trace is not None:
-            self._trace.record(EventKind.POOL_START, self.env.now, source=self.name)
         self.process = self.env.process(self._fetch_loop())
         return self
 
@@ -137,14 +143,9 @@ class SimWorkerPool:
                 self.env.now,
                 attrs={"pool": self.name, "n": len(messages)},
             )
-            if self._trace is not None:
-                self._trace.record(
-                    EventKind.FETCH,
-                    self.env.now,
-                    source=self.name,
-                    detail=str(len(messages)),
-                )
+            self.fetches += 1
             for message in messages:
+                self._emit(EV_FETCH, message["eq_task_id"])
                 if message["payload"] in (EQ_STOP, EQ_ABORT):
                     self.eqsql.report_task(
                         message["eq_task_id"], config.work_type, message["payload"]
@@ -153,23 +154,32 @@ class SimWorkerPool:
                     continue
                 self._owned += 1
                 self.env.process(self._execute(message))
-        if self._trace is not None:
-            self._trace.record(EventKind.POOL_STOP, self.env.now, source=self.name)
+
+    def _emit(self, event: str, eq_task_id: int) -> None:
+        """Journal one pool-role hop at the current virtual time."""
+        journal = self._journal
+        if journal.enabled:
+            journal.emit(
+                event,
+                eq_task_id,
+                role=ROLE_POOL,
+                work_type=self.config.work_type,
+                source=self.name,
+                time=self.env.now,
+            )
 
     def _execute(self, message: dict):
         eq_task_id = message["eq_task_id"]
         request = self._workers.request()
         yield request
         started_at = self.env.now
-        if self._trace is not None:
-            self._trace.task_start(started_at, eq_task_id, source=self.name)
+        self._emit(EV_RUN_START, eq_task_id)
         runtime = self._runtime_fn(eq_task_id, message["payload"])
         yield self.env.timeout(runtime)
         # Result payload: the scenario's runtime_fn owns the mapping to
         # objective values; the pool reports a reference result.
         self.eqsql.report_task(eq_task_id, self.config.work_type, message["payload"])
-        if self._trace is not None:
-            self._trace.task_stop(self.env.now, eq_task_id, source=self.name)
+        self._emit(EV_RUN_END, eq_task_id)
         get_tracer().add_span(
             "pool.task",
             "sim_pool",

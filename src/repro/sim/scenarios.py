@@ -25,7 +25,7 @@ from repro.sim.me_model import ReprioritizationTrace, SimMEAlgorithm
 from repro.sim.pool_model import SimPoolConfig, SimWorkerPool
 from repro.sim.workload import AckleyWorkload, RuntimeModel
 from repro.simt.environment import Environment
-from repro.telemetry.events import TraceCollector
+from repro.telemetry.journal import Journal, JournalRecord
 from repro.telemetry.timeseries import (
     ConcurrencySeries,
     concurrency_series,
@@ -35,10 +35,24 @@ from repro.telemetry.timeseries import (
 WORK_TYPE = 0
 
 
-def _make_env() -> tuple[Environment, EQSQL, TraceCollector]:
+def _make_env(n_tasks: int) -> tuple[Environment, EQSQL, Journal]:
+    """A virtual-time environment plus the journal its pools write to,
+    sized for the three pool-role hops each task leaves."""
     env = Environment()
     eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
-    return env, eqsql, TraceCollector()
+    return env, eqsql, Journal(clock=env.clock, capacity=max(1, 3 * n_tasks))
+
+
+def complete_records(journal: Journal) -> list[JournalRecord]:
+    """The journal's records, refusing a ring that evicted any: a
+    concurrency series missing ``run_start`` rows would go negative."""
+    records = journal.records()
+    if journal.dropped > 0:
+        raise RuntimeError(
+            f"journal ring (capacity {journal.capacity}) dropped "
+            f"{journal.dropped} records; concurrency series would be wrong"
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +93,7 @@ class PanelResult:
 
 def run_fig3_panel(config: Fig3Config) -> PanelResult:
     """Simulate one pool/policy combination to completion."""
-    env, eqsql, trace = _make_env()
+    env, eqsql, journal = _make_env(config.n_tasks)
     workload = AckleyWorkload(
         n_tasks=config.n_tasks, runtime=config.runtime, seed=config.seed
     ).generate()
@@ -99,7 +113,7 @@ def run_fig3_panel(config: Fig3Config) -> PanelResult:
             poll_delay=config.poll_delay,
         ),
         runtime_fn=lambda tid, _p: float(workload.runtimes[tid - first_id]),
-        trace=trace,
+        journal=journal,
     ).start()
 
     while pool.tasks_completed < config.n_tasks:
@@ -108,12 +122,11 @@ def run_fig3_panel(config: Fig3Config) -> PanelResult:
     pool.stop()
     env.run(until=pool.process)
 
-    events = trace.snapshot()
-    series = concurrency_series(events, source=pool.name, end=makespan)
+    records = complete_records(journal)
+    series = concurrency_series(records, source=pool.name, end=makespan)
     stats = utilization_stats(series, config.n_workers)
-    n_fetches = len([e for e in events if e.kind.name == "FETCH"])
     return PanelResult(
-        config=config, series=series, stats=stats, makespan=makespan, n_fetches=n_fetches
+        config=config, series=series, stats=stats, makespan=makespan, n_fetches=pool.fetches
     )
 
 
@@ -197,7 +210,7 @@ class Fig4Result:
 def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
     """Simulate the full §VI workflow."""
     config = config if config is not None else Fig4Config()
-    env, eqsql, trace = _make_env()
+    env, eqsql, journal = _make_env(config.n_tasks)
     rng = np.random.default_rng(config.seed + 1)
     workload = AckleyWorkload(
         n_tasks=config.n_tasks,
@@ -224,7 +237,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
                 poll_delay=config.poll_delay,
             ),
             runtime_fn=runtime_fn,
-            trace=trace,
+            journal=journal,
         )
 
     pools: list[SimWorkerPool] = [make_pool("pool-1")]
@@ -272,7 +285,6 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
         repri_every=config.repri_every,
         poll_delay=config.poll_delay,
         on_reprioritization=on_repri,
-        trace=trace,
     )
     me.start()
     pools[0].start()
@@ -286,7 +298,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
         if pool.process is not None:
             env.run(until=pool.process)
 
-    events = trace.snapshot()
+    records = complete_records(journal)
     pool_names = [p.name for p in pools]
     return Fig4Result(
         config=config,
@@ -295,7 +307,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
         pool_timing=pool_timing,
         pool_completed={p.name: p.tasks_completed for p in pools},
         pool_series={
-            name: concurrency_series(events, source=name, end=makespan)
+            name: concurrency_series(records, source=name, end=makespan)
             for name in pool_names
         },
         reprioritizations=me.reprioritizations,

@@ -1,27 +1,26 @@
-"""Task execution tracing, distributed spans, metrics, and reporting.
+"""Task lifecycle journal, distributed spans, metrics, and reporting.
 
-The paper's evaluation figures are built from task start/stop events:
-Figure 3 plots the number of concurrently executing tasks over time for
-one pool under different fetch policies; Figure 4 plots per-pool
-concurrency plus the GPR reprioritization timeline.  This package
-records those events (:class:`TraceCollector`), reduces them to step
-functions and utilization statistics (:mod:`repro.telemetry.timeseries`),
-and renders compact text charts for benchmark output
-(:mod:`repro.telemetry.report`).
+:mod:`repro.telemetry.journal` is the one task-lifecycle record — a
+bounded per-task journal emitted at every hop across roles (ME, service,
+DB, and all three pool kinds), merged into causally-ordered timelines
+by ``python -m repro timeline``.  The paper's evaluation figures are
+views over it: Figure 3 plots the number of concurrently executing
+tasks over time for one pool under different fetch policies; Figure 4
+plots per-pool concurrency plus the GPR reprioritization timeline.
+:mod:`repro.telemetry.timeseries` reduces ``run_start``/``run_end``
+records to those step functions and utilization statistics,
+:mod:`repro.telemetry.report` renders compact text charts for benchmark
+output, and :mod:`repro.telemetry.anomaly` streams the journal through a
+rolling-median straggler detector surfaced on the status server's
+``/events`` route.
 
-Beyond the flat event stream, :mod:`repro.telemetry.tracing` provides
+Beyond the journal, :mod:`repro.telemetry.tracing` provides
 distributed spans correlated across the ME → service → fabric → pool
 pipeline (trace ids ride the task payload path and the service wire),
 :mod:`repro.telemetry.metrics` aggregates counters/gauges/histograms on
 the same hot paths, and :mod:`repro.telemetry.trace_export` emits JSONL,
 Chrome ``trace_event`` JSON (Perfetto/about:tracing), and per-hop
 latency-breakdown tables.
-
-:mod:`repro.telemetry.journal` is the task flight recorder — a bounded
-per-task lifecycle journal emitted at every hop across roles, merged
-into causally-ordered timelines by ``python -m repro timeline`` — and
-:mod:`repro.telemetry.anomaly` streams it through a rolling-median
-straggler detector surfaced on the status server's ``/events`` route.
 
 :mod:`repro.telemetry.profiling` attributes wall/CPU time and memory to
 individual task executions, and :mod:`repro.telemetry.fleet` aggregates
@@ -30,7 +29,6 @@ surfaced as ``/fleet`` and ``python -m repro fleet``.
 """
 
 from repro.telemetry.anomaly import StragglerDetector
-from repro.telemetry.events import EventKind, TaskEvent, TraceCollector
 from repro.telemetry.fleet import FleetRegistry, TelemetryPusher
 from repro.telemetry.profiling import ProfileHandle, TaskProfile, TaskProfiler
 from repro.telemetry.journal import (
@@ -45,7 +43,6 @@ from repro.telemetry.journal import (
     task_timeline,
 )
 from repro.telemetry.report import ascii_chart, render_table
-from repro.telemetry.export import load_trace, save_trace
 from repro.telemetry.tracing import (
     Span,
     SpanContext,
@@ -88,11 +85,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "load_trace",
-    "save_trace",
-    "EventKind",
-    "TaskEvent",
-    "TraceCollector",
     "Journal",
     "JournalRecord",
     "StragglerDetector",

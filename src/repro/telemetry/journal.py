@@ -48,8 +48,7 @@ from repro.util.clock import Clock, SystemClock
 
 # -- the one event vocabulary -------------------------------------------------
 #
-# Every lifecycle emitter — the legacy TraceCollector included, via
-# EventKind.journal_event — names hops from this set.
+# Every lifecycle emitter names hops from this set.
 
 EV_SUBMIT = "submit"            #: ME handed the task to the store
 EV_ENQUEUE = "enqueue"          #: DB inserted the task into the output queue
@@ -63,10 +62,6 @@ EV_REPORT = "report"            #: result landed on the input queue
 EV_WITHDRAW = "withdraw"        #: requeued copy withdrawn by a late report
 EV_CANCEL = "cancel"            #: queued task canceled
 EV_COLLECT = "collect"          #: ME popped the result off the input queue
-EV_POOL_START = "pool_start"    #: pool lifecycle (legacy TraceCollector)
-EV_POOL_STOP = "pool_stop"
-EV_PHASE_START = "phase_start"  #: algorithm phase (legacy TraceCollector)
-EV_PHASE_STOP = "phase_stop"
 
 #: Lifecycle precedence, used only as a tie-break when two roles stamp
 #: the same timestamp: a submit sorts before the enqueue it caused.

@@ -1,20 +1,33 @@
 """Concurrency time series and utilization statistics.
 
-Reduces TASK_START/TASK_STOP event streams to the step functions the
-paper's figures plot, and to the summary statistics the benchmarks
-report: time-weighted mean concurrency, utilization (mean concurrency /
-worker count), idle-worker fraction, and a saw-tooth measure (how deep
-and how often concurrency dips), which quantifies the Fig 3 bottom-panel
-behaviour under a large fetch threshold.
+Views over the task journal (:mod:`repro.telemetry.journal`): a
+``run_start`` record is +1 running task, a ``run_end`` record is -1, and
+a record's ``source`` is the worker pool that ran it.  These reduce to
+the step functions the paper's figures plot, and to the summary
+statistics the benchmarks report: time-weighted mean concurrency,
+utilization (mean concurrency / worker count), idle-worker fraction,
+and a saw-tooth measure (how deep and how often concurrency dips),
+which quantifies the Fig 3 bottom-panel behaviour under a large fetch
+threshold.
+
+A task stops counting when its handler returns (``run_end``), not when
+its report is acknowledged: that is the paper's "concurrently executing
+tasks".  Under the DES the two instants are the same virtual time.
+
+The journal is a bounded ring.  A view over a ring that evicted
+``run_start`` records would show negative concurrency, so callers must
+check ``Journal.dropped`` is zero before trusting a series (the
+scenarios in :mod:`repro.sim.scenarios` raise otherwise).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.telemetry.events import EventKind, TaskEvent
+from repro.telemetry.journal import EV_RUN_END, EV_RUN_START, JournalRecord
 
 
 @dataclass(frozen=True)
@@ -42,24 +55,24 @@ class ConcurrencySeries:
 
 
 def concurrency_series(
-    events: list[TaskEvent],
+    records: Iterable[JournalRecord],
     source: str | None = None,
     end: float | None = None,
 ) -> ConcurrencySeries:
-    """Build the running-task step function from start/stop events.
+    """Build the running-task step function from run_start/run_end records.
 
     ``source`` restricts to one worker pool (Fig 4 plots per-pool
     series); ``end`` extends the series to a common horizon so multiple
     pools can be compared over the same window.
     """
     deltas: list[tuple[float, int]] = []
-    for event in events:
-        if source is not None and event.source != source:
+    for record in records:
+        if source is not None and record.source != source:
             continue
-        if event.kind == EventKind.TASK_START:
-            deltas.append((event.time, +1))
-        elif event.kind == EventKind.TASK_STOP:
-            deltas.append((event.time, -1))
+        if record.event == EV_RUN_START:
+            deltas.append((record.time, +1))
+        elif record.event == EV_RUN_END:
+            deltas.append((record.time, -1))
     if not deltas:
         return ConcurrencySeries(np.array([]), np.array([], dtype=int), end or 0.0)
     deltas.sort()
@@ -159,12 +172,12 @@ def sample_series(
 
 
 def completion_counts(
-    events: list[TaskEvent], source: str | None = None
+    records: Iterable[JournalRecord], source: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative completed-task count over time (tasks-done curve)."""
     stops = sorted(
-        e.time
-        for e in events
-        if e.kind == EventKind.TASK_STOP and (source is None or e.source == source)
+        r.time
+        for r in records
+        if r.event == EV_RUN_END and (source is None or r.source == source)
     )
     return np.asarray(stops), np.arange(1, len(stops) + 1)

@@ -42,7 +42,6 @@ from repro.telemetry.journal import (
     ROLE_POOL,
     ROLE_SERVICE,
     Journal,
-    get_journal,
     load_journal,
     set_journal,
     task_timeline,
@@ -171,6 +170,15 @@ class TestEndToEndTimeline:
         # Causal endpoints of the merged view.
         assert timeline[0].event == EV_SUBMIT
         assert timeline[-1].event == EV_COLLECT
+        # Why the timeline cannot end on `report`: the pool stamps its
+        # report hop when the flush begins, before the store write that
+        # wakes the ME's collect.
+        stamp = {(r.role, r.event): r.time for r in timeline}
+        assert (
+            stamp[ROLE_POOL, EV_REPORT]
+            <= stamp[ROLE_DB, EV_REPORT]
+            <= stamp[ROLE_ME, EV_COLLECT]
+        )
         # The doomed and healthy pops are attributed to their pools.
         db_pops = [
             r for r in timeline if r.role == ROLE_DB and r.event == EV_POP

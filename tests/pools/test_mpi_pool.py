@@ -7,10 +7,11 @@ import threading
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core import EQSQL, EQ_STOP
 from repro.db import MemoryTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, run_mpi_pool
-from repro.telemetry import EventKind, TraceCollector
+from repro.telemetry import Journal, set_journal, task_timeline
 
 
 @pytest.fixture
@@ -54,17 +55,48 @@ class TestMpiPool:
         assert stats.tasks_completed == 2
         assert stats.tasks_failed == 2
 
-    def test_trace_records_pool_lifecycle(self, eq):
-        submit_with_stop(eq, 6)
-        trace = TraceCollector()
-        config = PoolConfig(work_type=0, n_workers=2, name="traced-mpi")
-        run_mpi_pool(eq, PythonTaskHandler(lambda d: d), config, trace=trace, timeout=60)
-        starts = trace.filter(kind=EventKind.TASK_START, source="traced-mpi")
-        stops = trace.filter(kind=EventKind.TASK_STOP, source="traced-mpi")
-        assert len(starts) == 6 and len(stops) == 6
-        kinds = [e.kind for e in trace.snapshot()]
-        assert kinds[0] == EventKind.POOL_START
-        assert kinds[-1] == EventKind.POOL_STOP
+    def test_trace_records_pool_lifecycle(self, eq, tmp_path, capsys):
+        """The engine journals the same four pool-role hops as the
+        threaded pool, so a task's timeline interleaves them with the
+        store's rows."""
+        journal = Journal(clock=eq.clock)
+        previous = set_journal(journal)
+        try:
+            futures = submit_with_stop(eq, 6)
+            config = PoolConfig(work_type=0, n_workers=2, name="traced-mpi")
+            run_mpi_pool(eq, PythonTaskHandler(lambda d: d), config, timeout=60)
+        finally:
+            set_journal(previous)
+        records = journal.records()
+        task_ids = {f.eq_task_id for f in futures}
+        for event in ("fetch", "run_start", "run_end", "report"):
+            rows = [
+                r for r in records
+                if r.role == "pool" and r.event == event and r.task_id in task_ids
+            ]
+            assert len(rows) == 6
+            assert {r.source for r in rows} == {"traced-mpi"}
+        timeline = task_timeline(records, futures[0].eq_task_id)
+        assert [(r.role, r.event) for r in timeline] == [
+            ("db", "enqueue"),
+            ("db", "pop"),
+            ("pool", "fetch"),
+            ("pool", "run_start"),
+            ("pool", "run_end"),
+            ("pool", "report"),
+            ("db", "report"),
+        ]
+        # ... and `repro timeline` renders them from a saved journal.
+        path = str(tmp_path / "journal.jsonl")
+        journal.save_jsonl(path)
+        assert cli_main(["timeline", str(futures[0].eq_task_id), "--journal", path]) == 0
+        pool_lines = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if "traced-mpi" in line and " pool " in line
+        ]
+        assert [cells[3] for cells in pool_lines] == [
+            "fetch", "run_start", "run_end", "report",
+        ]
 
     def test_worker_pool_recorded_in_db(self, eq):
         futures = submit_with_stop(eq, 3)

@@ -12,7 +12,7 @@ from repro.core import EQSQL, EQ_STOP, ResultStatus, as_completed
 from repro.core.constants import EQ_ABORT
 from repro.db import MemoryTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
-from repro.telemetry import EventKind, TraceCollector
+from repro.telemetry import COUNT_BUCKETS, Journal, MetricsRegistry
 
 
 @pytest.fixture
@@ -187,19 +187,37 @@ class TestPolicyBehaviour:
         assert observed_max <= 5
 
     def test_trace_events_recorded(self, eq):
-        trace = TraceCollector()
+        journal = Journal(clock=eq.clock)
+        metrics = MetricsRegistry()
         futures = submit_squares(eq, 8)
         config = PoolConfig(work_type=0, n_workers=2, name="traced")
-        pool = ThreadedWorkerPool(eq, square_handler(), config, trace=trace).start()
+        pool = ThreadedWorkerPool(
+            eq, square_handler(), config, metrics=metrics, journal=journal
+        ).start()
         list(as_completed(futures, timeout=10, delay=0.01))
         pool.stop()
-        starts = trace.filter(kind=EventKind.TASK_START, source="traced")
-        stops = trace.filter(kind=EventKind.TASK_STOP, source="traced")
-        assert len(starts) == 8 and len(stops) == 8
-        fetches = trace.filter(kind=EventKind.FETCH)
-        assert sum(int(e.detail) for e in fetches) >= 8
-        kinds = {e.kind for e in trace.snapshot()}
-        assert EventKind.POOL_START in kinds and EventKind.POOL_STOP in kinds
+        for future in futures:
+            rows = journal.records(future.eq_task_id)
+            assert [r.event for r in rows] == [
+                "fetch", "run_start", "run_end", "report",
+            ]
+            assert {(r.role, r.source) for r in rows} == {("pool", "traced")}
+        # Per-fetch sizes live in the histogram, not in the journal.
+        fetch_sizes = metrics.histogram(
+            "pool.fetch_batch_size", COUNT_BUCKETS
+        ).snapshot()
+        assert fetch_sizes["sum"] == 8
+
+    def test_start_after_stop_rejected(self, eq):
+        """A pool object is single-use, with or without a journal."""
+        config = PoolConfig(work_type=0, n_workers=1)
+        for journal in (None, Journal(clock=eq.clock)):
+            pool = ThreadedWorkerPool(
+                eq, square_handler(), config, journal=journal
+            ).start()
+            pool.stop()
+            with pytest.raises(RuntimeError, match="already started"):
+                pool.start()
 
 
 class TestMultiplePools:

@@ -9,28 +9,28 @@ from repro.core import EQSQL
 from repro.db import MemoryTaskStore
 from repro.sim import SimMEAlgorithm, SimPoolConfig, SimWorkerPool
 from repro.simt import Environment
-from repro.telemetry import EventKind, TraceCollector
+from repro.telemetry import Journal
 
 
 def build_scenario(n_tasks=60, repri_every=20, n_workers=5, runtime=4.0, **me_kwargs):
     env = Environment()
     eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
-    trace = TraceCollector()
+    journal = Journal(clock=env.clock)
     rng = np.random.default_rng(0)
     points = rng.uniform(-5, 5, size=(n_tasks, 2))
     values = np.sum(points**2, axis=1)
     payloads = ["{}"] * n_tasks
     me = SimMEAlgorithm(
         env, eqsql, 0, points, values, payloads,
-        repri_every=repri_every, trace=trace, **me_kwargs,
+        repri_every=repri_every, **me_kwargs,
     )
     pool = SimWorkerPool(
         env, eqsql,
         SimPoolConfig(name="p", n_workers=n_workers, query_cost=0.1),
         runtime_fn=lambda tid, _p: runtime,
-        trace=trace,
+        journal=journal,
     )
-    return env, me, pool, trace
+    return env, me, pool, journal
 
 
 class TestSimMEAlgorithm:
@@ -44,7 +44,7 @@ class TestSimMEAlgorithm:
 
     def test_remote_duration_blocks_me_not_pools(self):
         """During a long reprioritization the pools keep completing."""
-        env, me, pool, trace = build_scenario(
+        env, me, pool, journal = build_scenario(
             remote_duration=lambda n: 10.0, repri_every=20
         )
         me.start()
@@ -55,8 +55,8 @@ class TestSimMEAlgorithm:
         assert first.time_stop - first.time_start == pytest.approx(10.0)
         # Tasks stopped during the reprioritization window.
         stops = [
-            e.time for e in trace.filter(kind=EventKind.TASK_STOP)
-            if first.time_start < e.time < first.time_stop
+            r.time for r in journal.records()
+            if r.event == "run_end" and first.time_start < r.time < first.time_stop
         ]
         assert stops, "pools idled during reprioritization"
 
@@ -97,12 +97,17 @@ class TestSimMEAlgorithm:
             me.start()
 
     def test_trace_phase_events_paired(self):
-        env, me, pool, trace = build_scenario(n_tasks=60, repri_every=20)
+        """Each ReprioritizationTrace is one start/stop pair: rounds are
+        numbered, never overlap, and see a growing completed set."""
+        env, me, pool, _ = build_scenario(n_tasks=60, repri_every=20)
         me.start()
         pool.start()
         env.run(until=me.process)
-        starts = trace.filter(kind=EventKind.PHASE_START, source="reprioritize")
-        stops = trace.filter(kind=EventKind.PHASE_STOP, source="reprioritize")
-        assert len(starts) == len(stops) == len(me.reprioritizations)
-        for s, e in zip(starts, stops):
-            assert s.time <= e.time
+        rounds = me.reprioritizations
+        assert [r.index for r in rounds] == list(range(1, len(rounds) + 1))
+        assert len(rounds) >= 2
+        for r in rounds:
+            assert r.time_start <= r.time_stop
+        for earlier, later in zip(rounds, rounds[1:]):
+            assert earlier.time_stop <= later.time_start
+            assert earlier.n_completed < later.n_completed

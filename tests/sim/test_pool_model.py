@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import EQSQL, EQ_STOP
@@ -10,13 +9,13 @@ from repro.core.constants import TaskStatus
 from repro.db import MemoryTaskStore
 from repro.sim import SimPoolConfig, SimWorkerPool
 from repro.simt import Environment
-from repro.telemetry import TraceCollector, concurrency_series, utilization_stats
+from repro.telemetry import Journal, concurrency_series, utilization_stats
 
 
 def build(n_workers=4, batch=None, threshold=1, query_cost=0.1, runtime=2.0):
     env = Environment()
     eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
-    trace = TraceCollector()
+    journal = Journal(clock=env.clock)
     pool = SimWorkerPool(
         env,
         eqsql,
@@ -28,9 +27,9 @@ def build(n_workers=4, batch=None, threshold=1, query_cost=0.1, runtime=2.0):
             query_cost=query_cost,
         ),
         runtime_fn=lambda tid, payload: runtime,
-        trace=trace,
+        journal=journal,
     )
-    return env, eqsql, trace, pool
+    return env, eqsql, journal, pool
 
 
 def run_until_done(env, pool, n_tasks):
@@ -40,7 +39,7 @@ def run_until_done(env, pool, n_tasks):
 
 class TestExecution:
     def test_completes_all_tasks(self):
-        env, eqsql, trace, pool = build(n_workers=3)
+        env, eqsql, _, pool = build(n_workers=3)
         eqsql.submit_tasks("e", 0, [f"t{i}" for i in range(10)])
         pool.start()
         run_until_done(env, pool, 10)
@@ -57,21 +56,21 @@ class TestExecution:
         assert 6.0 <= env.now < 8.0
 
     def test_concurrency_never_exceeds_workers(self):
-        env, eqsql, trace, pool = build(n_workers=3, batch=8)
+        env, eqsql, journal, pool = build(n_workers=3, batch=8)
         eqsql.submit_tasks("e", 0, ["t"] * 30)
         pool.start()
         run_until_done(env, pool, 30)
-        series = concurrency_series(trace.snapshot(), source="p")
+        series = concurrency_series(journal.records(), source="p")
         assert int(series.counts.max()) <= 3
 
     def test_oversubscription_owns_more_than_runs(self):
-        env, eqsql, trace, pool = build(n_workers=2, batch=6, runtime=5.0)
+        env, eqsql, journal, pool = build(n_workers=2, batch=6, runtime=5.0)
         eqsql.submit_tasks("e", 0, ["t"] * 6)
         pool.start()
         # After the first fetch the pool owns 6 but runs only 2.
         env.run(until=1.0)
         assert pool.owned() == 6
-        series = concurrency_series(trace.snapshot(), source="p", end=1.0)
+        series = concurrency_series(journal.records(), source="p", end=1.0)
         assert int(series.counts.max()) == 2
         run_until_done(env, pool, 6)
 
@@ -85,6 +84,22 @@ class TestExecution:
         assert first.runtime() == pytest.approx(4.0)
         # Sequential on one worker: second starts when first stops.
         assert second.time_start >= first.time_stop
+
+    def test_journal_rows_per_task(self):
+        """Each task leaves pool-role fetch, run_start, run_end rows in
+        that order, stamped in virtual time under the pool's name."""
+        env, eqsql, journal, pool = build(n_workers=2, runtime=2.0, query_cost=0.5)
+        futures = eqsql.submit_tasks("e", 0, ["t"] * 5)
+        pool.start()
+        run_until_done(env, pool, 5)
+        for future in futures:
+            rows = journal.records(future.eq_task_id)
+            assert [r.event for r in rows] == ["fetch", "run_start", "run_end"]
+            assert {(r.role, r.source) for r in rows} == {("pool", "p")}
+            fetch, start, end = rows
+            assert 0.5 <= fetch.time <= start.time
+            assert end.time - start.time == pytest.approx(2.0)
+        assert pool.fetches >= 1
 
     def test_worker_pool_column_set(self):
         env, eqsql, _, pool = build()
@@ -125,7 +140,7 @@ class TestPolicyEffects:
         # completions and mask the policy differences.
         env = Environment()
         eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
-        trace = TraceCollector()
+        journal = Journal(clock=env.clock)
         pool = SimWorkerPool(
             env,
             eqsql,
@@ -134,13 +149,13 @@ class TestPolicyEffects:
                 threshold=threshold, query_cost=0.2,
             ),
             runtime_fn=lambda tid, payload: 3.0 + (tid * 2.17) % 7,
-            trace=trace,
+            journal=journal,
         )
         eqsql.submit_tasks("e", 0, ["t"] * n_tasks)
         pool.start()
         run_until_done(env, pool, n_tasks)
-        series = concurrency_series(trace.snapshot(), source="p", end=env.now)
-        return utilization_stats(series, 8), trace
+        series = concurrency_series(journal.records(), source="p", end=env.now)
+        return utilization_stats(series, 8), pool
 
     def test_large_threshold_reduces_utilization(self):
         tight, _ = self.run_policy(batch=8, threshold=1)
@@ -148,13 +163,9 @@ class TestPolicyEffects:
         assert tight["utilization"] > loose["utilization"]
 
     def test_large_threshold_fewer_fetches(self):
-        _, tight_trace = self.run_policy(batch=8, threshold=1)
-        _, loose_trace = self.run_policy(batch=8, threshold=8)
-        from repro.telemetry import EventKind
-
-        tight = len(tight_trace.filter(kind=EventKind.FETCH))
-        loose = len(loose_trace.filter(kind=EventKind.FETCH))
-        assert loose < tight
+        _, tight_pool = self.run_policy(batch=8, threshold=1)
+        _, loose_pool = self.run_policy(batch=8, threshold=8)
+        assert 0 < loose_pool.fetches < tight_pool.fetches
 
     def test_oversubscription_improves_utilization(self):
         exact, _ = self.run_policy(batch=8, threshold=1)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.sim import Fig3Config, Fig4Config, run_fig3_panel, run_fig4
+from repro.sim.scenarios import complete_records
 from repro.sim.workload import RuntimeModel
+from repro.telemetry import Journal, concurrency_series
 
 FAST_RUNTIME = RuntimeModel(mean=10.0, sigma=0.4)
 
@@ -143,3 +145,26 @@ class TestGPREffect:
             return float(np.mean(result.best_trajectory()))
 
         assert auc(with_gpr) < auc(no_gpr)
+
+
+class TestLossyRingGuard:
+    @staticmethod
+    def run_tasks(journal, n_tasks):
+        """All tasks start, then all end: peak concurrency n_tasks."""
+        for event, time in (("run_start", 0.0), ("run_end", 1.0)):
+            for task_id in range(n_tasks):
+                journal.emit(event, task_id, role="pool", source="p", time=time)
+
+    def test_overflowed_ring_raises_instead_of_going_negative(self):
+        journal = Journal(capacity=8)
+        self.run_tasks(journal, 6)  # 12 records: the first 4 are evicted
+        # What the guard prevents: run_ends whose run_starts were evicted.
+        assert concurrency_series(journal.records()).counts.min() < 0
+        with pytest.raises(RuntimeError, match="dropped 4 records"):
+            complete_records(journal)
+
+    def test_complete_ring_passes_through(self):
+        journal = Journal(capacity=12)
+        self.run_tasks(journal, 6)
+        series = concurrency_series(complete_records(journal))
+        assert list(series.counts) == [6, 0]

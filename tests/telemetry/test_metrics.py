@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.telemetry.events import TraceCollector
 from repro.telemetry.metrics import (
     COUNT_BUCKETS,
     Counter,
@@ -188,30 +187,3 @@ class TestConcurrency:
         assert registry.gauge("depth").value == pytest.approx(0.0)
         # No observation lost: bucket counts add back up to the total.
         assert sum(histogram.snapshot()["counts"]) == total
-
-    def test_trace_collector_hammer(self):
-        collector = TraceCollector()
-        n_threads, n_tasks = 8, 200
-        barrier = threading.Barrier(n_threads)
-
-        def worker(thread_id: int):
-            barrier.wait()
-            base = thread_id * n_tasks
-            for i in range(n_tasks):
-                collector.task_start(0.0, base + i, source=f"pool-{thread_id}")
-                collector.task_stop(0.0, base + i, source=f"pool-{thread_id}")
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        events = collector.snapshot()
-        assert len(events) == n_threads * n_tasks * 2
-        for thread_id in range(n_threads):
-            assert len(collector.filter(source=f"pool-{thread_id}")) == n_tasks * 2
-        collector.clear()
-        assert collector.snapshot() == []
