@@ -1,9 +1,28 @@
 """Wire protocol for the EMEWS task service.
 
-Newline-delimited JSON over a stream socket: each request is one JSON
-object ``{"id": n, "method": name, "params": {...}, "token": "..."}``
-and each response ``{"id": n, "ok": true, "result": ...}`` or
-``{"id": n, "ok": false, "error": {"type": ..., "message": ...}}``.
+Each message is a JSON object — a request ``{"id": n, "method": name,
+"params": {...}, "token": "..."}``, a response ``{"id": n, "ok": true,
+"result": ...}`` or ``{"id": n, "ok": false, "error": {"type": ...,
+"message": ...}}`` — sent over a stream socket as one **frame**: a JSON
+header line, then zero or more raw UTF-8 *attachments*::
+
+    {"id":3,"method":"report","params":{"eq_task_id":7,"eq_type":0,
+     "result":null,"now":0.0},"att":[[["params","result"],65536]]}\\n
+    <the 65 536 bytes of the result text>
+
+Every ``str`` value of at least :data:`ATTACH_MIN` characters, wherever
+it sits in the message, travels as an attachment: the header carries
+``null`` in its place, and the reserved top-level key ``att`` lists one
+``[path, nbytes]`` pair per attachment, in body order.  A path is the
+list of dict keys and list indexes leading to that ``null``; no user
+string is ever interpreted, so nothing can collide with a marker.
+Attachment text is encoded ``"utf-8", "surrogatepass"``, so every string
+that survives a JSON round trip (NUL, newlines, non-BMP characters, lone
+surrogates) survives this one.  Nobody JSON-escapes, parses or scans a
+large string: the sender copies its bytes once, the receiver reads
+exactly ``sum(nbytes)`` bytes after the header and decodes each slice
+once.  A message without such a string has no ``att`` key, and its
+frame is exactly the compact ``json.dumps`` line plus ``"\\n"``.
 
 The method set maps one-to-one onto :class:`repro.db.TaskStore`, so a
 remote client is just another store implementation — the paper's remote
@@ -26,16 +45,52 @@ from repro.util.errors import (
     SerializationError,
 )
 
-#: Protocol version, checked at connection time by the handshake.
-PROTOCOL_VERSION = 1
+#: Protocol version, checked at connection time by the handshake.  Version
+#: 2 introduced attachments; a version-1 peer fails the handshake instead
+#: of desyncing on its first large string.
+PROTOCOL_VERSION = 2
 
-#: Default upper bound on a single frame's wire size.  A peer that sends
-#: a longer line (malicious, buggy, or simply not speaking this
-#: protocol) would otherwise make ``readline`` buffer without limit;
-#: past this the reader raises :class:`SerializationError` instead.
+#: Default upper bound on a single frame's wire size (header plus
+#: attachments).  A peer that sends a longer header line or declares more
+#: attachment bytes (malicious, buggy, or simply not speaking this
+#: protocol) would otherwise make the reader buffer without limit; past
+#: this the reader raises :class:`SerializationError` before reading on.
 #: Generous relative to real payloads (the fabric caps task payloads at
 #: 10 MB, funcX-style) while still bounding memory per connection.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Strings of at least this many characters ride as attachments.  Below
+#: it, escaping inside the header costs less than an ``att`` entry and a
+#: second copy; above it, escaping and parsing grow with the text while
+#: an attachment costs one ``encode`` and one ``decode``.  Every control
+#: frame (ids, priorities, small payloads) stays under it, so its bytes
+#: are unchanged from version 1.
+ATTACH_MIN = 4096
+
+#: The header key listing a frame's attachments.
+_ATT = "att"
+
+#: Leaf types the encoder's walk skips without a closer look.
+_SCALARS = frozenset({int, float, bool, type(None)})
+
+#: Lists up to this long are rows (a task pair, a report triple) the
+#: walk checks inline; longer ones are first tested for holding only
+#: numbers (an id list) in one C-level pass.
+_ROW = 8
+
+#: Stand-in written into a claimed attachment slot while the header is
+#: validated, so a second path to the same slot finds it non-null.
+_CLAIMED = object()
+
+
+def check_frame_size(nbytes: int, max_frame: int = MAX_FRAME_BYTES) -> None:
+    """Refuse a frame of ``nbytes`` (newline and attachments included)
+    above ``max_frame`` — the one bound the service and client share."""
+    if nbytes > max_frame:
+        raise SerializationError(
+            f"protocol frame exceeds max frame size ({max_frame} bytes)"
+        )
+
 
 #: Exception types that cross the wire by name.
 _ERROR_TYPES: dict[str, type[Exception]] = {
@@ -47,21 +102,103 @@ _ERROR_TYPES: dict[str, type[Exception]] = {
 }
 
 
+def _lift(node: Any, path: Any, found: list[tuple[Any, Any, str]]) -> Any:
+    """``node`` with every long string below it replaced by ``None``.
+
+    Appends ``(parent path, key, text)`` to ``found`` in JSON order.
+    Only containers on the way to a lifted string are copied (a tuple
+    becomes a list: the same JSON); the caller's message is never
+    mutated.  ``path`` is a ``(parent, key)`` chain, materialised only
+    for a lifted string.  Every frame pays this walk, so the common
+    shapes — short strings, numbers, flat rows like a ``(task id,
+    payload)`` pair — are settled by exact-type checks without a call.
+    """
+    is_dict = isinstance(node, dict)
+    if not is_dict and len(node) > _ROW:
+        try:
+            # Succeeds only if every item is a number (a str, None or a
+            # container raises at once): an id list, checked at C speed.
+            sum(node)
+            return node
+        except TypeError:
+            pass
+    copy: Any = None
+    for key, value in node.items() if is_dict else enumerate(node):
+        kind = type(value)
+        if kind is str:
+            if len(value) < ATTACH_MIN:
+                continue
+        elif kind in _SCALARS:
+            continue
+        elif kind is list or kind is tuple:
+            if len(value) <= _ROW:
+                for item in value:
+                    item_kind = type(item)
+                    if item_kind is str:
+                        if len(item) >= ATTACH_MIN:
+                            break
+                    elif item_kind not in _SCALARS:
+                        break
+                else:
+                    continue  # a flat row with nothing to lift
+        elif kind is not dict:
+            # Subclasses (a str enum, a namedtuple) take the slow path;
+            # anything else is not JSON and json.dumps raises on it.
+            if isinstance(value, str):
+                if len(value) < ATTACH_MIN:
+                    continue
+            elif not isinstance(value, (dict, list, tuple)):
+                continue
+        # A path names a dict key as the header spells it: json.dumps
+        # turns a non-str key (an int task id, say) into its JSON text.
+        step = key if not is_dict or type(key) is str else json.dumps(key)
+        if isinstance(value, str):
+            found.append((path, step, value))
+            lifted = None
+        else:
+            lifted = _lift(value, (path, step), found)
+            if lifted is value:
+                continue
+        if copy is None:
+            copy = dict(node) if is_dict else list(node)
+        copy[key] = lifted
+    return node if copy is None else copy
+
+
+def _path(parent: Any, key: Any) -> list[Any]:
+    steps = [key]
+    while parent is not None:
+        parent, step = parent
+        steps.append(step)
+    steps.reverse()
+    return steps
+
+
 def encode_message(message: dict[str, Any]) -> bytes:
-    """Serialize one message to its wire frame (newline included)."""
-    data = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if b"\n" in data:
-        # json.dumps never emits raw newlines, but guard the invariant
-        # the framing depends on.
-        raise SerializationError("protocol message contains a newline")
-    return data + b"\n"
+    """Serialize one message to its whole wire frame: the header line
+    (newline included) followed by its attachments."""
+    if _ATT in message:
+        raise SerializationError(f"{_ATT!r} is a reserved frame key")
+    # json.dumps (ensure_ascii) never emits a raw newline, so the header
+    # line ends exactly where the framing says it does.
+    found: list[tuple[Any, Any, str]] = []
+    header = _lift(message, None, found)
+    if not found:
+        return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    bodies = [text.encode("utf-8", "surrogatepass") for _, _, text in found]
+    header[_ATT] = [
+        [_path(parent, key), len(body)]
+        for (parent, key, _), body in zip(found, bodies)
+    ]
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join([head, b"\n", *bodies])
 
 
 def write_message(stream: BinaryIO, message: dict[str, Any]) -> int:
-    """Write one newline-delimited JSON message and flush.
+    """Write one message's frame and flush.
 
-    Returns the frame size in bytes (newline included) so callers can
-    keep wire-traffic counters without re-serializing.
+    Returns the frame size in bytes (header and attachments) so callers
+    can keep wire-traffic counters without re-serializing.
     """
     frame = encode_message(message)
     stream.write(frame)
@@ -83,18 +220,93 @@ def write_messages(stream: BinaryIO, messages: Iterable[dict[str, Any]]) -> int:
     return len(buf)
 
 
-def parse_frame(line: bytes) -> dict[str, Any]:
-    """Decode one newline-delimited frame (the bytes of a single line).
+#: One attachment slot of a parsed header: (container, key, nbytes).
+Slot = tuple[Any, Any, int]
 
-    Shared by the stream reader and byte-buffer readers (the service's
-    batch-per-recv loop) so framing errors are classified identically.
+
+def _step(node: Any, key: Any) -> Any:
+    """``node[key]`` for a path step, or :class:`SerializationError`."""
+    if type(node) is dict and type(key) is str and key in node:
+        return node[key]
+    if type(node) is list and type(key) is int and 0 <= key < len(node):
+        return node[key]
+    raise SerializationError(f"attachment path step {key!r} does not resolve")
+
+
+def parse_header(line: bytes | bytearray) -> tuple[dict[str, Any], list[Slot], int]:
+    """Decode a frame's header line.
+
+    Returns the message (attachment slots still empty), its slots in
+    body order, and the number of attachment bytes that follow the
+    header.  Every ``att`` entry is checked here, before any body byte
+    is read: a non-list, a length that is not a non-negative int, a path
+    that does not resolve or whose target is not ``null`` (including a
+    second path to one slot) raises :class:`SerializationError`.
     """
     try:
         message = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise SerializationError(f"malformed protocol frame: {exc}") from exc
     if not isinstance(message, dict):
         raise SerializationError("protocol frame is not a JSON object")
+    if _ATT not in message:
+        return message, [], 0
+    att = message.pop(_ATT)
+    if type(att) is not list:
+        raise SerializationError(f"malformed attachment list: {att!r}")
+    slots: list[Slot] = []
+    size = 0
+    for entry in att:
+        if type(entry) is not list or len(entry) != 2:
+            raise SerializationError(f"malformed attachment entry: {entry!r}")
+        path, nbytes = entry
+        if type(nbytes) is not int or nbytes < 0:
+            raise SerializationError(f"bad attachment length: {nbytes!r}")
+        if type(path) is not list or not path:
+            raise SerializationError(f"bad attachment path: {path!r}")
+        node = message
+        for key in path[:-1]:
+            node = _step(node, key)
+        key = path[-1]
+        if _step(node, key) is not None:
+            raise SerializationError(f"attachment target {path!r} is not null")
+        node[key] = _CLAIMED
+        slots.append((node, key, nbytes))
+        size += nbytes
+    return message, slots, size
+
+
+def fill_attachments(slots: list[Slot], body: Any) -> None:
+    """Decode ``body`` (exactly the frame's attachment bytes, any
+    buffer) into the slots :func:`parse_header` returned."""
+    offset = 0
+    with memoryview(body) as view:
+        for node, key, nbytes in slots:
+            end = offset + nbytes
+            try:
+                node[key] = str(view[offset:end], "utf-8", "surrogatepass")
+            except UnicodeDecodeError as exc:
+                raise SerializationError(f"malformed attachment: {exc}") from exc
+            offset = end
+
+
+def parse_frame(frame: bytes) -> dict[str, Any]:
+    """Decode one whole frame: header line plus attachments.
+
+    The stream reader and the service's byte-buffer loop run the same
+    two steps (:func:`parse_header`, :func:`fill_attachments`), so
+    framing errors are classified identically everywhere.
+    """
+    newline = frame.find(b"\n")
+    head = len(frame) if newline < 0 else newline + 1
+    message, slots, size = parse_header(frame if head == len(frame) else frame[:head])
+    if head + size != len(frame):
+        raise SerializationError(
+            f"frame carries {len(frame) - head} attachment bytes,"
+            f" header declares {size}"
+        )
+    if slots:
+        fill_attachments(slots, memoryview(frame)[head:])
     return message
 
 
@@ -103,18 +315,29 @@ def read_frame(
 ) -> tuple[dict[str, Any] | None, int]:
     """Read one message plus its wire size; ``(None, 0)`` on clean EOF.
 
-    ``max_frame`` bounds the bytes buffered for a single frame; an
-    overlong line raises :class:`SerializationError` rather than growing
-    the buffer without limit.
+    Reads the header line, then exactly the attachment bytes it
+    declares.  ``max_frame`` bounds the whole frame: an overlong header
+    line, or a header declaring more bytes than fit, raises
+    :class:`SerializationError` before anything further is read, as
+    does EOF inside a frame.
     """
     line = stream.readline(max_frame + 1)
     if not line:
         return None, 0
-    if len(line) > max_frame and not line.endswith(b"\n"):
-        raise SerializationError(
-            f"protocol frame exceeds max frame size ({max_frame} bytes)"
-        )
-    return parse_frame(line), len(line)
+    check_frame_size(len(line), max_frame)
+    if not line.endswith(b"\n"):
+        raise SerializationError("truncated protocol frame (EOF in header)")
+    message, slots, size = parse_header(line)
+    total = len(line) + size
+    check_frame_size(total, max_frame)
+    if slots:
+        body = stream.read(size)
+        if len(body) != size:
+            raise SerializationError(
+                f"truncated protocol frame ({len(body)} of {size} attachment bytes)"
+            )
+        fill_attachments(slots, body)
+    return message, total
 
 
 def read_message(stream: BinaryIO) -> dict[str, Any] | None:

@@ -28,7 +28,7 @@ from repro.telemetry.fleet import FleetRegistry
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.telemetry.tracing import Tracer, get_tracer
 from repro.util.clock import Clock, SystemClock
-from repro.util.errors import AuthenticationError
+from repro.util.errors import AuthenticationError, SerializationError
 from repro.util.logging import get_logger, log_event
 
 _log = get_logger(__name__)
@@ -48,64 +48,71 @@ class _Handler(socketserver.StreamRequestHandler):
     unchanged; a pipelined client's coalesced burst is answered with a
     coalesced burst — syscalls and wakeups are paid per batch on both
     sides of the wire.
+
+    A frame is parsed in two steps (see :mod:`repro.core.protocol`).
+    The header newline is searched for only in bytes not searched
+    before; once the header is parsed, the whole frame size is known
+    and checked against ``MAX_FRAME_BYTES`` before another byte is
+    read, and the attachments are decoded straight out of the buffer
+    when the last of them arrives — never scanned, never parsed.  Any
+    framing error drops the connection.
     """
 
     def handle(self) -> None:
         service: "TaskService" = self.server.service  # type: ignore[attr-defined]
         service.m_connections.inc()
         service.g_connections.inc()
-        conn = self.connection
-        buf = bytearray()
         try:
-            while True:
-                newline = buf.find(b"\n")
-                if newline < 0:
-                    if len(buf) > protocol.MAX_FRAME_BYTES:
-                        log_event(
-                            _log, "service.bad_frame", level=10,
-                            error="frame exceeds max frame size",
-                        )
-                        return
-                    try:
-                        chunk = conn.recv(_RECV_CHUNK)
-                    except OSError:
-                        return
-                    if not chunk:
-                        return  # clean EOF
-                    buf += chunk
-                    continue
-                out = bytearray()
-                while newline >= 0:
-                    line = bytes(buf[: newline + 1])
-                    del buf[: newline + 1]
-                    service.m_bytes_received.inc(len(line))
-                    if len(line) > protocol.MAX_FRAME_BYTES:
-                        log_event(
-                            _log, "service.bad_frame", level=10,
-                            error="frame exceeds max frame size",
-                        )
-                        return
-                    try:
-                        message = protocol.parse_frame(line)
-                    except Exception as exc:
-                        # Malformed frame: drop the connection.
-                        log_event(
-                            _log, "service.bad_frame", level=10, error=str(exc)
-                        )
-                        return
-                    response = self._dispatch(service, message)
-                    try:
-                        out += protocol.encode_message(response)
-                    except ValueError:
-                        return
-                    newline = buf.find(b"\n")
-                try:
-                    conn.sendall(out)
-                except OSError:
-                    return
-                service.m_bytes_sent.inc(len(out))
+            self._serve(service)
+        except SerializationError as exc:
+            log_event(_log, "service.bad_frame", level=10, error=str(exc))
+        except OSError:
+            pass
         finally:
             service.g_connections.dec()
+
+    def _serve(self, service: "TaskService") -> None:
+        conn = self.connection
+        buf = bytearray()
+        out = bytearray()
+        scanned = 0  # bytes of buf already searched for the header newline
+        header: tuple[dict[str, Any], list[protocol.Slot], int] | None = None
+        head = end = 0  # header length and frame length, once parsed
+        while True:
+            while True:  # dispatch every complete frame in buf
+                if header is None:
+                    newline = buf.find(b"\n", scanned)
+                    if newline < 0:
+                        scanned = len(buf)
+                        # The header alone will be at least this long.
+                        protocol.check_frame_size(scanned + 1)
+                        break
+                    head = newline + 1
+                    header = protocol.parse_header(buf[:head])
+                    end = head + header[2]
+                    protocol.check_frame_size(end)
+                if len(buf) < end:
+                    break
+                message, slots, _ = header
+                if slots:
+                    with memoryview(buf) as view:
+                        protocol.fill_attachments(slots, view[head:end])
+                del buf[:end]
+                header, scanned = None, 0
+                service.m_bytes_received.inc(end)
+                response = self._dispatch(service, message)
+                try:
+                    out += protocol.encode_message(response)
+                except ValueError:
+                    return
+            if out:
+                conn.sendall(out)
+                service.m_bytes_sent.inc(len(out))
+                out = bytearray()
+            chunk = conn.recv(_RECV_CHUNK)
+            if not chunk:
+                return  # clean EOF
+            buf += chunk
 
     def _dispatch(
         self, service: "TaskService", message: dict[str, Any]

@@ -1,7 +1,8 @@
 """SQLite EMEWS DB backend.
 
-The durable engine: the same five-table schema the paper describes for
-PostgreSQL (see :mod:`repro.db.schema`), on stdlib ``sqlite3``.  One
+The durable engine: the five tables the paper describes for PostgreSQL,
+plus the result cache and the write-once payload/result tables (see
+:mod:`repro.db.schema`), on stdlib ``sqlite3``.  One
 connection is shared across threads behind a re-entrant lock — worker
 pools, the EMEWS service, and the ME algorithm all touch the store
 concurrently, and SQLite serializes writers anyway, so a Python-level
@@ -70,8 +71,8 @@ _WATCHED = (
 )
 _READY_IN_SQL = "SELECT q.eq_task_id" + _WATCHED + " ORDER BY j.key"
 _CLAIM_IN_SQL = (
-    "SELECT q.eq_task_id, t.json_in" + _WATCHED
-    + " JOIN eq_tasks AS t ON t.eq_task_id = q.eq_task_id ORDER BY j.key"
+    "SELECT q.eq_task_id, r.json_in" + _WATCHED
+    + " LEFT JOIN eq_task_in AS r ON r.eq_task_id = q.eq_task_id ORDER BY j.key"
 )
 _DELETE_IN_SQL = (
     "DELETE FROM emews_queue_in"
@@ -175,6 +176,21 @@ class SqliteTaskStore(TaskStore):
                 )
             for stmt in SCHEMA_STATEMENTS:
                 cur.execute(stmt)
+            if "json_out" in columns:
+                # Files from before the write-once text tables keep the
+                # payload and result inside eq_tasks: move them beside
+                # it, then drop the columns (SQLite >= 3.35).
+                cur.execute(
+                    "INSERT INTO eq_task_out (eq_task_id, json_out)"
+                    " SELECT eq_task_id, json_out FROM eq_tasks"
+                )
+                cur.execute(
+                    "INSERT INTO eq_task_in (eq_task_id, json_in)"
+                    " SELECT eq_task_id, json_in FROM eq_tasks"
+                    " WHERE json_in IS NOT NULL"
+                )
+                cur.execute("ALTER TABLE eq_tasks DROP COLUMN json_out")
+                cur.execute("ALTER TABLE eq_tasks DROP COLUMN json_in")
             # Result-cache LRU ordering is a monotonic use counter; on a
             # reopened file resume past the highest persisted value.
             cur.execute("SELECT COALESCE(MAX(last_used), 0) FROM eq_task_cache")
@@ -254,12 +270,16 @@ class SqliteTaskStore(TaskStore):
         time_created: float,
     ) -> int:
         cur.execute(
-            "INSERT INTO eq_tasks (eq_task_type, eq_status, json_out, time_created,"
-            " eq_priority) VALUES (?, ?, ?, ?, ?)",
-            (eq_type, int(TaskStatus.QUEUED), payload, time_created, priority),
+            "INSERT INTO eq_tasks (eq_task_type, eq_status, time_created,"
+            " eq_priority) VALUES (?, ?, ?, ?)",
+            (eq_type, int(TaskStatus.QUEUED), time_created, priority),
         )
         eq_task_id = cur.lastrowid
         assert eq_task_id is not None
+        cur.execute(
+            "INSERT INTO eq_task_out (eq_task_id, json_out) VALUES (?, ?)",
+            (eq_task_id, payload),
+        )
         cur.execute(
             "INSERT INTO eq_exp_id_tasks (exp_id, eq_task_id) VALUES (?, ?)",
             (exp_id, eq_task_id),
@@ -321,11 +341,15 @@ class SqliteTaskStore(TaskStore):
             ids = list(range(next_id, next_id + len(payloads)))
             cur.executemany(
                 "INSERT INTO eq_tasks (eq_task_id, eq_task_type, eq_status,"
-                " json_out, time_created, eq_priority) VALUES (?, ?, ?, ?, ?, ?)",
+                " time_created, eq_priority) VALUES (?, ?, ?, ?, ?)",
                 [
-                    (tid, eq_type, int(TaskStatus.QUEUED), p, time_created, pr)
-                    for tid, p, pr in zip(ids, payloads, priorities)
+                    (tid, eq_type, int(TaskStatus.QUEUED), time_created, pr)
+                    for tid, pr in zip(ids, priorities)
                 ],
+            )
+            cur.executemany(
+                "INSERT INTO eq_task_out (eq_task_id, json_out) VALUES (?, ?)",
+                zip(ids, payloads),
             )
             cur.executemany(
                 "INSERT INTO eq_exp_id_tasks (exp_id, eq_task_id) VALUES (?, ?)",
@@ -406,8 +430,8 @@ class SqliteTaskStore(TaskStore):
                 [int(TaskStatus.RUNNING), now, worker_pool, lease_expiry, *ids],
             )
             cur.execute(
-                f"SELECT eq_task_id, json_out FROM eq_tasks WHERE eq_task_id IN ({marks})"
-                " ORDER BY eq_task_id",
+                f"SELECT eq_task_id, json_out FROM eq_task_out"
+                f" WHERE eq_task_id IN ({marks})",
                 ids,
             )
             by_id = dict(cur.fetchall())
@@ -449,11 +473,11 @@ class SqliteTaskStore(TaskStore):
             # Idempotent: only a not-yet-COMPLETE row accepts a result
             # (first report wins), so a retried or duplicate report can
             # neither overwrite the stored result nor enqueue a second
-            # input-queue row.
+            # input-queue row — and the result text is written once.
             cur.execute(
-                "UPDATE eq_tasks SET json_in = ?, eq_status = ?, time_stop = ?,"
+                "UPDATE eq_tasks SET eq_status = ?, time_stop = ?,"
                 " lease_expiry = NULL WHERE eq_task_id = ? AND eq_status != ?",
-                (result, int(TaskStatus.COMPLETE), now, eq_task_id,
+                (int(TaskStatus.COMPLETE), now, eq_task_id,
                  int(TaskStatus.COMPLETE)),
             )
             if cur.rowcount == 0:
@@ -463,6 +487,10 @@ class SqliteTaskStore(TaskStore):
                 if cur.fetchone() is None:
                     raise NotFoundError(f"no task with id {eq_task_id}")
                 return  # duplicate report of a COMPLETE task: no-op
+            cur.execute(
+                "INSERT INTO eq_task_in (eq_task_id, json_in) VALUES (?, ?)",
+                (eq_task_id, result),
+            )
             # If the task was requeued (lease expiry racing a slow pool's
             # report), withdraw the queued copy — the output queue must
             # hold only QUEUED tasks, and this result makes re-execution
@@ -551,12 +579,13 @@ class SqliteTaskStore(TaskStore):
                     )
                     pool_by_id = dict(cur.fetchall())
                 cur.executemany(
-                    "UPDATE eq_tasks SET json_in = ?, eq_status = ?,"
-                    " time_stop = ?, lease_expiry = NULL WHERE eq_task_id = ?",
-                    [
-                        (result, int(TaskStatus.COMPLETE), now, tid)
-                        for tid, _, result in fresh
-                    ],
+                    "UPDATE eq_tasks SET eq_status = ?, time_stop = ?,"
+                    " lease_expiry = NULL WHERE eq_task_id = ?",
+                    [(int(TaskStatus.COMPLETE), now, tid) for tid, _, _ in fresh],
+                )
+                cur.executemany(
+                    "INSERT INTO eq_task_in (eq_task_id, json_in) VALUES (?, ?)",
+                    [(tid, result) for tid, _, result in fresh],
                 )
                 fmarks = ",".join("?" for _ in fresh)
                 cur.execute(
@@ -597,7 +626,7 @@ class SqliteTaskStore(TaskStore):
             if cur.rowcount == 0:
                 return None
             cur.execute(
-                "SELECT json_in FROM eq_tasks WHERE eq_task_id = ?", (eq_task_id,)
+                "SELECT json_in FROM eq_task_in WHERE eq_task_id = ?", (eq_task_id,)
             )
             row = cur.fetchone()
             return row[0] if row is not None else None
@@ -663,9 +692,12 @@ class SqliteTaskStore(TaskStore):
         self._check_open()
         with self._read() as cur:
             cur.execute(
-                "SELECT eq_task_id, eq_task_type, eq_status, worker_pool, json_out,"
-                " json_in, time_created, time_start, time_stop, lease_expiry,"
-                " eq_priority FROM eq_tasks WHERE eq_task_id = ?",
+                "SELECT t.eq_task_id, eq_task_type, eq_status, worker_pool,"
+                " o.json_out, i.json_in, time_created, time_start, time_stop,"
+                " lease_expiry, eq_priority FROM eq_tasks AS t"
+                " LEFT JOIN eq_task_out AS o ON o.eq_task_id = t.eq_task_id"
+                " LEFT JOIN eq_task_in AS i ON i.eq_task_id = t.eq_task_id"
+                " WHERE t.eq_task_id = ?",
                 (eq_task_id,),
             )
             row = cur.fetchone()

@@ -54,6 +54,23 @@ _WAITER_SETTLE = 0.005
 _WAITER_JOIN = 30.0
 
 
+#: One payload or result in ``_BULK_EVERY`` — picked by step or task id,
+#: never by a PRNG draw, so seed schedules replay unchanged — is padded
+#: past the wire's attachment threshold (4 096 characters) with
+#: non-ASCII text and raw newlines, so every access path also carries
+#: frames with attachments: create, pop, report, collect, cache.
+_BULK_EVERY = 4
+_BULK_PAD = ",\n".join(['"résumé 😀 → ∑"'] * 300)  # 4 798 characters
+
+
+def _bulk(text: str, key: int) -> str:
+    """``text`` (a JSON object), or for every ``_BULK_EVERY``-th ``key``
+    the same object grown past 4 KiB by a ``pad`` array."""
+    if key % _BULK_EVERY:
+        return text
+    return text[:-1] + ', "pad": [\n' + _BULK_PAD + "\n]}"
+
+
 #: Ops of :data:`repro.core.ops.OPS` that no actor drives, each with the
 #: reason that is acceptable.  Everything else must be called by some
 #: schedule (``tests/testing/test_conformance_fuzzer.py`` checks), so a
@@ -180,7 +197,8 @@ class ScheduleEngine:
             rng.randint(0, self.config.max_priority) for _ in range(count)
         ]
         payloads = [
-            f'{{"step": {self._step}, "i": {i}}}' for i in range(count)
+            _bulk(f'{{"step": {self._step}, "i": {i}}}', self._step + i)
+            for i in range(count)
         ]
         now = self.clock.now()
         got = self.store.create_tasks(
@@ -227,7 +245,7 @@ class ScheduleEngine:
             tid = pool.held.pop(rng.randrange(len(pool.held)))
             reports.append((
                 tid, self.model.tasks[tid].eq_task_type,
-                f'{{"task": {tid}, "by": "{pool.name}"}}',
+                _bulk(f'{{"task": {tid}, "by": "{pool.name}"}}', tid),
             ))
         now = self.clock.now()
         if batched:
@@ -433,7 +451,7 @@ class ScheduleEngine:
         )
         thread.start()
         time.sleep(_WAITER_SETTLE)
-        payload = f'{{"step": {self._step}, "waiter": true}}'
+        payload = _bulk(f'{{"step": {self._step}, "waiter": true}}', self._step)
         got_ids = self.store.create_tasks(
             self.config.exp_id, eq_type, [payload],
             priority=[priority], time_created=now,
@@ -498,7 +516,9 @@ class ScheduleEngine:
         pool, tid = candidates[rng.randrange(len(candidates))]
         pool.held.remove(tid)
         eq_type = model.tasks[tid].eq_task_type
-        result = f'{{"task": {tid}, "by": "{pool.name}", "waiter": true}}'
+        result = _bulk(
+            f'{{"task": {tid}, "by": "{pool.name}", "waiter": true}}', tid
+        )
         now = self.clock.now()
         outcome: list[Any] = []
 
@@ -557,7 +577,7 @@ class ScheduleEngine:
                          "miss" if want is None else "hit")
         else:
             eq_type = rng.choice(self.config.work_types)
-            result = f'{{"cached": "{key}", "step": {self._step}}}'
+            result = _bulk(f'{{"cached": "{key}", "step": {self._step}}}', self._step)
             # None = immortal; short TTLs die on the next step's tick,
             # long ones only across a lease-sized clock jump.
             ttl = rng.choice(

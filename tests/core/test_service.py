@@ -160,4 +160,4 @@ class TestProtocol:
             remote._call("no_such_method", {})
 
     def test_ping(self, remote):
-        assert remote._call("ping", {})["version"] == 1
+        assert remote._call("ping", {})["version"] == 2

@@ -1,17 +1,21 @@
 """Golden wire frames: every RPC's bytes and decoded types, pinned.
 
 One representative call per op (defaults left implicit) plus the
-optional-field variants goes client → line tap → live ``TaskService``
+optional-field variants goes client → frame tap → live ``TaskService``
 over a scripted duck-typed store.  For each call the tap records the
-exact request frame (id normalised) and response frame, the scripted
-store records the keyword arguments the service dispatched, and the
-client's decoded return value is captured by ``repr`` — type-exact, so
-a tuple that became a list, a reordered key, or a dropped default all
-change the record.
+exact request frame (id normalised) and response frame — header line
+plus attachments — the scripted store records the keyword arguments the
+service dispatched, and the client's decoded return value is captured by
+``repr`` — type-exact, so a tuple that became a list, a reordered key,
+or a dropped default all change the record.  The cases at the end carry
+strings of ``ATTACH_MIN`` characters or more; the record names each such
+string (``<BIG>``, ...) instead of spelling it out.
 
 The committed fixture was recorded at commit 73c8cf9 (the hand-written
-stubs and dispatch ladder).  Re-record only for a deliberate wire
-change::
+stubs and dispatch ladder).  Protocol version 2 changed exactly one of
+those records, the ``ping`` response's version, and appended the
+attachment cases; every other record is the original recording.
+Re-record only for a deliberate wire change::
 
     PYTHONPATH=src python tests/core/test_wire_golden.py --record
 """
@@ -50,6 +54,22 @@ _STATS = {
     "queue_out": {"0": 1}, "queue_out_total": 1, "queue_in": 2,
     "leases": {"active": 0, "expired": 0, "unleased_running": 0},
 }
+
+#: Strings at and around the attachment threshold, by record name: a
+#: 5 KiB text with non-ASCII, non-BMP and newline characters, one of
+#: exactly ``ATTACH_MIN`` characters, and one a character short (which
+#: stays inline in the header).
+_BIGS = {
+    "BIG": "5 KiB ü€😀\n" * 512,
+    "EXACT": "x" * 4096,
+    "UNDER": "y" * 4095,
+}
+_BIG, _EXACT, _UNDER = _BIGS.values()
+_BIG_ROW = TaskRow(
+    eq_task_id=7, eq_task_type=0, eq_status=TaskStatus.COMPLETE,
+    worker_pool="w", json_out=_BIG, json_in=_EXACT, time_created=1.0,
+    time_start=2.0, time_stop=3.0,
+)
 
 #: (case name, method, args, kwargs, scripted store return or exception).
 CASES: list[tuple[str, str, tuple, dict, Any]] = [
@@ -112,6 +132,16 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
     ("stats/now", "stats", (), {"now": 5.0}, _STATS),
     ("max_task_id", "max_task_id", (), {}, 9),
     ("clear", "clear", (), {}, None),
+    # Attachments (protocol version 2).
+    ("create_tasks/attachment", "create_tasks", ("exp", 1, ["a", _BIG, "b"]),
+     {}, [5, 6, 7]),
+    ("pop_out/attachment", "pop_out", (0, 2), {}, [(5, "a"), (6, _BIG)]),
+    ("report/attachment", "report", (6, 1, _BIG), {}, None),
+    ("report_batch/attachments", "report_batch",
+     ([(5, 1, "r"), (6, 1, _BIG), (7, 1, _UNDER), (8, 1, _EXACT)],), {}, None),
+    ("get_task/attachments", "get_task", (7,), {}, _BIG_ROW),
+    ("cache_put/attachment", "cache_put", ("k", 0, _BIG), {}, None),
+    ("cache_get/attachment", "cache_get", ("k",), {}, _BIG),
 ]
 
 
@@ -137,8 +167,18 @@ class _ScriptedStore:
         return method
 
 
-class _LineTap:
-    """Lockstep line proxy logging each (request, response) frame pair."""
+def _read_frame(stream: Any) -> bytes:
+    """One whole frame off ``stream``: the header line, then the
+    attachment bytes it declares (``b""`` at EOF)."""
+    header = stream.readline()
+    if not header:
+        return b""
+    attachments = json.loads(header).get("att", [])
+    return header + stream.read(sum(nbytes for _path, nbytes in attachments))
+
+
+class _FrameTap:
+    """Lockstep frame proxy logging each (request, response) frame pair."""
 
     def __init__(self, upstream: tuple[str, int]) -> None:
         self._upstream = upstream
@@ -158,9 +198,9 @@ class _LineTap:
     def _serve(self, client: socket.socket) -> None:
         with client, socket.create_connection(self._upstream) as upstream:
             requests, responses = client.makefile("rb"), upstream.makefile("rb")
-            for request in requests:
+            while request := _read_frame(requests):
                 upstream.sendall(request)
-                response = responses.readline()
+                response = _read_frame(responses)
                 # Logged before the client can see the response, so the
                 # pair is in place by the time the client call returns.
                 self.frames.append((request, response))
@@ -170,8 +210,17 @@ class _LineTap:
         self._listener.close()
 
 
+def _abbreviate(text: str) -> str:
+    """Name each string of ``_BIGS`` where it appears raw (a frame's
+    attachment) or as its ``repr`` (dispatched kwargs, decoded values)."""
+    for name, big in _BIGS.items():
+        for form in (big, repr(big)[1:-1]):
+            text = text.replace(form, f"<{name}>")
+    return text
+
+
 def _normalise(frame: bytes) -> str:
-    return re.sub(r'^\{"id":\d+,', '{"id":0,', frame.decode("utf-8"))
+    return _abbreviate(re.sub(r'^\{"id":\d+,', '{"id":0,', frame.decode("utf-8")))
 
 
 def record_all() -> dict[str, dict[str, Any]]:
@@ -180,7 +229,7 @@ def record_all() -> dict[str, dict[str, Any]]:
     service = TaskService(
         store, clock=VirtualClock(), metrics=MetricsRegistry()  # type: ignore[arg-type]
     ).start()
-    tap = _LineTap(service.address)
+    tap = _FrameTap(service.address)
     client = RemoteTaskStore(*tap.address, metrics=MetricsRegistry())
     records: dict[str, dict[str, Any]] = {}
     try:
@@ -204,8 +253,10 @@ def record_all() -> dict[str, dict[str, Any]]:
             records[case] = {
                 "request": _normalise(frames[0][0]) if frames else None,
                 "response": _normalise(frames[0][1]) if frames else None,
-                "store_call": repr(store.calls[0]) if store.calls else None,
-                "decoded": decoded,
+                "store_call": (
+                    _abbreviate(repr(store.calls[0])) if store.calls else None
+                ),
+                "decoded": _abbreviate(decoded),
             }
     finally:
         client.close()
