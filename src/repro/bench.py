@@ -424,23 +424,6 @@ def bench_task_profile_overhead(smoke: bool = False) -> dict:
     )
 
 
-class _PollingOnlyStore:
-    """A store wrapper that hides ``supports_wait`` (and ``wait``).
-
-    The dispatch-latency bench runs the same workload twice; this
-    wrapper forces the sleep-polling fallback everywhere so the two
-    modes differ only in dispatch mechanism, not store implementation.
-    """
-
-    supports_wait = False
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 def _percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
         return 0.0
@@ -449,16 +432,12 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 def bench_dispatch_latency(smoke: bool = False) -> dict:
-    """Submit→run_start latency through an idle pool, polling vs wait.
+    """Submit→run_start latency through an idle, long-polling pool.
 
     One task at a time against an otherwise-idle 2-worker pool; latency
     is ``run_start.time - enqueue.time`` from the shared journal (both
-    stamped by the same EQSQL clock).  The polling mode wraps the store
-    to hide ``supports_wait``, so the fetcher sleeps ``poll_delay``
-    between empty queries and dispatch costs O(poll interval); the wait
-    mode long-polls and costs O(wake + handoff).  ``p50_speedup`` is the
-    headline: the event-driven path must dispatch ≥ 5× faster at the
-    default ``poll_delay``.
+    stamped by the same EQSQL clock).  The fetcher is parked in a
+    long-poll when each task lands, so dispatch costs O(wake + handoff).
     """
     from repro.core import EQSQL
     from repro.db import MemoryTaskStore
@@ -466,46 +445,39 @@ def bench_dispatch_latency(smoke: bool = False) -> dict:
     from repro.telemetry.journal import EV_ENQUEUE, EV_RUN_START, Journal
 
     n = 8 if smoke else 30
-    metrics: dict[str, float] = {}
-    for label, wrap in (("polling", True), ("wait", False)):
-        journal = Journal(enabled=True, capacity=16 * n)
-        backing = MemoryTaskStore(journal=journal)
-        store = _PollingOnlyStore(backing) if wrap else backing
-        eq = EQSQL(store)
-        pool = ThreadedWorkerPool(
-            eq,
-            PythonTaskHandler(lambda d: d),
-            # Default poll_delay / fetch_wait: the bench prices the
-            # dispatch mechanisms exactly as a stock pool ships.
-            PoolConfig(work_type=0, n_workers=2),
-            journal=journal,
-        ).start()
-        try:
-            for _ in range(n):
-                future = eq.submit_task("bench", 0, "{}")
-                status, _payload = future.result(delay=0.002, timeout=30)
-                assert status.name == "SUCCESS"
-                # Let the fetcher return to its idle wait/sleep so the
-                # next submission measures dispatch from a quiet pool.
-                time.sleep(0.03)
-        finally:
-            pool.stop()
-            eq.close()
-        latencies: list[float] = []
-        for record in journal.records():
-            if record.event == EV_ENQUEUE:
-                enqueued = record.time
-            elif record.event == EV_RUN_START:
-                latencies.append(record.time - enqueued)
-        journal.close()
-        assert len(latencies) == n
-        latencies.sort()
-        metrics[f"{label}_p50_seconds"] = _percentile(latencies, 0.50)
-        metrics[f"{label}_p99_seconds"] = _percentile(latencies, 0.99)
-    if metrics["wait_p50_seconds"] > 0:
-        metrics["p50_speedup"] = (
-            metrics["polling_p50_seconds"] / metrics["wait_p50_seconds"]
-        )
+    journal = Journal(enabled=True, capacity=16 * n)
+    eq = EQSQL(MemoryTaskStore(journal=journal))
+    pool = ThreadedWorkerPool(
+        eq,
+        PythonTaskHandler(lambda d: d),
+        # A stock pool: the bench prices dispatch exactly as it ships.
+        PoolConfig(work_type=0, n_workers=2),
+        journal=journal,
+    ).start()
+    try:
+        for _ in range(n):
+            future = eq.submit_task("bench", 0, "{}")
+            status, _payload = future.result(delay=0.002, timeout=30)
+            assert status.name == "SUCCESS"
+            # Let the fetcher return to its idle wait so the next
+            # submission measures dispatch from a quiet pool.
+            time.sleep(0.03)
+    finally:
+        pool.stop()
+        eq.close()
+    latencies: list[float] = []
+    for record in journal.records():
+        if record.event == EV_ENQUEUE:
+            enqueued = record.time
+        elif record.event == EV_RUN_START:
+            latencies.append(record.time - enqueued)
+    journal.close()
+    assert len(latencies) == n
+    latencies.sort()
+    metrics = {
+        "wait_p50_seconds": _percentile(latencies, 0.50),
+        "wait_p99_seconds": _percentile(latencies, 0.99),
+    }
     return make_result(
         "dispatch_latency", metrics, smoke, {"n_tasks": n, "n_workers": 2}
     )
@@ -514,22 +486,22 @@ def bench_dispatch_latency(smoke: bool = False) -> dict:
 def bench_idle_rpc_rate(smoke: bool = False) -> dict:
     """RPCs per second from one idle fetcher against a live service.
 
-    Replays the fetch loop's idle behaviour over a fixed window in both
-    modes: sleep-polling (one non-blocking ``pop_out`` per default
-    ``poll_delay``) and long-polling (one ``pop_out(wait=fetch_wait)``
-    that blocks server-side).  RPCs are counted from the client's own
-    metrics registry.  ``rpc_reduction`` is the headline: an idle fleet
-    must cost > 10× fewer requests per second event-driven than polling.
+    Replays an idle fetch loop over a fixed window in both modes: a
+    bench-local sleep-polling arm (one non-blocking ``pop_out`` per
+    default ``poll_delay``) and the pools' long-poll (one
+    ``pop_out(wait=FETCH_WAIT)`` that blocks server-side).  RPCs are
+    counted from the client's own metrics registry.  ``rpc_reduction``
+    is the headline: an idle fleet must cost > 10× fewer requests per
+    second event-driven than polling.
     """
     from repro.core.service import TaskService
     from repro.core.service_client import RemoteTaskStore
     from repro.db import MemoryTaskStore
-    from repro.pools import PoolConfig
+    from repro.pools.config import FETCH_WAIT, PoolConfig
     from repro.telemetry.metrics import MetricsRegistry
 
-    defaults = PoolConfig(work_type=0)
-    poll_delay = defaults.poll_delay
-    fetch_wait = 0.1 if smoke else defaults.fetch_wait
+    poll_delay = PoolConfig(work_type=0).poll_delay
+    wait_seconds = 0.1 if smoke else FETCH_WAIT
     window = 0.5 if smoke else 3.0
     service = TaskService(MemoryTaskStore(), port=0)
     service.start()
@@ -540,7 +512,7 @@ def bench_idle_rpc_rate(smoke: bool = False) -> dict:
         rpcs = registry.counter("service.client.rpcs")
         try:
             metrics: dict[str, float] = {}
-            for label, wait in (("polling", None), ("wait", fetch_wait)):
+            for label, wait in (("polling", None), ("wait", wait_seconds)):
                 before = rpcs.value
                 t0 = time.perf_counter()
                 deadline = t0 + window
@@ -565,7 +537,7 @@ def bench_idle_rpc_rate(smoke: bool = False) -> dict:
         metrics,
         smoke,
         {"window_seconds": window, "poll_delay": poll_delay,
-         "fetch_wait": fetch_wait},
+         "wait_seconds": wait_seconds},
     )
 
 

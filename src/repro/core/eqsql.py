@@ -17,7 +17,7 @@ from typing import Any, TypeVar
 from repro.core.constants import EQ_TIMEOUT, ResultStatus, TaskStatus
 from repro.core.fetch import fetch_count
 from repro.core.task import _TRACE_PREFIX, unwrap_payload, wrap_payload
-from repro.db.backend import TaskStore
+from repro.db.backend import TaskStore, normalize_priorities
 from repro.db.memory_backend import MemoryTaskStore
 from repro.db.schema import TaskRow
 from repro.db.sqlite_backend import SqliteTaskStore
@@ -183,35 +183,7 @@ class EQSQL:
         """The span recorder (instance-injected or process default)."""
         return self._tracer if self._tracer is not None else get_tracer()
 
-    # -- polling core -------------------------------------------------------
-
-    def _poll(
-        self,
-        attempt: Callable[[], T | None],
-        delay: float,
-        timeout: float | None,
-    ) -> T | None:
-        """Run ``attempt`` until it returns non-None or ``timeout`` expires.
-
-        Always makes at least one attempt, so ``timeout=0`` is the
-        non-blocking single-try form the DES pool model uses.  A
-        ``timeout`` of ``None`` polls indefinitely.
-
-        Sleeps are decorrelated-jittered starting from ``delay`` (capped
-        a few doublings above it) so many pollers against one store
-        drift apart instead of hammering it in lockstep.
-        """
-        deadline = self._clock.deadline(timeout)
-        backoff: DecorrelatedJitter | None = None
-        while True:
-            result = attempt()
-            if result is not None:
-                return result
-            if self._clock.expired(deadline):
-                return None
-            if backoff is None:
-                backoff = DecorrelatedJitter(delay)
-            self._clock.sleep(backoff.next())
+    # -- retry core ---------------------------------------------------------
 
     def _wait_poll(
         self,
@@ -219,15 +191,20 @@ class EQSQL:
         delay: float,
         timeout: float | None,
     ) -> T | None:
-        """Event-driven :meth:`_poll`: the store blocks, we don't sleep.
+        """Run ``attempt`` until it returns non-None or ``timeout`` expires.
 
-        ``attempt`` receives the long-poll bound to pass to the store
-        (``None`` = non-blocking).  One wait call usually covers the
-        whole timeout; when the store returns early and empty — its
-        server capped the wait (``max_wait_ms``), shutdown woke it, or a
-        wrapper silently ignored ``wait`` — a short jittered sleep keeps
-        the retry loop from hot-spinning, and the loop degrades to
-        exactly the old poll for wait-ignoring stores.
+        ``attempt`` receives the long-poll bound to pass to the store;
+        the store blocks, we don't sleep.  One wait call usually covers
+        the whole timeout.  Always makes at least one attempt, and once
+        no time remains the bound is ``None`` (non-blocking), so
+        ``timeout=0`` is the single wait-less call that DES callers
+        under a virtual clock rely on: a real block there would
+        deadlock.  ``timeout=None`` retries forever.
+
+        When the store returns early and empty — its server capped the
+        wait (``max_wait_ms``), shutdown woke it, or a wrapper dropped
+        ``wait`` — a short decorrelated-jittered sleep keeps the loop
+        from hot-spinning, and many callers drift apart.
         """
         deadline = self._clock.deadline(timeout)
         backoff: DecorrelatedJitter | None = None
@@ -244,16 +221,6 @@ class EQSQL:
             if backoff is None:
                 backoff = DecorrelatedJitter(min(delay, 0.05))
             self._clock.sleep(backoff.next())
-
-    def _use_wait(self, timeout: float | None) -> bool:
-        """Choose the long-poll fast path over the sleep-poll fallback.
-
-        Requires a wait-capable store and a blocking call: ``timeout=0``
-        is the DES non-blocking form, where a real block under a virtual
-        clock would be a deadlock (nothing advances virtual time while a
-        thread sleeps in the store).
-        """
-        return timeout != 0 and getattr(self._store, "supports_wait", False)
 
     # -- submission (ME algorithm side) ---------------------------------------
 
@@ -436,6 +403,9 @@ class EQSQL:
             ]
         if cache not in CACHE_MODES:
             raise ValueError(f"cache must be one of {CACHE_MODES}, got {cache!r}")
+        # Validate here: cache hits and coalesced duplicates never reach
+        # the store, so its check would see only the misses, if any.
+        priorities = normalize_priorities(len(payloads), priority)
         keys = [cache_key(eq_type, p) for p in payloads]
         now = self._clock.now()
         writeback = cache == "readwrite"
@@ -477,7 +447,7 @@ class EQSQL:
                 if isinstance(priority, int):
                     sub_priority = priority
                 else:
-                    sub_priority = [priority[i] for i in create]
+                    sub_priority = [priorities[i] for i in create]
                 ids = self._create_batch(
                     exp_id, eq_type, [payloads[i] for i in create], sub_priority, tag
                 )
@@ -557,6 +527,44 @@ class EQSQL:
 
     # -- queue queries (worker pool side) ---------------------------------------
 
+    def _pop_tasks(
+        self,
+        span_name: str,
+        eq_type: int,
+        n: int,
+        worker_pool: str,
+        delay: float,
+        timeout: float | None,
+        lease: float | None,
+        **attrs: Any,
+    ) -> list[dict[str, Any]] | None:
+        """Claim up to ``n`` tasks as work messages (None on timeout)."""
+        def attempt(wait: float | None) -> list[tuple[int, str]] | None:
+            kwargs = {} if wait is None else {"wait": wait}
+            popped = self._store.pop_out(
+                eq_type, n, worker_pool=worker_pool, now=self._clock.now(),
+                lease=lease, **kwargs,
+            )
+            return popped if popped else None
+
+        tracer = self.tracer
+        t0 = self._clock.now() if tracer.enabled else 0.0
+        popped = self._wait_poll(attempt, delay, timeout)
+        if popped is None:
+            return None
+        self._m_fetched.inc(len(popped))
+        self._m_batch_size.observe(len(popped))
+        if tracer.enabled:
+            tracer.add_span(
+                span_name,
+                "eqsql",
+                t0,
+                self._clock.now(),
+                parent=tracer.current_context(),
+                attrs={"n": len(popped), **attrs, "worker_pool": worker_pool},
+            )
+        return _unwrap_popped(popped)
+
     def query_task(
         self,
         eq_type: int,
@@ -568,46 +576,20 @@ class EQSQL:
     ) -> dict[str, Any] | list[dict[str, Any]]:
         """Pop up to ``n`` tasks of ``eq_type`` off the output queue.
 
-        Against a wait-capable store this is event-driven: one blocking
-        ``pop_out(wait=...)`` covers the whole ``timeout`` and returns
-        the instant work arrives.  Otherwise it polls with ``delay``
-        (jittered) until a task is available or ``timeout`` expires.
+        Event-driven: one blocking ``pop_out(wait=...)`` covers the whole
+        ``timeout`` and returns the instant work arrives; ``delay`` only
+        paces (jittered) retries after the store returns early and empty.
         Returns a single work message when ``n == 1``, a list of work
         messages when ``n > 1``, or the TIMEOUT status message when the
         wait fails (paper §IV-C).  ``lease`` claims the tasks under a
         fault-tolerance lease of that many seconds (see
         :meth:`repro.db.backend.TaskStore.pop_out`).
         """
-        def attempt(wait: float | None = None) -> list[tuple[int, str]] | None:
-            # Only the fast path passes wait= down, so wait-unaware store
-            # stubs keep working against the poll fallback unchanged.
-            kwargs = {} if wait is None else {"wait": wait}
-            popped = self._store.pop_out(
-                eq_type, n, worker_pool=worker_pool, now=self._clock.now(),
-                lease=lease, **kwargs,
-            )
-            return popped if popped else None
-
-        tracer = self.tracer
-        t0 = self._clock.now() if tracer.enabled else 0.0
-        if self._use_wait(timeout):
-            popped = self._wait_poll(attempt, delay, timeout)
-        else:
-            popped = self._poll(attempt, delay, timeout)
-        if popped is None:
+        messages = self._pop_tasks(
+            "eqsql.query_task", eq_type, n, worker_pool, delay, timeout, lease
+        )
+        if messages is None:
             return dict(TIMEOUT_MESSAGE)
-        self._m_fetched.inc(len(popped))
-        self._m_batch_size.observe(len(popped))
-        if tracer.enabled:
-            tracer.add_span(
-                "eqsql.query_task",
-                "eqsql",
-                t0,
-                self._clock.now(),
-                parent=tracer.current_context(),
-                attrs={"n": len(popped), "worker_pool": worker_pool},
-            )
-        messages = _unwrap_popped(popped)
         if n == 1:
             return messages[0]
         return messages
@@ -635,35 +617,11 @@ class EQSQL:
         want = fetch_count(batch_size, threshold, owned)
         if want == 0:
             return []
-
-        def attempt(wait: float | None = None) -> list[tuple[int, str]] | None:
-            kwargs = {} if wait is None else {"wait": wait}
-            popped = self._store.pop_out(
-                eq_type, want, worker_pool=worker_pool, now=self._clock.now(),
-                lease=lease, **kwargs,
-            )
-            return popped if popped else None
-
-        tracer = self.tracer
-        t0 = self._clock.now() if tracer.enabled else 0.0
-        if self._use_wait(timeout):
-            popped = self._wait_poll(attempt, delay, timeout)
-        else:
-            popped = self._poll(attempt, delay, timeout)
-        if popped is None:
-            return []
-        self._m_fetched.inc(len(popped))
-        self._m_batch_size.observe(len(popped))
-        if tracer.enabled:
-            tracer.add_span(
-                "eqsql.query_task_batch",
-                "eqsql",
-                t0,
-                self._clock.now(),
-                parent=tracer.current_context(),
-                attrs={"n": len(popped), "want": want, "worker_pool": worker_pool},
-            )
-        return _unwrap_popped(popped)
+        messages = self._pop_tasks(
+            "eqsql.query_task_batch", eq_type, want, worker_pool, delay,
+            timeout, lease, want=want,
+        )
+        return messages or []
 
     def report_task(
         self,
@@ -743,25 +701,18 @@ class EQSQL:
         """Pop one task's result off the input queue.
 
         Returns ``(SUCCESS, result_payload)`` or ``(FAILURE, 'TIMEOUT')``.
-
-        Against a wait-capable store, one blocking ``pop_in_any(wait=)``
-        replaces the sleep loop (the single-id form of the batch wait).
+        One blocking ``pop_in_any`` (the single-id form of the batch
+        wait) covers the whole ``timeout``.
         """
+        def attempt(wait: float | None) -> str | None:
+            kwargs = {} if wait is None else {"wait": wait}
+            popped = self._store.pop_in_any([eq_task_id], limit=1, **kwargs)
+            return popped[0][1] if popped else None
+
         with self.tracer.span(
             "eqsql.query_result", component="eqsql", eq_task_id=eq_task_id
         ) as sp:
-            if self._use_wait(timeout):
-                def attempt(wait: float | None) -> str | None:
-                    popped = self._store.pop_in_any(
-                        [eq_task_id], limit=1, wait=wait
-                    )
-                    return popped[0][1] if popped else None
-
-                result = self._wait_poll(attempt, delay, timeout)
-            else:
-                result = self._poll(
-                    lambda: self._store.pop_in(eq_task_id), delay, timeout
-                )
+            result = self._wait_poll(attempt, delay, timeout)
             sp.set_attr("found", result is not None)
         if result is None:
             return (ResultStatus.FAILURE, EQ_TIMEOUT)
@@ -780,8 +731,7 @@ class EQSQL:
         The batch primitive behind ``as_completed`` / ``pop_completed``;
         one store operation regardless of how many futures are watched.
         ``limit`` caps consumption (results beyond it stay queued).
-        ``wait`` long-polls a wait-capable store (non-blocking default
-        preserved); wait-ignoring stores return immediately.
+        ``wait`` long-polls the store (non-blocking default preserved).
         """
         if wait is None:
             popped = self._store.pop_in_any(eq_task_ids, limit=limit)

@@ -205,11 +205,10 @@ def as_completed(
     yielded future is removed from the input list, supporting the
     pop-as-you-go pattern of Listing 2.
 
-    Against a wait-capable store (``supports_wait``) each batch query
-    long-polls server-side, so results are yielded at RPC latency
-    instead of on the next ``delay`` tick; against other stores the
-    ``delay`` sleeps are decorrelated-jittered so many MEs watching one
-    store drift apart.  ``timeout=0`` remains strictly non-blocking.
+    Each batch query long-polls server-side, so results are yielded at
+    RPC latency; ``delay`` only paces the decorrelated-jittered retry
+    after a query returns early and empty.  ``timeout=0`` remains
+    strictly non-blocking: one query, without ``wait``.
 
     Raises :class:`repro.util.errors.TimeoutError_` when ``timeout``
     expires before the requested number of futures completes.  Futures
@@ -221,7 +220,6 @@ def as_completed(
 
     eqsql = futures[0].eqsql
     clock = eqsql.clock
-    use_wait = eqsql._use_wait(timeout)
     deadline = clock.deadline(timeout)
     backoff: DecorrelatedJitter | None = None
     yielded = 0
@@ -253,22 +251,20 @@ def as_completed(
         ]
         if not remaining:
             return  # everything else was canceled or already yielded
-        wait: float | None = None
-        if use_wait:
-            wait = WAIT_RPC_CAP
-            if deadline is not None:
-                left = deadline - clock.now()
-                wait = min(left, WAIT_RPC_CAP) if left > 0 else None
+        wait: float | None = WAIT_RPC_CAP
+        if deadline is not None:
+            left = deadline - clock.now()
+            wait = min(left, WAIT_RPC_CAP) if left > 0 else None
         if not _drain_completed(remaining, limit=target - yielded, wait=wait):
             if clock.expired(deadline):
                 raise TimeoutError_(
                     f"as_completed: {yielded}/{target} futures after timeout"
                 )
             if backoff is None:
-                # Long-polls do the real waiting; the fallback sleep only
-                # paces retries after an early-empty wait (server cap,
-                # shutdown wake) so it starts much shorter.
-                backoff = DecorrelatedJitter(min(delay, 0.05) if use_wait else delay)
+                # Long-polls do the real waiting; this sleep only paces
+                # retries after an early-empty wait (server cap, shutdown
+                # wake) so it starts much shorter than ``delay``.
+                backoff = DecorrelatedJitter(min(delay, 0.05))
             clock.sleep(backoff.next())
 
 

@@ -433,17 +433,13 @@ class TaskService:
     def _resolve_wait(self, params: dict[str, Any]) -> float:
         """Pop ``wait_ms`` off ``params``; return the granted wait seconds.
 
-        The grant is clamped to ``max_wait_ms``, zeroed while stopping
-        (late wait RPCs must not re-block a draining service), and
-        zeroed for stores that can't honor it — the client's poll loop
-        then degrades gracefully instead of erroring.
+        The grant is clamped to ``max_wait_ms`` and zeroed while stopping
+        (late wait RPCs must not re-block a draining service).
         """
         wait_ms = params.pop("wait_ms", None)
         if not wait_ms or wait_ms < 0:
             return 0.0
         if self._stopping.is_set():
-            return 0.0
-        if not getattr(self._store, "supports_wait", False):
             return 0.0
         return min(float(wait_ms), float(self._max_wait_ms)) / 1000.0
 

@@ -267,11 +267,11 @@ def _store_stub(op: Op) -> Any:
 
 @store_methods(_store_stub)
 class RemoteTaskStore(TaskStore):
-    """A TaskStore proxied over the EMEWS service protocol."""
+    """A TaskStore proxied over the EMEWS service protocol.
 
-    # Long-poll waits are forwarded as ``wait_ms`` and the service blocks
-    # server-side (clamped to its max_wait_ms); see pop_out/pop_in_any.
-    supports_wait = True
+    Long-poll waits are forwarded as ``wait_ms`` and the service blocks
+    server-side (clamped to its ``max_wait_ms``).
+    """
 
     def __init__(
         self,

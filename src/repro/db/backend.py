@@ -46,14 +46,11 @@ class TaskStore(ABC):
     """Abstract EMEWS DB backend.
 
     Implementations must be safe for use from multiple threads.
-    """
 
-    #: True when :meth:`pop_out` / :meth:`pop_in_any` honor their ``wait``
-    #: parameter (long-poll: block server-side until work arrives).  Layers
-    #: above check this before choosing the event-driven fast path; stores
-    #: that leave it False are driven by the jittered-backoff poll loop
-    #: instead, and simply ignore ``wait``.
-    supports_wait: bool = False
+    Every store honours ``wait`` on :meth:`pop_out` / :meth:`pop_in_any`,
+    and may always return early and empty; callers retry until their own
+    deadline.
+    """
 
     # -- task creation ---------------------------------------------------
 
@@ -119,15 +116,15 @@ class TaskStore(ABC):
         the task unleased (never reaped), the pre-lease behavior.
 
         ``wait`` (real seconds) is the long-poll bound: when no matching
-        task is queued, a store with :attr:`supports_wait` blocks up to
-        ``wait`` and returns the moment work arrives (create or requeue),
-        rather than an immediate empty list.  ``None``/``<= 0`` preserves
-        the non-blocking behavior exactly.  The wait is measured on the
-        wall clock regardless of any injected virtual clock, and popped
-        rows are stamped with the caller-provided ``now`` captured before
-        the wait.  An empty list after a wait means timeout *or* a
-        :meth:`wake_waiters` wake-up — callers treat both as "try again
-        or give up".
+        task is queued, the store blocks up to ``wait`` and returns the
+        moment work arrives (create or requeue), rather than an immediate
+        empty list.  ``None``/``<= 0`` preserves the non-blocking behavior
+        exactly.  The wait is measured on the wall clock regardless of
+        any injected virtual clock, and popped rows are stamped with the
+        caller-provided ``now`` captured before the wait.  The store may
+        return early and empty (a server cap, a :meth:`wake_waiters`
+        wake-up, a wrapper that drops ``wait``); callers treat an empty
+        list as "try again or give up".
         """
 
     @abstractmethod
@@ -230,10 +227,10 @@ class TaskStore(ABC):
         results beyond ``limit`` stay queued for a later pop.
 
         ``wait`` long-polls as in :meth:`pop_out`: when none of the
-        listed tasks are on the input queue, a :attr:`supports_wait`
-        store blocks up to ``wait`` real seconds and wakes the instant a
-        report lands (single or batch).  ``None``/``<= 0`` is the
-        immediate non-blocking form.
+        listed tasks are on the input queue, the store blocks up to
+        ``wait`` real seconds and wakes the instant a report lands
+        (single or batch), or returns early and empty.  ``None``/``<= 0``
+        is the immediate non-blocking form.
         """
 
     @abstractmethod

@@ -62,8 +62,6 @@ class _HeapEntry:
 class MemoryTaskStore(TaskStore):
     """In-memory implementation of the EMEWS DB."""
 
-    supports_wait = True
-
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,

@@ -93,8 +93,6 @@ class SqliteTaskStore(TaskStore):
     and the re-check is a single indexed SELECT, not an RPC).
     """
 
-    supports_wait = True
-
     def __init__(
         self,
         path: str = ":memory:",

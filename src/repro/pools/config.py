@@ -7,6 +7,14 @@ from dataclasses import dataclass, field
 from repro.core.fetch import FetchPolicy
 from repro.util.ids import short_id
 
+#: Long-poll bound (seconds) of an idle pool's fetch: each empty batch
+#: query blocks server-side this long and returns the instant work
+#: arrives, so an idle pool costs ~1/FETCH_WAIT RPCs per second while
+#: dispatch latency is the RPC round trip.  Also bounds how long
+#: ``stop()`` can block on a fetch in flight against a remote store
+#: (in-process stores wake instantly).
+FETCH_WAIT = 0.5
+
 
 @dataclass
 class PoolConfig:
@@ -27,22 +35,13 @@ class PoolConfig:
     batch_size: int | None = None
     threshold: int = 1
     name: str = field(default_factory=lambda: short_id("pool"))
-    #: Pause after a failed fetch, and between fetch attempts against a
-    #: store that cannot long-poll (``fetch_wait`` covers the others).
-    #: Nothing sleeps on it while the pool is at capacity: the fetcher
-    #: waits for the deficit a reported result opens.
+    #: Pause after a failed fetch, and the base of the jittered retry
+    #: after a long-poll fetch returns early and empty.  Nothing sleeps
+    #: on it while the queue is merely empty (the fetch long-polls for
+    #: ``FETCH_WAIT``) or the pool is at capacity (the fetcher waits for
+    #: the deficit a reported result opens).  The MPI engine also bounds
+    #: each result receive by it, so it refetches while ranks run.
     poll_delay: float = 0.02
-    #: Timeout for each individual batch query against the DB.
-    query_timeout: float = 0.0
-    #: Long-poll bound (seconds) for fetches against a wait-capable
-    #: store: each empty batch query blocks server-side this long and
-    #: returns the instant work arrives, replacing the ``poll_delay``
-    #: sleep loop — an idle pool goes from ~1/poll_delay RPCs per second
-    #: to ~1/fetch_wait, while dispatch latency *drops* to the RPC round
-    #: trip.  Also bounds how long ``stop()`` can block on a fetch in
-    #: flight against a remote store (in-process stores wake instantly).
-    #: Set to 0 to force the legacy sleep-polling behaviour.
-    fetch_wait: float = 0.5
     #: Fault-tolerance lease (seconds) the pool claims tasks under.
     #: ``None`` claims unleased (a crashed pool's tasks then need manual
     #: ``recover_pool``); with a lease, the pool heartbeats renewals and
@@ -85,10 +84,6 @@ class PoolConfig:
                 )
         elif self.heartbeat_interval is not None:
             raise ValueError("heartbeat_interval requires lease_duration")
-        if self.fetch_wait < 0:
-            raise ValueError(
-                f"fetch_wait must be >= 0, got {self.fetch_wait}"
-            )
         if self.profile_memory and not self.profile_tasks:
             raise ValueError("profile_memory requires profile_tasks")
         if self.telemetry_interval is not None and self.telemetry_interval <= 0:

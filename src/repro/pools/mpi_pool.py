@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.constants import EQ_ABORT, EQ_STOP
 from repro.core.eqsql import EQSQL
 from repro.mpilite import ANY_SOURCE, Communicator, Status, mpi_run
-from repro.pools.config import PoolConfig
+from repro.pools.config import FETCH_WAIT, PoolConfig
 from repro.pools.handlers import TaskExecutionError, TaskHandler
 from repro.telemetry.journal import (
     EV_FETCH,
@@ -146,6 +146,8 @@ def _engine_rank(
             want = policy.to_fetch(owned)
             if want > 0:
                 t0 = clock.now() if tracer.enabled else 0.0
+                # Busy ranks: probe, then collect a result below.  Idle:
+                # long-poll, so a submission is dispatched on arrival.
                 messages = eqsql.query_task_batch(
                     config.work_type,
                     batch_size=config.batch_size or config.n_workers,
@@ -153,7 +155,7 @@ def _engine_rank(
                     owned=owned,
                     worker_pool=config.name,
                     delay=config.poll_delay,
-                    timeout=config.query_timeout,
+                    timeout=0 if busy else FETCH_WAIT,
                 )
                 if messages and tracer.enabled:
                     tracer.add_span(
@@ -250,8 +252,6 @@ def _engine_rank(
                 stats.tasks_completed += 1
         elif stopping and not backlog:
             break
-        elif not backlog:
-            clock.sleep(config.poll_delay)
 
     for worker in range(1, comm.size):
         comm.send(None, dest=worker, tag=_TAG_SHUTDOWN)

@@ -29,7 +29,7 @@ from typing import Any, NamedTuple
 
 from repro.core.constants import EQ_ABORT, EQ_STOP
 from repro.core.eqsql import EQSQL
-from repro.pools.config import PoolConfig
+from repro.pools.config import FETCH_WAIT, PoolConfig
 from repro.pools.handlers import TaskExecutionError, TaskHandler
 from repro.telemetry.fleet import TelemetryPusher
 from repro.telemetry.profiling import ProfileHandle, TaskProfiler
@@ -302,7 +302,7 @@ class ThreadedWorkerPool:
             self._owned_cond.notify_all()  # a fetcher waiting for a deficit
         # A fetcher blocked in a long-poll wakes instantly when the
         # store is in-process; against a remote store this is a no-op
-        # and fetch_wait bounds how long the fetcher can stay blocked.
+        # and FETCH_WAIT bounds how long the fetcher can stay blocked.
         waker = getattr(self._eqsql.store, "wake_waiters", None)
         if waker is not None:
             waker()
@@ -335,18 +335,6 @@ class ThreadedWorkerPool:
         config = self._config
         clock = self._eqsql.clock
         tracer = self.tracer
-        # Event-driven fetch: against a wait-capable store each empty
-        # batch query long-polls up to fetch_wait server-side, so the
-        # empty-queue sleep below is redundant (the store did the
-        # waiting, and stop() wakes blocked waiters).
-        long_poll = config.fetch_wait > 0 and getattr(
-            self._eqsql.store, "supports_wait", False
-        )
-        query_timeout = (
-            max(config.query_timeout, config.fetch_wait)
-            if long_poll
-            else config.query_timeout
-        )
         while True:
             # Refill is event-driven: wait for the deficit a settling
             # flush opens rather than sleeping poll_delay, which would
@@ -361,6 +349,8 @@ class ThreadedWorkerPool:
                 break
             t0 = clock.now() if tracer.enabled else 0.0
             try:
+                # Event-driven fetch: an empty queue is waited out in the
+                # store, which stop() wakes.
                 messages = self._eqsql.query_task_batch(
                     config.work_type,
                     batch_size=config.batch_size or config.n_workers,
@@ -368,7 +358,7 @@ class ThreadedWorkerPool:
                     owned=owned,
                     worker_pool=config.name,
                     delay=config.poll_delay,
-                    timeout=query_timeout,
+                    timeout=FETCH_WAIT,
                     lease=config.lease_duration,
                 )
             except (ReproError, OSError) as exc:
@@ -383,8 +373,6 @@ class ThreadedWorkerPool:
                 clock.sleep(config.poll_delay)
                 continue
             if not messages:
-                if not long_poll:
-                    clock.sleep(config.poll_delay)
                 continue
             fetched_at = clock.now()
             self._m_fetch_size.observe(len(messages))

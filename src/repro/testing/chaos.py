@@ -286,11 +286,6 @@ class FlakyTaskStore(TaskStore):
         """The wrapped store (for assertions on true state)."""
         return self._inner
 
-    @property
-    def supports_wait(self) -> bool:  # type: ignore[override]
-        """Mirror the wrapped store's long-poll capability."""
-        return getattr(self._inner, "supports_wait", False)
-
     def wake_waiters(self) -> None:
         # Never inject on wake: it's a shutdown path, like close().
         self._inner.wake_waiters()

@@ -1,6 +1,6 @@
-"""Decorrelated-jitter backoff for polling fallbacks.
+"""Decorrelated-jitter backoff for retry loops.
 
-Fixed-delay polling synchronizes: N MEs started by the same scheduler
+Fixed-delay retries synchronize: N MEs started by the same scheduler
 all sleep ``delay`` and all wake together, hammering the service in
 lockstep forever.  Decorrelated jitter (the AWS architecture-blog
 variant) breaks that: each sleep is drawn from
@@ -8,9 +8,9 @@ variant) breaks that: each sleep is drawn from
 pollers drift apart within a few attempts while the expected delay
 stays near the configured one early on and growth is bounded.
 
-Only the *fallback* paths use this — stores with long-poll support
-(:attr:`repro.db.backend.TaskStore.supports_wait`) block server-side
-and rarely sleep at all.
+Queue pops long-poll in the store (``wait``), so these sleeps only pace
+the retry after a wait that returned early and empty (a server cap, a
+shutdown wake) and rarely happen at all.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 The store-level wait contract is covered by ``tests/db/test_wait.py``;
 these tests prove the layers above plumb it end-to-end: the service
 grants (and caps) ``wait_ms``, the client rides a dedicated wait channel
-that never blocks lockstep RPCs, EQSQL/futures take the long-poll fast
-path against wait-capable stores, and every layer still works against a
-store without wait support.  Timing bounds are deliberately generous —
-each "prompt" assertion allows seconds where the polling path would
-need tens of seconds.
+that never blocks lockstep RPCs, EQSQL/futures/pools long-poll, every
+layer still drains when a store returns early and empty, and
+``timeout=0`` stays one wait-less store call.  Timing bounds are
+deliberately generous — each "prompt" assertion allows seconds where a
+sleep-polling path would need tens of seconds.
 """
 
 from __future__ import annotations
@@ -18,11 +18,18 @@ import time
 
 import pytest
 
-from repro.core import EQSQL, RemoteTaskStore, TaskService
-from repro.core.constants import ResultStatus
+from repro.core import EQ_STOP, EQSQL, RemoteTaskStore, TaskService
+from repro.core.constants import EQ_TIMEOUT, ResultStatus
 from repro.core.futures import as_completed
 from repro.db import MemoryTaskStore
-from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
+from repro.pools import (
+    PoolConfig,
+    PythonTaskHandler,
+    ThreadedWorkerPool,
+    run_mpi_pool,
+)
+from repro.util.clock import VirtualClock
+from repro.util.errors import TimeoutError_
 
 # Wall-clock assertions throughout; carry the ``timing`` marker so
 # loaded CI machines can deselect with ``-m 'not timing'``.
@@ -33,16 +40,37 @@ PROMPT = 3.0
 PARK_DEADLINE = 10.0
 
 
-class _PollingOnlyStore:
-    """A wait-incapable view of a real store (legacy-backend stand-in)."""
-
-    supports_wait = False
+class _WaitDroppingStore:
+    """A real store behind a wrapper that drops ``wait``: every pop
+    returns at once, as after a server cap or a shutdown wake.  Counts
+    the pops, and the kwargs of each, so tests see the retries."""
 
     def __init__(self, inner):
         self._inner = inner
+        self.pops: list[tuple[str, dict]] = []
+
+    def pop_out(self, *args, **kwargs):
+        self.pops.append(("pop_out", dict(kwargs)))
+        kwargs.pop("wait", None)
+        return self._inner.pop_out(*args, **kwargs)
+
+    def pop_in_any(self, *args, **kwargs):
+        self.pops.append(("pop_in_any", dict(kwargs)))
+        kwargs.pop("wait", None)
+        return self._inner.pop_in_any(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+def _report_later(backing, n, delay=0.05):
+    """Claim and report ``n`` tasks on a helper thread after ``delay``."""
+    def worker():
+        time.sleep(delay)
+        for tid, _ in backing.pop_out(0, n, worker_pool="w", now=1.0):
+            backing.report(tid, 0, f"r{tid}", now=2.0)
+
+    threading.Thread(target=worker).start()
 
 
 @pytest.fixture
@@ -99,7 +127,7 @@ class TestServiceWaitGrant:
 
     def test_wait_over_polling_only_store_degrades_to_nonblocking(self):
         backing = MemoryTaskStore()
-        service = TaskService(_PollingOnlyStore(backing)).start()
+        service = TaskService(_WaitDroppingStore(backing)).start()
         client = RemoteTaskStore(*service.address)
         try:
             t0 = time.monotonic()
@@ -184,24 +212,57 @@ class TestClientWaitChannel:
             assert not t.is_alive()
         assert sorted(r for [(_, r)] in results) == ["ra", "rb"]
 
-    def test_remote_store_advertises_wait(self, service_stack):
-        _, _, client = service_stack
-        assert client.supports_wait is True
+
+def _as_completed_now(eq, future):
+    with pytest.raises(TimeoutError_):
+        list(as_completed([future], timeout=0))
+    return "raised"
 
 
-class TestEqsqlFastPath:
-    def test_use_wait_gates(self):
+#: Each non-blocking caller, and what it returns when nothing is ready.
+_NONBLOCKING_CALLS = {
+    "query_task": (
+        lambda eq, f: eq.query_task(1, timeout=0),
+        {"type": "status", "payload": EQ_TIMEOUT},
+    ),
+    "query_task_batch": (
+        lambda eq, f: eq.query_task_batch(
+            1, batch_size=4, threshold=1, owned=0, timeout=0
+        ),
+        [],
+    ),
+    "query_result": (
+        lambda eq, f: eq.query_result(f.eq_task_id, timeout=0),
+        (ResultStatus.FAILURE, EQ_TIMEOUT),
+    ),
+    "as_completed": (_as_completed_now, "raised"),
+}
+
+
+class TestNonBlockingContract:
+    """``timeout=0`` is one store call without ``wait``: under a virtual
+    clock a real block would deadlock the DES kernel, and a sleep raises."""
+
+    @pytest.mark.parametrize("call", sorted(_NONBLOCKING_CALLS))
+    def test_one_waitless_store_call(self, call):
         backing = MemoryTaskStore()
+        store = _WaitDroppingStore(backing)
         try:
-            eq = EQSQL(backing)
-            assert eq._use_wait(None)
-            assert eq._use_wait(10.0)
-            assert not eq._use_wait(0)  # explicit non-blocking probe
-            polling = EQSQL(_PollingOnlyStore(backing))
-            assert not polling._use_wait(None)
+            clock = VirtualClock(start=10.0)
+            eq = EQSQL(store, clock=clock)
+            # Queued on type 0 and never run: every call finds nothing.
+            future = eq.submit_task("e", 0, json.dumps({"x": 1}))
+            run, expected = _NONBLOCKING_CALLS[call]
+            assert run(eq, future) == expected
+            assert len(store.pops) == 1
+            [(_, kwargs)] = store.pops
+            assert "wait" not in kwargs
+            assert clock.now() == 10.0
         finally:
             backing.close()
 
+
+class TestEqsqlFastPath:
     def test_query_result_returns_at_event_not_delay_tick(self):
         backing = MemoryTaskStore()
         try:
@@ -220,7 +281,7 @@ class TestEqsqlFastPath:
             )
             elapsed = time.monotonic() - t0
             assert (status, payload) == (ResultStatus.SUCCESS, "done")
-            # The polling path could not return before its 5s delay tick.
+            # A sleep-polling loop could not return before its 5s tick.
             assert elapsed < PROMPT
         finally:
             backing.close()
@@ -248,47 +309,81 @@ class TestEqsqlFastPath:
 
     def test_as_completed_polling_fallback_still_drains(self):
         backing = MemoryTaskStore()
+        store = _WaitDroppingStore(backing)
         try:
-            eq = EQSQL(_PollingOnlyStore(backing))
+            eq = EQSQL(store)
             futures = eq.submit_tasks(
                 "e", 0, [json.dumps({"x": i}) for i in range(2)]
             )
-
-            def worker():
-                time.sleep(0.05)
-                for tid, _ in backing.pop_out(0, 2, worker_pool="w", now=1.0):
-                    backing.report(tid, 0, f"r{tid}", now=2.0)
-
-            threading.Thread(target=worker).start()
+            _report_later(backing, 2)
             done = list(as_completed(futures, delay=0.02, timeout=30.0))
             assert len(done) == 2
+            # The early-empty pops were retried, not waited out.
+            assert len(store.pops) > 1
+        finally:
+            backing.close()
+
+    def test_query_result_drains_through_jittered_retry(self):
+        backing = MemoryTaskStore()
+        store = _WaitDroppingStore(backing)
+        try:
+            eq = EQSQL(store)
+            future = eq.submit_task("e", 0, json.dumps({"x": 1}))
+            _report_later(backing, 1)
+            status, payload = eq.query_result(
+                future.eq_task_id, delay=0.02, timeout=30.0
+            )
+            assert (status, payload) == (
+                ResultStatus.SUCCESS, f"r{future.eq_task_id}"
+            )
+            assert len(store.pops) > 1
+        finally:
+            backing.close()
+
+    def test_query_task_batch_drains_through_jittered_retry(self):
+        backing = MemoryTaskStore()
+        store = _WaitDroppingStore(backing)
+        try:
+            eq = EQSQL(store)
+
+            def submit():
+                time.sleep(0.05)
+                eq.submit_task("e", 0, json.dumps({"x": 1}))
+
+            threading.Thread(target=submit).start()
+            messages = eq.query_task_batch(
+                0, batch_size=2, threshold=1, owned=0, delay=0.02, timeout=30.0
+            )
+            assert [json.loads(m["payload"]) for m in messages] == [{"x": 1}]
+            assert len(store.pops) > 1
         finally:
             backing.close()
 
 
 class TestPoolFetchWait:
-    def test_negative_fetch_wait_rejected(self):
-        with pytest.raises(ValueError):
-            PoolConfig(work_type=0, fetch_wait=-0.1)
+    # The sleep-poll switches are gone, not ignored: setting one is an error.
+    @pytest.mark.parametrize("field", ["fetch_wait", "query_timeout"])
+    def test_wait_field_is_gone(self, field):
+        with pytest.raises(TypeError, match=field):
+            PoolConfig(work_type=0, **{field: 0.5})
 
-    @pytest.mark.parametrize("fetch_wait", [0.5, 0.0])
-    def test_pool_drains_with_and_without_long_poll(self, fetch_wait):
+    def test_pool_drains_through_wait_dropping_store(self):
         backing = MemoryTaskStore()
-        eq = EQSQL(backing)
+        store = _WaitDroppingStore(backing)
+        eq = EQSQL(store)
         pool = ThreadedWorkerPool(
             eq,
             PythonTaskHandler(lambda d: {"y": d["x"] + 1}),
-            PoolConfig(
-                work_type=0, n_workers=2, poll_delay=0.005,
-                fetch_wait=fetch_wait,
-            ),
+            PoolConfig(work_type=0, n_workers=2, poll_delay=0.005),
         )
         try:
             with pool:
+                time.sleep(0.05)  # the fetcher retries an empty queue
                 future = eq.submit_task("e", 0, json.dumps({"x": 41}))
                 status, payload = future.result(delay=0.02, timeout=15.0)
             assert status == ResultStatus.SUCCESS
             assert json.loads(payload) == {"y": 42}
+            assert sum(name == "pop_out" for name, _ in store.pops) > 1
         finally:
             backing.close()
 
@@ -314,3 +409,30 @@ class TestPoolFetchWait:
             assert elapsed < PROMPT
         finally:
             backing.close()
+
+    def test_idle_mpi_engine_dispatches_on_the_event(self):
+        """Rank 0 long-polls an empty queue instead of sleeping
+        ``poll_delay``: a deliberately huge poll_delay stays unused."""
+        backing = MemoryTaskStore()
+        eq = EQSQL(backing)
+        config = PoolConfig(work_type=0, n_workers=1, poll_delay=5.0)
+        runner = threading.Thread(
+            target=run_mpi_pool,
+            args=(eq, PythonTaskHandler(lambda d: {"y": d["x"]}), config),
+            kwargs={"timeout": 60},
+        )
+        runner.start()
+        try:
+            time.sleep(0.2)  # let the engine park on the empty queue
+            t0 = time.monotonic()
+            future = eq.submit_task("e", 0, json.dumps({"x": 7}))
+            status, _ = future.result(delay=0.02, timeout=15.0)
+            elapsed = time.monotonic() - t0
+            assert status == ResultStatus.SUCCESS
+            # A sleeping engine would not look again for 5 seconds.
+            assert elapsed < PROMPT
+        finally:
+            eq.submit_task("e", 0, EQ_STOP, priority=-100)
+            runner.join(timeout=30.0)
+            backing.close()
+        assert not runner.is_alive()

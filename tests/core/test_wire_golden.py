@@ -148,8 +148,6 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
 class _ScriptedStore:
     """Duck-typed store: returns the scripted value, records the call."""
 
-    supports_wait = True
-
     def __init__(self) -> None:
         self.outcome: Any = None
         self.calls: list[tuple[str, dict]] = []

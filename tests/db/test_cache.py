@@ -267,6 +267,29 @@ class TestSubmitPathCache:
         assert registry.counter("cache.coalesce").value == 2
         eq.close()
 
+    @pytest.mark.parametrize("hits", ["misses", "all_hits"])
+    @pytest.mark.parametrize(
+        "priority, error",
+        [([5], ValueError), ([1, 2, 3, 4], ValueError), ([1, "2", 3], TypeError)],
+        ids=["short", "long", "non_int"],
+    )
+    @pytest.mark.parametrize("cache", ["off", "read", "readwrite"])
+    def test_batch_priority_validated_in_every_mode(
+        self, cache, priority, error, hits
+    ):
+        # The cached modes send only misses to the store (none at all
+        # when every payload hits), so EQSQL must check the whole
+        # sequence itself, exactly as the store does in "off" mode.
+        eq, store, _clock, _reg = self._eqsql()
+        payloads = ['{"x": 1}', '{"x": 2}', '{"x": 3}']
+        if hits == "all_hits":
+            for payload in payloads:
+                store.cache_put(cache_key(0, payload), 0, "cached", now=0.0)
+        with pytest.raises(error):
+            eq.submit_tasks("e", 0, payloads, priority=priority, cache=cache)
+        assert store.queue_out_length(0) == 0
+        eq.close()
+
     def test_coalesced_task_survives_lease_expiry_requeue(self):
         """The ISSUE's adversarial interleaving: the original lease of a
         coalesced task expires, the reaper requeues it, a second pool

@@ -219,18 +219,16 @@ class TestCrossProcessDegradedMode:
             writer.close()
 
 
-class TestCapabilityFlag:
-    def test_real_backends_advertise_wait(self, store):
-        assert store.supports_wait is True
-
-    def test_base_contract_defaults_to_no_wait(self):
+class TestWaitContract:
+    def test_no_store_carries_a_capability_flag(self):
+        # Every store honours ``wait`` (the classes above), so callers
+        # have nothing to consult: they retry an early empty return.
+        from repro.core.service_client import RemoteTaskStore
         from repro.db.backend import TaskStore
+        from repro.testing.chaos import FlakyTaskStore
 
-        assert TaskStore.supports_wait is False
-
-    def test_memory_store_flag(self):
-        s = MemoryTaskStore()
-        try:
-            assert s.supports_wait
-        finally:
-            s.close()
+        for cls in (
+            TaskStore, MemoryTaskStore, SqliteTaskStore, RemoteTaskStore,
+            FlakyTaskStore,
+        ):
+            assert not hasattr(cls, "supports_wait"), cls.__name__
