@@ -41,23 +41,30 @@ PARK_DEADLINE = 10.0
 
 
 class _WaitDroppingStore:
-    """A real store behind a wrapper that drops ``wait``: every pop
-    returns at once, as after a server cap or a shutdown wake.  Counts
-    the pops, and the kwargs of each, so tests see the retries."""
+    """A real store behind a wrapper that cuts ``wait`` to ``cap``
+    seconds, as a server cap does.  The default cap of 0 drops it:
+    every pop returns at once, as after a shutdown wake.  Counts the
+    pops, and the kwargs of each, so tests see the retries."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, cap=0.0):
         self._inner = inner
+        self._cap = cap
         self.pops: list[tuple[str, dict]] = []
 
+    def _cut(self, name, kwargs):
+        self.pops.append((name, dict(kwargs)))
+        wait = kwargs.pop("wait", None)
+        if wait is not None and self._cap > 0:
+            kwargs["wait"] = min(wait, self._cap)
+        return kwargs
+
     def pop_out(self, *args, **kwargs):
-        self.pops.append(("pop_out", dict(kwargs)))
-        kwargs.pop("wait", None)
-        return self._inner.pop_out(*args, **kwargs)
+        return self._inner.pop_out(*args, **self._cut("pop_out", kwargs))
 
     def pop_in_any(self, *args, **kwargs):
-        self.pops.append(("pop_in_any", dict(kwargs)))
-        kwargs.pop("wait", None)
-        return self._inner.pop_in_any(*args, **kwargs)
+        return self._inner.pop_in_any(
+            *args, **self._cut("pop_in_any", kwargs)
+        )
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -367,9 +374,12 @@ class TestPoolFetchWait:
         with pytest.raises(TypeError, match=field):
             PoolConfig(work_type=0, **{field: 0.5})
 
-    def test_pool_drains_through_wait_dropping_store(self):
+    # 0.5: the store grants the fetcher's whole long-poll; 0.0: it drops
+    # ``wait`` and the fetcher drains through the jittered retry.
+    @pytest.mark.parametrize("wait_cap", [0.5, 0.0])
+    def test_pool_drains_with_and_without_long_poll(self, wait_cap):
         backing = MemoryTaskStore()
-        store = _WaitDroppingStore(backing)
+        store = _WaitDroppingStore(backing, cap=wait_cap)
         eq = EQSQL(store)
         pool = ThreadedWorkerPool(
             eq,
@@ -383,7 +393,11 @@ class TestPoolFetchWait:
                 status, payload = future.result(delay=0.02, timeout=15.0)
             assert status == ResultStatus.SUCCESS
             assert json.loads(payload) == {"y": 42}
-            assert sum(name == "pop_out" for name, _ in store.pops) > 1
+            fetches = [kw for name, kw in store.pops if name == "pop_out"]
+            # The fetcher always asks to long-poll; the store decides.
+            assert any(kw.get("wait") for kw in fetches)
+            if not wait_cap:
+                assert len(fetches) > 1
         finally:
             backing.close()
 

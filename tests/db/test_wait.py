@@ -10,6 +10,7 @@ use generous bounds so they stay robust under CI load.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 
@@ -219,16 +220,42 @@ class TestCrossProcessDegradedMode:
             writer.close()
 
 
-class TestWaitContract:
-    def test_no_store_carries_a_capability_flag(self):
-        # Every store honours ``wait`` (the classes above), so callers
-        # have nothing to consult: they retry an early empty return.
+def _wait_default(op):
+    return inspect.signature(op).parameters["wait"].default
+
+
+class TestCapabilityFlag:
+    """There is no capability flag any more.  Every store honours
+    ``wait`` (the classes above) and may return early and empty, so
+    callers have nothing to consult: ``wait`` in the signature of both
+    pops is the whole advertisement."""
+
+    def test_real_backends_advertise_wait(self, store):
+        assert not hasattr(store, "supports_wait")
+        assert _wait_default(store.pop_out) is None
+        assert _wait_default(store.pop_in_any) is None
+
+    def test_base_contract_defaults_to_no_wait(self):
         from repro.core.service_client import RemoteTaskStore
         from repro.db.backend import TaskStore
         from repro.testing.chaos import FlakyTaskStore
 
-        for cls in (
-            TaskStore, MemoryTaskStore, SqliteTaskStore, RemoteTaskStore,
-            FlakyTaskStore,
-        ):
+        # A pop without ``wait`` never blocks, in the contract and over
+        # the wire.  FlakyTaskStore forwards its arguments untouched.
+        for cls in (TaskStore, RemoteTaskStore):
+            assert _wait_default(cls.pop_out) is None, cls.__name__
+            assert _wait_default(cls.pop_in_any) is None, cls.__name__
+        for cls in (TaskStore, RemoteTaskStore, FlakyTaskStore):
             assert not hasattr(cls, "supports_wait"), cls.__name__
+
+    def test_memory_store_flag(self):
+        s = MemoryTaskStore()
+        try:
+            assert not hasattr(s, "supports_wait")
+            # Without ``wait`` an empty pop returns at once.
+            t0 = time.monotonic()
+            assert _claim(s) == []
+            assert s.pop_in_any([1], limit=1) == []
+            assert time.monotonic() - t0 < PROMPT
+        finally:
+            s.close()
