@@ -690,6 +690,50 @@ class EQSQL:
                 )
         self._writeback_cache(reports)
 
+    def report_and_fetch(
+        self,
+        reports: Sequence[tuple[int, int, str]],
+        eq_type: int,
+        n: int,
+        *,
+        worker_pool: str = "default",
+        lease: float | None = None,
+        profiles: dict[int, dict] | None = None,
+    ) -> list[dict[str, Any]]:
+        """Report results and claim up to ``n`` tasks in one store
+        operation (:meth:`~repro.db.backend.TaskStore.report_pop`).
+
+        A busy pool's refill: the results as :meth:`report_tasks` sends
+        them, then a non-blocking claim as :meth:`query_task_batch`
+        makes it, returned as work messages (``[]`` when nothing is
+        queued).  Against a remote store the flush and the refill share
+        one round trip.  Raises on a failure; the reports are then in an
+        unknown state (re-reporting is safe) and any claim is lost to
+        the caller (a leased one is reaped).
+        """
+        self._m_reported.inc(len(reports))
+        now = self._clock.now()
+        tracer = self.tracer
+        if not tracer.enabled:
+            popped = self._store.report_pop(
+                reports, eq_type, n, worker_pool=worker_pool, now=now,
+                lease=lease, profiles=profiles,
+            )
+        else:
+            with tracer.span(
+                "eqsql.report_pop", component="eqsql", n=len(reports),
+                want=n, worker_pool=worker_pool,
+            ):
+                popped = self._store.report_pop(
+                    reports, eq_type, n, worker_pool=worker_pool, now=now,
+                    lease=lease, profiles=profiles,
+                )
+        self._writeback_cache(reports)
+        if popped:
+            self._m_fetched.inc(len(popped))
+            self._m_batch_size.observe(len(popped))
+        return _unwrap_popped(popped)
+
     # -- result retrieval (ME algorithm side) --------------------------------------
 
     def query_result(

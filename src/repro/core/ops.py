@@ -69,8 +69,9 @@ class Op:
         False: handled by the service itself (``TaskService._rpc_<name>``).
     ``waitable``
         Accepts the ``wait_ms`` long-poll bound.
-    ``hop``
-        Journal hop the service records for the request, if any.
+    ``hops``
+        Journal hops the service records for the request, in order
+        (most ops have one or none; ``report_pop`` reports, then pops).
     ``to_wire``
         Client hook for the op's irregular encodings: takes the call's
         arguments by name (declaration order, defaults filled) and
@@ -89,7 +90,7 @@ class Op:
     idempotent: bool
     on_store: bool = True
     waitable: bool = False
-    hop: Hop | None = None
+    hops: tuple[Hop, ...] = ()
     to_wire: Callable[[Params], Params | None] | None = None
     encode_result: Callable[[Any], Any] | None = None
     decode_result: Callable[[Any], Any] | None = None
@@ -114,6 +115,12 @@ def _typed(
 
 _RETURNED_IDS = _typed(lambda params, result: result)
 _REQUESTED_IDS = _typed(lambda params, result: params.get("eq_task_ids", []))
+
+# Hops shared by a single-purpose op and ``report_pop``, which does both.
+_POPPED = Hop(EV_POP, _typed(lambda params, result: [t for t, _ in result]))
+_REPORTED = Hop(EV_REPORT, lambda params, result: [
+    (int(tid), int(eq_type)) for tid, eq_type, _ in params.get("reports", [])
+])
 
 
 # -- client hooks: params to the wire, results back to contract types ------------
@@ -157,15 +164,23 @@ def _report_to_wire(params: Params) -> Params:
     return params
 
 
-def _report_batch_to_wire(params: Params) -> Params | None:
-    if not params["reports"]:
-        return None  # nothing to record: no round trip
+def _reports_to_wire(params: Params) -> Params:
     params["reports"] = [list(report) for report in params["reports"]]
     profiles = params.pop("profiles")
     if profiles:
         # JSON object keys are strings; the backend int-normalizes.
         params["profiles"] = {str(tid): p for tid, p in profiles.items()}
     return params
+
+
+def _report_batch_to_wire(params: Params) -> Params | None:
+    if not params["reports"]:
+        return None  # nothing to record: no round trip
+    return _reports_to_wire(params)
+
+
+def _report_profiles(params: Params) -> list[dict]:
+    return list((params.get("profiles") or {}).values())
 
 
 # -- the table -----------------------------------------------------------------------
@@ -183,30 +198,30 @@ def _report_batch_to_wire(params: Params) -> Params | None:
 # - creates are not: a re-sent create would duplicate rows.
 # - pops are not: a re-sent ``pop_out`` would claim extra tasks, and a
 #   re-sent ``pop_in``/``pop_in_any`` would silently consume a result
-#   whose response was lost.
+#   whose response was lost.  ``report_pop`` is a pop: its report half
+#   converges, its claim does not.
 
 OPS: Mapping[str, Op] = MappingProxyType({
     op.name: op
     for op in (
         # task creation
         Op("create_task", idempotent=False,
-           hop=Hop(EV_ENQUEUE, _typed(lambda params, result: [result]))),
+           hops=(Hop(EV_ENQUEUE, _typed(lambda params, result: [result])),)),
         Op("create_tasks", idempotent=False, to_wire=_lists("payloads", "priority"),
-           hop=Hop(EV_ENQUEUE, _RETURNED_IDS)),
+           hops=(Hop(EV_ENQUEUE, _RETURNED_IDS),)),
         # output queue (ME -> worker pools)
         Op("pop_out", idempotent=False, waitable=True, to_wire=_wait_to_ms,
-           decode_result=_pairs,
-           hop=Hop(EV_POP, _typed(lambda params, result: [t for t, _ in result]))),
+           decode_result=_pairs, hops=(_POPPED,)),
         Op("queue_out_length", idempotent=True),
         # input queue (worker pools -> ME)
         Op("report", idempotent=True, to_wire=_report_to_wire,
-           hop=Hop(EV_REPORT, _typed(lambda params, result: [params["eq_task_id"]])),
+           hops=(Hop(EV_REPORT, _typed(lambda params, result: [params["eq_task_id"]])),),
            profiles=lambda params: [params["profile"]] if params.get("profile") else []),
         Op("report_batch", idempotent=True, to_wire=_report_batch_to_wire,
-           hop=Hop(EV_REPORT, lambda params, result: [
-               (int(tid), int(eq_type)) for tid, eq_type, _ in params.get("reports", [])
-           ]),
-           profiles=lambda params: list((params.get("profiles") or {}).values())),
+           hops=(_REPORTED,), profiles=_report_profiles),
+        # a busy pool's flush plus the refill it frees, in one round trip
+        Op("report_pop", idempotent=False, to_wire=_reports_to_wire,
+           decode_result=_pairs, hops=(_REPORTED, _POPPED), profiles=_report_profiles),
         Op("pop_in", idempotent=False),
         Op("pop_in_any", idempotent=False, waitable=True, decode_result=_pairs,
            to_wire=_lists("eq_task_ids", then=_wait_to_ms)),
@@ -223,17 +238,17 @@ OPS: Mapping[str, Op] = MappingProxyType({
         Op("update_priorities", idempotent=True,
            to_wire=_lists("eq_task_ids", "priorities")),
         Op("cancel_tasks", idempotent=True, to_wire=_lists("eq_task_ids"),
-           hop=Hop(EV_CANCEL, _REQUESTED_IDS)),
+           hops=(Hop(EV_CANCEL, _REQUESTED_IDS),)),
         # ``priority=None`` rides the wire as JSON null: "restore the
         # task's sticky priority" server-side.
         Op("requeue", idempotent=True,
-           hop=Hop(EV_REQUEUE, _typed(
+           hops=(Hop(EV_REQUEUE, _typed(
                lambda params, result: [params["eq_task_id"]] if result else []
-           ))),
+           )),)),
         # leases (fault recovery)
         Op("renew_leases", idempotent=True, to_wire=_lists("eq_task_ids"),
-           hop=Hop(EV_LEASE_RENEW, _REQUESTED_IDS)),
-        Op("requeue_expired", idempotent=True, hop=Hop(EV_REQUEUE, _RETURNED_IDS)),
+           hops=(Hop(EV_LEASE_RENEW, _REQUESTED_IDS),)),
+        Op("requeue_expired", idempotent=True, hops=(Hop(EV_REQUEUE, _RETURNED_IDS),)),
         # experiment / tag queries, monitoring, cache, maintenance
         Op("tasks_for_experiment", idempotent=True),
         Op("tasks_for_tag", idempotent=True),

@@ -133,10 +133,10 @@ class _Handler(socketserver.StreamRequestHandler):
             # store write inside the call wakes long-polling peers at
             # once, so a stamp taken after it could sort this hop behind
             # the events it caused (a report after the ME's collect).
-            hop = op.hop
+            hops = op.hops
             began = (
                 service.clock.now()
-                if hop is not None and service.journal.enabled
+                if hops and service.journal.enabled
                 else None
             )
             tracer = service.tracer
@@ -153,8 +153,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 ):
                     with tracer.span(f"db.{method}", component="db"):
                         result = service.call(op, params)
-            if hop is not None and began is not None:
-                service.journal_hop(hop, params, result, message, began)
+            if began is not None:
+                service.journal_hops(hops, params, result, message, began)
             service.m_requests.inc()
             service.m_method_requests[method].inc()
             return protocol.ok_response(request_id, result)
@@ -392,9 +392,9 @@ class TaskService:
         """The service's time source (hop stamps, reaper, fleet liveness)."""
         return self._clock
 
-    def journal_hop(
+    def journal_hops(
         self,
-        hop: Hop,
+        hops: tuple[Hop, ...],
         params: dict[str, Any],
         result: Any,
         message: dict[str, Any],
@@ -405,19 +405,23 @@ class TaskService:
         The DB backend already journals the authoritative state change;
         these records add the *service observed it* hop (with the
         client's trace id off the frame), which the timeline merge
-        interleaves to show wire latency per hop.  Only called for ops
-        that declare a hop, when the journal is enabled.
+        interleaves to show wire latency per hop.  Hops are emitted in
+        the op's order (``report_pop``: its reports, then its claims).
+        Only called for ops that declare hops, when the journal is
+        enabled.
         """
         journal = self.journal
         context = protocol.extract_trace(message)
         trace_id = context.trace_id if context is not None else ""
-        # Only a pop names the pool it serves; every other hop is unsourced.
+        # Only a request that claims work names the pool it serves (a
+        # pop, or a report_pop for both its hops); the rest are unsourced.
         source = str(params.get("worker_pool", ""))
-        for task_id, work_type in hop.tasks(params, result):
-            journal.emit(
-                hop.event, task_id, role=ROLE_SERVICE, work_type=work_type,
-                trace_id=trace_id, source=source, time=began,
-            )
+        for hop in hops:
+            for task_id, work_type in hop.tasks(params, result):
+                journal.emit(
+                    hop.event, task_id, role=ROLE_SERVICE, work_type=work_type,
+                    trace_id=trace_id, source=source, time=began,
+                )
 
     @property
     def address(self) -> tuple[str, int]:

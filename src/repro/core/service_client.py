@@ -32,7 +32,7 @@ are also derived:
   broken socket, reconnects with exponential backoff + jitter,
   re-handshakes (ping + auth), and re-sends.
 - **Non-idempotent** methods (``create_task[s]``, ``pop_out``,
-  ``pop_in[_any]``) are retried only while the failure is provably
+  ``report_pop``, ``pop_in[_any]``) are retried only while the failure is provably
   pre-send (the connect itself failed).  Once the request may have
   reached the server, retrying could double-apply it, so the client
   raises :class:`~repro.util.errors.ConnectionBrokenError` and leaves
@@ -411,7 +411,9 @@ class RemoteTaskStore(TaskStore):
             if response is None:
                 raise ConnectionError("service closed the connection")
             request_id = response.get("id")
-            call = pending.pop(request_id, None) if isinstance(request_id, int) else None
+            # Type-exact: JSON ``true`` decodes to True, which equals and
+            # hashes like 1 and would otherwise answer request 1.
+            call = pending.pop(request_id, None) if type(request_id) is int else None
             if call is None:
                 raise ConnectionError("service response id mismatch (desynced)")
             call._resolve(response)

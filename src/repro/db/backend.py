@@ -121,10 +121,14 @@ class TaskStore(ABC):
         empty list.  ``None``/``<= 0`` preserves the non-blocking behavior
         exactly.  The wait is measured on the wall clock regardless of
         any injected virtual clock, and popped rows are stamped with the
-        caller-provided ``now`` captured before the wait.  The store may
-        return early and empty (a server cap, a :meth:`wake_waiters`
-        wake-up, a wrapper that drops ``wait``); callers treat an empty
-        list as "try again or give up".
+        caller-provided ``now`` captured before the wait — raised, for a
+        pop that had to wait, to the latest enqueue time (a create's
+        ``time_created`` or a :meth:`requeue_expired` ``now``) the store
+        has seen for ``eq_type``, so a claim never predates the write
+        that woke it and its lease is not shortened by the wait.  The
+        store may return early and empty (a server cap, a
+        :meth:`wake_waiters` wake-up, a wrapper that drops ``wait``);
+        callers treat an empty list as "try again or give up".
         """
 
     @abstractmethod
@@ -202,6 +206,38 @@ class TaskStore(ABC):
                 missing.append(eq_task_id)
         if missing:
             raise NotFoundError(f"no task(s) with id(s) {missing}")
+
+    def report_pop(
+        self,
+        reports: Sequence[tuple[int, int, str]],
+        eq_type: int,
+        n: int,
+        *,
+        worker_pool: str = "default",
+        now: float = 0.0,
+        lease: float | None = None,
+        profiles: Mapping[int, dict] | None = None,
+    ) -> list[tuple[int, str]]:
+        """Record results, then claim up to ``n`` tasks: one store
+        operation for a busy pool's flush and the refill it frees.
+
+        Exactly :meth:`report_batch` (``reports``, ``now``,
+        ``profiles``) followed by a non-blocking :meth:`pop_out`
+        (``eq_type``, ``n``, ``worker_pool``, ``now``, ``lease``);
+        returns the pop's ``(eq_task_id, json_out)`` pairs, ``[]`` when
+        ``n < 1``.  If the report raises, nothing is claimed.
+
+        Not idempotent as a whole — a re-sent call reports harmlessly
+        but claims again — so a caller that loses the answer must treat
+        the claim as lost (a leased claim is reaped; an unleased one
+        waits for ``recover_pool``, as after any lost ``pop_out``).
+        """
+        self.report_batch(reports, now=now, profiles=profiles)
+        if n < 1:
+            return []
+        return self.pop_out(
+            eq_type, n, worker_pool=worker_pool, now=now, lease=lease
+        )
 
     @abstractmethod
     def pop_in(self, eq_task_id: int) -> str | None:

@@ -122,6 +122,10 @@ class MemoryTaskStore(TaskStore):
         # lock, so notify points are exactly the mutation sites and a
         # woken waiter re-checks state under the same critical section.
         self._out_conds: dict[int, threading.Condition] = {}
+        # Latest enqueue time (create or reaper requeue) per work type: a
+        # pop that had to wait is stamped no earlier, so it never
+        # predates the write that woke it.
+        self._out_marks: dict[int, float] = {}
         self._in_cond = threading.Condition(self._lock)
         # Bumped by wake_waiters(); wait loops capture it on entry and
         # give up (return empty) the moment it moves — the shutdown wake.
@@ -164,8 +168,12 @@ class MemoryTaskStore(TaskStore):
             cond = self._out_conds[eq_type] = threading.Condition(self._lock)
         return cond
 
-    def _enqueue_out(self, eq_task_id: int, eq_type: int, priority: int) -> None:
+    def _enqueue_out(
+        self, eq_task_id: int, eq_type: int, priority: int, at: float | None = None
+    ) -> None:
         entry = _HeapEntry(eq_task_id, priority)
+        if at is not None:
+            self._out_marks[eq_type] = max(self._out_marks.get(eq_type, at), at)
         self._out_entries[eq_task_id] = entry
         heapq.heappush(self._out_heaps.setdefault(eq_type, []), entry)
         # Wake pop_out long-polls for this work type.  Covers every path
@@ -218,7 +226,7 @@ class MemoryTaskStore(TaskStore):
             self._tag_tasks.setdefault(tag, []).append(eq_task_id)
         self._tasks[eq_task_id] = row
         self._exp_tasks.setdefault(exp_id, []).append(eq_task_id)
-        self._enqueue_out(eq_task_id, eq_type, priority)
+        self._enqueue_out(eq_task_id, eq_type, priority, time_created)
         journal = self._jrnl()
         if journal.enabled:
             journal.emit(
@@ -297,6 +305,7 @@ class MemoryTaskStore(TaskStore):
                     return []
                 cond.wait(remaining)
                 self._check_open()
+                now = max(now, self._out_marks.get(eq_type, now))
 
     def _pop_out_locked(
         self,
@@ -601,7 +610,7 @@ class MemoryTaskStore(TaskStore):
         row.worker_pool = None
         row.time_start = None
         row.lease_expiry = None
-        self._enqueue_out(row.eq_task_id, row.eq_task_type, effective)
+        self._enqueue_out(row.eq_task_id, row.eq_task_type, effective, now)
         journal = self._jrnl()
         if journal.enabled:
             journal.emit(

@@ -152,6 +152,14 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
     CREATE INDEX IF NOT EXISTS idx_queue_in_task
         ON emews_queue_in (eq_task_id)
     """,
+    # Every by-id statement on the output queue — the pop's DELETE, a
+    # report's withdraw, reprioritize, cancel, requeue — is a lookup,
+    # not a scan of the queue.  Files without it gain it on open (the
+    # open path replays every statement here).
+    """
+    CREATE INDEX IF NOT EXISTS idx_queue_out_task
+        ON emews_queue_out (eq_task_id)
+    """,
     """
     CREATE INDEX IF NOT EXISTS idx_exp_tasks
         ON eq_exp_id_tasks (exp_id)

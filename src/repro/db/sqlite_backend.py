@@ -138,6 +138,9 @@ class SqliteTaskStore(TaskStore):
         # Long-poll conditions share the store lock (see memory backend);
         # per-work-type for pop_out, one for the input queue.
         self._out_conds: dict[int, threading.Condition] = {}
+        # Latest enqueue time per work type, as in the memory backend
+        # (in-process writers only).
+        self._out_marks: dict[int, float] = {}
         self._in_cond = threading.Condition(self._lock)
         self._wake_epoch = 0
         self._conn = sqlite3.connect(path, check_same_thread=False)
@@ -241,13 +244,16 @@ class SqliteTaskStore(TaskStore):
             cond = self._out_conds[eq_type] = threading.Condition(self._lock)
         return cond
 
-    def _notify_out(self, eq_type: int) -> None:
+    def _notify_out(self, eq_type: int, at: float | None = None) -> None:
         """Wake pop_out long-polls for ``eq_type`` (call under the lock).
 
         Called inside the writing transaction; waiters can't reacquire
         the shared lock until the COMMIT completes, so they always see
-        the committed rows.
+        the committed rows.  ``at`` is the write's enqueue time, which a
+        woken pop is stamped no earlier than.
         """
+        if at is not None:
+            self._out_marks[eq_type] = max(self._out_marks.get(eq_type, at), at)
         cond = self._out_conds.get(eq_type)
         if cond is not None:
             cond.notify_all()
@@ -292,7 +298,7 @@ class SqliteTaskStore(TaskStore):
             " VALUES (?, ?, ?)",
             (eq_task_id, eq_type, priority),
         )
-        self._notify_out(eq_type)
+        self._notify_out(eq_type, time_created)
         journal = self._jrnl()
         if journal.enabled:
             journal.emit(
@@ -363,7 +369,7 @@ class SqliteTaskStore(TaskStore):
                 " VALUES (?, ?, ?)",
                 [(tid, eq_type, pr) for tid, pr in zip(ids, priorities)],
             )
-            self._notify_out(eq_type)
+            self._notify_out(eq_type, time_created)
             journal = self._jrnl()
             if journal.enabled:
                 for tid, pr in zip(ids, priorities):
@@ -408,6 +414,7 @@ class SqliteTaskStore(TaskStore):
                         return []
                     cond.wait(min(remaining, self._wait_poll))
                     self._check_open()
+                    now = max(now, self._out_marks.get(eq_type, now))
         lease_expiry = None if lease is None else now + lease
         with self._txn() as cur:
             cur.execute(
@@ -856,7 +863,7 @@ class SqliteTaskStore(TaskStore):
             " VALUES (?, ?, ?)",
             (eq_task_id, eq_type, priority),
         )
-        self._notify_out(eq_type)
+        self._notify_out(eq_type, now)
         if journal.enabled:
             journal.emit(
                 EV_REQUEUE, eq_task_id, role=ROLE_DB, work_type=eq_type,

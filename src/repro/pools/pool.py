@@ -18,6 +18,20 @@ a flush is already in flight, flushes the buffer itself — a lone result
 as a plain ``report``, several as one ``report_batch`` — so the batch
 size emerges from load, a remote store's round trip is paid per flush,
 and a lone result still leaves at once on the thread that produced it.
+
+Claims have one owner at a time, the *fetch role* (``_fetching``, under
+``_owned_cond``).  The fetcher takes it when the policy sees a deficit;
+a flush that finds it free takes it too and sends ``report_pop`` — the
+flush plus a claim for the slots that flush frees, one round trip — so
+a busy pool pays one RPC per flush instead of a report and a separate
+``pop_out``.  The flusher settles the flush, admits the refill exactly
+as the fetcher admits a fetch, then releases the role.  So at most one
+claim is in flight and ``owned + asked <= batch_size`` holds, with the
+batch/threshold policy unchanged.  While the fetcher holds the role (an
+idle long-poll) flushes are plain reports, byte for byte as before.  A
+``report_pop`` that fails ambiguously falls back to per-item reports and
+loses its refill: leased tasks are reaped, unleased ones wait for
+``recover_pool``, as after a lost ``pop_out``.
 """
 
 from __future__ import annotations
@@ -135,9 +149,13 @@ class ThreadedWorkerPool:
         self._policy = config.policy()
 
         # Owned count and ids, under a condition the fetcher and the
-        # drain wait on; notified when a flush settles and by stop().
+        # drain wait on; notified when a flush settles, when the fetch
+        # role is released, and by stop().  ``_fetching`` is the fetch
+        # role: held by the fetcher's query or a flush's refill, so the
+        # pool has at most one claim in flight.
         self._owned = 0
         self._owned_ids: set[int] = set()
+        self._fetching = False
         self._owned_cond = threading.Condition()
         self._local: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
         self._stop_fetching = threading.Event()
@@ -338,15 +356,17 @@ class ThreadedWorkerPool:
         while True:
             # Refill is event-driven: wait for the deficit a settling
             # flush opens rather than sleeping poll_delay, which would
-            # cap an oversubscribed pool at batch_size / poll_delay.
+            # cap an oversubscribed pool at batch_size / poll_delay —
+            # and for the role, which a flush's refill may hold.
             with self._owned_cond:
                 self._owned_cond.wait_for(
                     lambda: self._stop_fetching.is_set()
-                    or self._policy.to_fetch(self._owned)
+                    or (not self._fetching and self._policy.to_fetch(self._owned))
                 )
+                if self._stop_fetching.is_set():
+                    break
+                self._fetching = True
                 owned = self._owned
-            if self._stop_fetching.is_set():
-                break
             t0 = clock.now() if tracer.enabled else 0.0
             try:
                 # Event-driven fetch: an empty queue is waited out in the
@@ -365,6 +385,7 @@ class ThreadedWorkerPool:
                 # A lost connection must not kill the fetcher: tasks
                 # popped server-side but never received are leased, so
                 # the reaper requeues them; we just poll again.
+                self._release_fetch()
                 self._m_fetch_errors.inc()
                 log_event(
                     _log, "pool.fetch_error", level=30,
@@ -372,58 +393,81 @@ class ThreadedWorkerPool:
                 )
                 clock.sleep(config.poll_delay)
                 continue
-            if not messages:
-                continue
-            fetched_at = clock.now()
-            self._m_fetch_size.observe(len(messages))
-            if tracer.enabled:
-                tracer.add_span(
-                    "pool.fetch",
-                    "pool",
-                    t0,
-                    fetched_at,
-                    attrs={"pool": self.name, "n": len(messages)},
-                )
-            for message in messages:
-                message["_fetched_at"] = fetched_at
-            journal = self._jrnl()
-            if journal.enabled:
-                for message in messages:
-                    journal.emit(
-                        EV_FETCH,
-                        message["eq_task_id"],
-                        role=ROLE_POOL,
-                        work_type=config.work_type,
-                        trace_id=self._msg_trace_id(message),
-                        source=self.name,
-                        time=fetched_at,
-                    )
-            for message in messages:
-                if message["payload"] in (EQ_STOP, EQ_ABORT):
-                    # Report the sentinel so the submitter's future
-                    # resolves, then begin shutdown.
-                    try:
-                        self._eqsql.report_task(
-                            message["eq_task_id"], config.work_type, message["payload"]
-                        )
-                    except (ReproError, OSError):
-                        pass  # shutdown proceeds; the lease reaper requeues it
-                    self._stop_fetching.set()
-                    if message["payload"] == EQ_ABORT:
-                        self._abort.set()
-                    continue
-                with self._owned_cond:
-                    self._owned += 1
-                    self._owned_ids.add(message["eq_task_id"])
-                self._local.put(message)
+            try:
+                self._admit(messages, t0)
+            finally:
+                self._release_fetch()
         # Drain: wait for owned tasks to be reported (which empties the
-        # pending buffer too), then release workers.
+        # pending buffer too) and for a refill in flight to land, then
+        # release workers.
         with self._owned_cond:
             self._owned_cond.wait_for(
-                lambda: not self._owned or self._abort.is_set()
+                lambda: (not self._owned and not self._fetching)
+                or self._abort.is_set()
             )
         for _ in range(config.n_workers):
             self._local.put(None)
+
+    def _release_fetch(self) -> None:
+        """Give up the fetch role, waking a fetcher waiting for it."""
+        with self._owned_cond:
+            self._fetching = False
+            self._owned_cond.notify_all()
+
+    def _admit(self, messages: list[dict[str, Any]], t0: float) -> None:
+        """Take claimed tasks into the pool — the fetcher's fetch or a
+        flush's refill, by whoever holds the fetch role.
+
+        Records the ``pool.fetch`` span (from ``t0``) and the ``fetch``
+        journal hop, handles the ``EQ_STOP``/``EQ_ABORT`` sentinels, and
+        queues the rest for the workers as owned tasks.
+        """
+        if not messages:
+            return
+        config = self._config
+        tracer = self.tracer
+        fetched_at = self._eqsql.clock.now()
+        self._m_fetch_size.observe(len(messages))
+        if tracer.enabled:
+            tracer.add_span(
+                "pool.fetch",
+                "pool",
+                t0,
+                fetched_at,
+                attrs={"pool": self.name, "n": len(messages)},
+            )
+        for message in messages:
+            message["_fetched_at"] = fetched_at
+        journal = self._jrnl()
+        if journal.enabled:
+            for message in messages:
+                journal.emit(
+                    EV_FETCH,
+                    message["eq_task_id"],
+                    role=ROLE_POOL,
+                    work_type=config.work_type,
+                    trace_id=self._msg_trace_id(message),
+                    source=self.name,
+                    time=fetched_at,
+                )
+        for message in messages:
+            if message["payload"] in (EQ_STOP, EQ_ABORT):
+                # Report the sentinel so the submitter's future
+                # resolves, then begin shutdown.
+                try:
+                    self._eqsql.report_task(
+                        message["eq_task_id"], config.work_type, message["payload"]
+                    )
+                except (ReproError, OSError):
+                    pass  # shutdown proceeds; the lease reaper requeues it
+                self._stop_fetching.set()
+                if message["payload"] == EQ_ABORT:
+                    self._abort.set()
+                continue
+            with self._owned_cond:
+                self._owned += 1
+                self._owned_ids.add(message["eq_task_id"])
+            self._local.put(message)
 
     # -- lease heartbeat ----------------------------------------------------------
 
@@ -628,30 +672,46 @@ class ThreadedWorkerPool:
             return batch
 
     def _flush(self, batch: list[_Done]) -> None:
-        """Report one flush: several results as one ``report_batch``, a
-        lone one as a plain ``report`` (the same bytes on the wire as an
-        uncoalesced pool sends).
+        """Report one flush: with the fetch role free, as one
+        ``report_pop`` that also claims the slots it frees; otherwise
+        several results as one ``report_batch`` and a lone one as a
+        plain ``report`` (the same bytes on the wire as an uncoalesced
+        pool sends).
 
-        If the batch RPC fails the flush degrades to per-item reports
-        (``report`` is first-write-wins idempotent, so items the broken
-        batch may already have applied re-send safely); only items whose
-        own report also fails are lost.
+        If the ``report_pop`` or batch RPC fails the flush degrades to
+        per-item reports (``report`` is first-write-wins idempotent, so
+        items the broken call may already have applied re-send safely);
+        only items whose own report also fails are lost.  A failed
+        ``report_pop`` also loses its refill, as a failed fetch does.
         """
         eqsql = self._eqsql
-        work_type = self._config.work_type
+        config = self._config
+        work_type = config.work_type
         began = eqsql.clock.now()
         unacked = {done.eq_task_id for done in batch}
+        want = self._take_refill(len(batch))
+        refill: list[dict[str, Any]] = []
         try:
-            if len(batch) > 1:
+            if want or len(batch) > 1:
+                reports = [(d.eq_task_id, work_type, d.result) for d in batch]
                 profiles = {d.eq_task_id: d.profile for d in batch if d.profile}
                 try:
-                    eqsql.report_tasks(
-                        [(d.eq_task_id, work_type, d.result) for d in batch],
-                        profiles=profiles or None,
-                    )
+                    if want:
+                        refill = eqsql.report_and_fetch(
+                            reports, work_type, want, worker_pool=config.name,
+                            lease=config.lease_duration, profiles=profiles or None,
+                        )
+                    else:
+                        eqsql.report_tasks(reports, profiles=profiles or None)
                     unacked.clear()
-                except (ReproError, OSError):
-                    pass  # degrade to the per-item loop below
+                except (ReproError, OSError) as exc:
+                    if want:
+                        self._m_fetch_errors.inc()
+                        log_event(
+                            _log, "pool.refill_error", level=30,
+                            pool=self.name, error=str(exc),
+                        )
+                    # degrade to the per-item loop below
             if unacked:  # a lone result, or a batch whose RPC failed
                 for done in batch:
                     try:
@@ -676,7 +736,28 @@ class ThreadedWorkerPool:
             # Also on an unexpected exception: whatever was not
             # acknowledged settles as lost (its lease lapses), so the
             # drain cannot wait forever on results nobody will send.
-            self._settle(batch, unacked, began)
+            # Settle before admitting, so the owned count never holds
+            # the flush and its refill at once.
+            try:
+                self._settle(batch, unacked, began)
+                self._admit(refill, began)
+            finally:
+                if want:
+                    self._release_fetch()
+
+    def _take_refill(self, flushing: int) -> int:
+        """Tasks a flush of ``flushing`` results should claim: the
+        policy's deficit once they settle, if the fetch role is free —
+        it is then taken, and ``_flush`` releases it.  0 (role left
+        alone) while another claim is in flight, the deficit is under
+        the threshold, or the pool is stopping.
+        """
+        with self._owned_cond:
+            if self._fetching or self._stop_fetching.is_set():
+                return 0
+            want = self._policy.to_fetch(self._owned - flushing)
+            self._fetching = want > 0
+            return want
 
     def _settle(self, batch: list[_Done], lost: set[int], began: float) -> None:
         """Book-keeping once a flush's reports are acknowledged (or lost).

@@ -232,13 +232,17 @@ class ScheduleEngine:
         """One pool reports: a single ``report``, or a ``report_batch``
         of up to three held results (mixed work types, and — when the
         pool re-popped its own requeued task — the same id twice), each
-        item verified against the model's single-report semantics."""
+        item verified against the model's single-report semantics.  Some
+        batches are a ``report_pop``: the same reports, then a refill of
+        0–3 tasks verified as the model's ``pop_out``."""
         rng = self.rng
         candidates = [p for p in self.pools if p.held]
         if not candidates:
             return
         pool = rng.choice(candidates)
-        batched = rng.random() < 0.4
+        draw = rng.random()
+        batched = draw < 0.4
+        fused = draw < 0.15
         count = rng.randint(1, min(3, len(pool.held))) if batched else 1
         reports = []
         for _ in range(count):
@@ -248,7 +252,15 @@ class ScheduleEngine:
                 _bulk(f'{{"task": {tid}, "by": "{pool.name}"}}', tid),
             ))
         now = self.clock.now()
-        if batched:
+        if fused:
+            eq_type = rng.choice(self.config.work_types)
+            n = rng.randint(0, 3)
+            leased = rng.random() >= self.config.unleased_fraction
+            lease = self.config.lease if leased else None
+            got = self.store.report_pop(
+                reports, eq_type, n, worker_pool=pool.name, now=now, lease=lease
+            )
+        elif batched:
             self.store.report_batch(reports, now=now)
         else:
             self.store.report(*reports[0], now=now)
@@ -257,6 +269,16 @@ class ScheduleEngine:
             if outcome == "missing":
                 self._fail("report", f"model lost task {tid}")
             self._record("report", pool.name, tid, outcome, batched)
+        if fused:
+            want = self.model.pop_out(
+                eq_type, n, worker_pool=pool.name, now=now, lease=lease
+            )
+            self._verify(
+                "report_pop", [list(p) for p in got], [list(p) for p in want]
+            )
+            pool.held.extend(tid for tid, _ in want)
+            self._record("refill", pool.name, eq_type, n, leased,
+                         [tid for tid, _ in want])
 
     def _op_renew(self) -> None:
         rng = self.rng

@@ -92,7 +92,7 @@ class TestRetryClassification:
             assert OPS[method].idempotent
 
     def test_pops_and_creates_are_not(self):
-        for method in ("create_task", "create_tasks", "pop_out", "pop_in"):
+        for method in ("create_task", "create_tasks", "pop_out", "pop_in", "report_pop"):
             assert not OPS[method].idempotent
             assert not retryable(method, {})
         # ... except a long-poll pop, which is always re-sent.
@@ -184,9 +184,11 @@ class TestReconnectAndRetry:
 
 class _MisbehavingServer:
     """A fake service that handshakes correctly, then answers every
-    subsequent request with a mismatched response id (a stale frame)."""
+    subsequent request with a mismatched response id (a stale frame).
+    ``handshake_id`` replaces the id of the handshake's answer."""
 
-    def __init__(self):
+    def __init__(self, handshake_id=None):
+        self._handshake_id = handshake_id
         self._listener = socket.socket()
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(8)
@@ -215,8 +217,11 @@ class _MisbehavingServer:
                 if request is None:
                     return
                 if first:
+                    answer_id = request["id"]
+                    if self._handshake_id is not None:
+                        answer_id = self._handshake_id
                     protocol.write_message(wfile, {
-                        "id": request["id"], "ok": True,
+                        "id": answer_id, "ok": True,
                         "result": {"version": protocol.PROTOCOL_VERSION},
                     })
                     first = False
@@ -247,6 +252,16 @@ class TestDesyncDetection:
                 client.create_task("exp", 0, "p")
             assert not client.connected
             client.close()
+        finally:
+            server.close()
+
+    def test_boolean_id_does_not_answer_request_one(self):
+        # JSON true decodes to True, which equals and hashes like 1: the
+        # handshake (request id 1) must still refuse it as desynced.
+        server = _MisbehavingServer(handshake_id=True)
+        try:
+            with pytest.raises(ConnectionError, match="desynced"):
+                RemoteTaskStore(*server.address, retry=FAST_RETRY)
         finally:
             server.close()
 

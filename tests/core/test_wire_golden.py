@@ -14,7 +14,8 @@ string (``<BIG>``, ...) instead of spelling it out.
 The committed fixture was recorded at commit 73c8cf9 (the hand-written
 stubs and dispatch ladder).  Protocol version 2 changed exactly one of
 those records, the ``ping`` response's version, and appended the
-attachment cases; every other record is the original recording.
+attachment cases; the ``report_pop`` case was appended with that op.
+Every other record is the original recording.
 Re-record only for a deliberate wire change::
 
     PYTHONPATH=src python tests/core/test_wire_golden.py --record
@@ -142,6 +143,10 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
     ("get_task/attachments", "get_task", (7,), {}, _BIG_ROW),
     ("cache_put/attachment", "cache_put", ("k", 0, _BIG), {}, None),
     ("cache_get/attachment", "cache_get", ("k",), {}, _BIG),
+    # The fused flush-and-refill op, appended with it.
+    ("report_pop", "report_pop", ([(1, 0, "r1")], 0, 2),
+     {"worker_pool": "w", "now": 3.0, "lease": 30.0, "profiles": {1: _PROFILE}},
+     [(2, "a"), (3, "b")]),
 ]
 
 

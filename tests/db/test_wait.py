@@ -101,6 +101,30 @@ class TestPopOutWait:
         assert blocked.join() == [(tid, "p")]
         assert blocked.elapsed < PROMPT
 
+    @pytest.mark.parametrize("woken_by", ["create", "requeue_expired"])
+    def test_woken_pop_is_stamped_no_earlier_than_its_wake(self, store, woken_by):
+        # The poll began at now=1.0; the write that woke it happened at
+        # t=10.0.  The claim (time_start, lease, journal) must not
+        # predate that write, or the lease would be short by the wait.
+        if woken_by == "requeue_expired":
+            [tid] = store.create_tasks("e", 0, ["p"], time_created=0.0)
+            assert store.pop_out(0, 1, worker_pool="dead", now=0.5, lease=2.0)
+        blocked = _BlockedCall(lambda: store.pop_out(
+            0, 1, worker_pool="w", now=1.0, lease=3.0, wait=WAIT
+        ))
+        time.sleep(0.05)
+        if woken_by == "create":
+            [tid] = store.create_tasks("e", 0, ["p"], time_created=10.0)
+        else:
+            assert store.requeue_expired(now=10.0) == [tid]
+        assert blocked.join() == [(tid, "p")]
+        row = store.get_task(tid)
+        assert (row.time_start, row.lease_expiry) == (10.0, 13.0)
+        # A pop that did not wait keeps the caller's stamp.
+        [other] = store.create_tasks("e", 0, ["q"], time_created=20.0)
+        assert store.pop_out(0, 1, worker_pool="w", now=15.0, wait=WAIT)
+        assert store.get_task(other).time_start == 15.0
+
     def test_does_not_wake_for_another_work_type(self, store):
         blocked = _BlockedCall(
             lambda: _claim(store, eq_type=0, wait=NO_WAKE_WAIT)

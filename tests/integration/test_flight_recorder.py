@@ -201,6 +201,37 @@ class TestEndToEndTimeline:
         assert out.index("requeue") < out.index("run_start")
 
 
+class TestFusedFlushHops:
+    def test_report_pop_records_both_service_hops(self, scoped_journal):
+        # One request, two hops: the service journals the report of the
+        # flushed task, then the pop of the refill, stamped alike.
+        clock, journal, _spill = scoped_journal
+        store = MemoryTaskStore()
+        service = TaskService(store, clock=clock, metrics=MetricsRegistry()).start()
+        remote = RemoteTaskStore(*service.address, metrics=MetricsRegistry())
+        try:
+            done, refill = remote.create_tasks("exp", 0, ["a", "b"])
+            remote.pop_out(0, 1, worker_pool="pool-f", now=clock.now())
+            claimed = remote.report_pop(
+                [(done, 0, "r")], 0, 2, worker_pool="pool-f", now=clock.now()
+            )
+        finally:
+            remote.close()
+            service.stop()
+        assert claimed == [(refill, "b")]
+        hops = [
+            (r.event, r.task_id, r.source, r.time)
+            for r in journal.records()
+            if r.role == ROLE_SERVICE and r.event in (EV_REPORT, EV_POP)
+        ]
+        (_, _, _, popped_at), report, pop = hops
+        assert report[:3] == (EV_REPORT, done, "pool-f")
+        assert pop[:3] == (EV_POP, refill, "pool-f")
+        assert popped_at <= report[3] == pop[3]
+        db = [(r.event, r.task_id) for r in journal.records() if r.role == ROLE_DB]
+        assert db[-2:] == [(EV_REPORT, done), (EV_POP, refill)]
+
+
 class TestLiveStragglerDetection:
     def test_delayed_task_flagged_via_events(self, tmp_path):
         clock = SystemClock()

@@ -7,11 +7,18 @@ during a round trip share the next ``report_batch``.  The choreographed
 tests below hold the store's report calls and one handler on
 ``threading`` gates, so what coalesces with what is decided by the
 test, never by timing.
+
+A flush that finds the fetch role free fuses into one ``report_pop``.
+The choreography keeps the role with the fetcher — its pool has a spare
+slot, so the fetcher always sits in a long-poll, and a task's handler
+only runs once that poll is open — which pins the plain shapes; the
+fused shape has tests of its own (``TestFusedRefill``).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -21,12 +28,18 @@ from repro.db.schema import TaskStatus
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.pools import pool as pool_module
 from repro.telemetry import Tracer
+from repro.telemetry.metrics import MetricsRegistry
 
 WAIT = 10.0  # every gate and join is bounded: a wedge fails, never hangs
 
 
 class GatedStore(MemoryTaskStore):
-    """Records every report call on entry and can hold it at a gate."""
+    """Records every report call on entry and can hold it at a gate.
+
+    A long-poll ``pop_out`` (the fetcher's, which holds the fetch role)
+    is flagged on ``polling`` while it is open, and stretched to
+    ``WAIT`` so the role cannot lapse mid-test; ``stop()`` wakes it.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -35,6 +48,17 @@ class GatedStore(MemoryTaskStore):
         self.gate = threading.Event()
         self.gate.set()
         self.woken = threading.Event()
+        self.polling = threading.Event()
+
+    def pop_out(self, eq_type, n=1, *, wait=None, **kwargs):
+        if not wait:
+            return super().pop_out(eq_type, n, **kwargs)
+        self.polling.set()
+        try:
+            stretched = wait if self.woken.is_set() else WAIT
+            return super().pop_out(eq_type, n, wait=stretched, **kwargs)
+        finally:
+            self.polling.clear()
 
     def _arrive(self, method: str, ids: list[int]) -> None:
         self.calls.append((method, ids, threading.current_thread().name))
@@ -49,6 +73,13 @@ class GatedStore(MemoryTaskStore):
         self._arrive("report_batch", [r[0] for r in reports])
         self.batch_hook()
         super().report_batch(reports, now=now, profiles=profiles)
+
+    def report_pop(self, reports, eq_type, n, *, now=0.0, profiles=None, **pop):
+        # Recorded as itself: its halves bypass the recording overrides.
+        self._arrive("report_pop", [r[0] for r in reports])
+        self.batch_hook()
+        MemoryTaskStore.report_batch(self, reports, now=now, profiles=profiles)
+        return MemoryTaskStore.pop_out(self, eq_type, n, now=now, **pop)
 
     def batch_hook(self) -> None:
         """Fault point for subclasses: runs before a batch is applied."""
@@ -69,6 +100,8 @@ class Choreography:
     (held at the handler gate), and everything worker 2 ran before
     ``last`` — the ``middle`` tasks — sitting in the pending buffer,
     because a worker only takes its next task after ``_report`` returned.
+    Throughout, the fetcher holds the fetch role in a long-poll for the
+    pool's spare slot, so every flush is a plain report.
     """
 
     HELD = "held"
@@ -81,15 +114,19 @@ class Choreography:
         self.middle_payloads = middle
         self.handler_entered = threading.Event()
         self.handler_gate = threading.Event()
-        n = len(middle) + 2
+        spare = len(middle) + 3  # every task, plus one slot never filled
         self.pool = ThreadedWorkerPool(
             self.eq,
             PythonTaskHandler(self._handle, json_io=False),
-            PoolConfig(work_type=0, n_workers=2, batch_size=n, **config),
+            PoolConfig(work_type=0, n_workers=2, batch_size=spare, **config),
             tracer=tracer,
         )
 
     def _handle(self, payload: str) -> str:
+        if payload == "first":
+            # Its fetch just returned: report only once the fetcher is
+            # back in its poll, holding the role.
+            assert self.store.polling.wait(WAIT), "fetcher never polled again"
         if payload == self.HELD:
             self.handler_entered.set()
             assert self.handler_gate.wait(WAIT), "handler gate never opened"
@@ -104,6 +141,8 @@ class Choreography:
         self.middle = self.eq.submit_tasks("exp", 0, self.middle_payloads)
         self.last = self.eq.submit_task("exp", 0, self.HELD)
         assert self.handler_entered.wait(WAIT)
+        # The queue is empty, so this poll holds the role until stop().
+        assert store.polling.wait(WAIT)
 
     def flush_pending(self, n_calls: int) -> None:
         """Let the held report return and wait for the ``n_calls`` store
@@ -337,6 +376,109 @@ class TestBatchedReporting:
         assert pool.tasks_completed == 32
 
 
+class TestFusedRefill:
+    """A flush that finds the fetch role free: one ``report_pop``."""
+
+    @staticmethod
+    def one_slot_pool(store: GatedStore) -> ThreadedWorkerPool:
+        # One worker, one slot: the fetcher never has a deficit while a
+        # task is owned, so every flush finds the role free.
+        return ThreadedWorkerPool(
+            EQSQL(store),
+            PythonTaskHandler(lambda d: d, json_io=False),
+            PoolConfig(work_type=0, n_workers=1, batch_size=1, name="solo"),
+        )
+
+    def test_flush_carries_the_refill_it_frees(self):
+        store = GatedStore()
+        eq = EQSQL(store)
+        futures = eq.submit_tasks("exp", 0, ["a", "b", "c"])
+        pool = self.one_slot_pool(store).start()
+        try:
+            done = list(as_completed(futures, delay=0.001, timeout=WAIT))
+            assert len(done) == 3
+        finally:
+            pool.stop(timeout=WAIT)
+        a, b, c = ids(futures)
+        # Each flush reports its task and claims the next; the last one's
+        # claim comes back empty.
+        assert store.sent() == [
+            ("report_pop", [a]), ("report_pop", [b]), ("report_pop", [c]),
+        ]
+        for tid in (a, b, c):
+            assert store.get_task(tid).worker_pool == "solo"
+        assert (pool.tasks_completed, pool.reports_lost, pool.owned()) == (3, 0, 0)
+
+    def test_eq_stop_in_a_refill_stops_the_pool(self):
+        store = GatedStore()
+        eq = EQSQL(store)
+        work = eq.submit_task("exp", 0, "work", priority=1)
+        stop = eq.submit_task("exp", 0, EQ_STOP)  # popped after the work
+        pool = self.one_slot_pool(store).start()
+        try:
+            pool.join(timeout=WAIT)  # stops by itself
+            assert not pool.is_alive()
+        finally:
+            pool.stop(timeout=WAIT)
+        assert stop.result(timeout=WAIT, delay=0.001)[1] == EQ_STOP
+        assert work.result(timeout=WAIT, delay=0.001)[1] == "work"
+        assert store.sent() == [
+            ("report_pop", [work.eq_task_id]),  # the refill was EQ_STOP
+            ("report", [stop.eq_task_id]),  # the sentinel, reported back
+        ]
+        assert pool.tasks_completed == 1 and pool.owned() == 0
+
+    def test_failed_report_pop_falls_back_and_loses_only_the_refill(self):
+        class FusedPathDown(GatedStore):
+            def batch_hook(self):
+                if self.calls[-1][0] == "report_pop":
+                    raise ConnectionError("fused path down")
+
+        store = FusedPathDown()
+        eq = EQSQL(store)
+        first, second = eq.submit_tasks("exp", 0, ["a", "b"])
+        pool = self.one_slot_pool(store).start()
+        try:
+            assert first.result(timeout=WAIT, delay=0.001)[1] == "a"
+            # The refill was never claimed here; the fetcher claims it.
+            assert second.result(timeout=WAIT, delay=0.001)[1] == "b"
+        finally:
+            pool.stop(timeout=WAIT)
+        assert store.sent()[:2] == [
+            ("report_pop", [first.eq_task_id]),
+            ("report", [first.eq_task_id]),
+        ]
+        assert (pool.tasks_completed, pool.reports_lost, pool.owned()) == (2, 0, 0)
+
+    def test_busy_stock_pool_sends_one_rpc_per_task(self):
+        # Over a live service with a full queue, each flush is one
+        # report_pop that also refills: about one RPC per task where a
+        # report followed by a pop_out would cost two.
+        n_tasks = 200
+        backing = MemoryTaskStore()
+        backing.create_tasks("exp", 0, ["{}"] * n_tasks)
+        service = TaskService(backing).start()
+        registry = MetricsRegistry()
+        store = RemoteTaskStore(*service.address, metrics=registry)
+        pool = ThreadedWorkerPool(
+            EQSQL(store), PythonTaskHandler(lambda d: d),
+            PoolConfig(work_type=0, n_workers=2),
+        ).start()
+        try:
+            deadline = time.monotonic() + 30
+            while backing.queue_in_length() < n_tasks:
+                assert time.monotonic() < deadline, "pool never drained the queue"
+                time.sleep(0.005)
+            rpcs = registry.get("service.client.rpcs").value
+        finally:
+            pool.stop(timeout=WAIT)
+            store.close()
+            service.stop()
+            backing.close()
+        assert pool.tasks_completed == n_tasks
+        assert rpcs <= 1.1 * n_tasks
+
+
 class TestConfigValidation:
     # The report knobs are gone, not ignored: setting one is an error.
     def test_report_batch_size_knob_is_gone(self):
@@ -357,11 +499,18 @@ class TestConfigValidation:
 
     def test_default_stays_synchronous(self):
         # A stock pool reports a lone result from the worker thread that
-        # ran it: no reporter thread, no hand-off.
+        # ran it: no reporter thread, no hand-off.  The handler waits
+        # for the fetcher's next long-poll, so the fetch role is taken
+        # and the flush is the plain report.
         store = GatedStore()
         eq = EQSQL(store)
+
+        def handle(data):
+            assert store.polling.wait(WAIT)
+            return data
+
         pool = ThreadedWorkerPool(
-            eq, PythonTaskHandler(lambda d: d), PoolConfig(work_type=0, name="p")
+            eq, PythonTaskHandler(handle), PoolConfig(work_type=0, name="p")
         ).start()
         try:
             future = eq.submit_task("exp", 0, "{}")

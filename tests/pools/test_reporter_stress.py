@@ -6,10 +6,13 @@ result stranded in the pending buffer, or an owned count that drifts.
 Here eight OS threads push 2 000 no-op tasks through the combining
 reporter with the switch interval shortened, over each access path —
 and on the remote path a flaky store fails a share of ``report_batch``
-calls before or *after* they were applied, so the per-item fallback
-re-sends results the store may already hold.  Every task must be
-reported exactly once, and the recorded journal must pass the fuzzer's
-own lifecycle automaton.
+and fused ``report_pop`` calls before or *after* they were applied, so
+the per-item fallback re-sends results the store may already hold and a
+refill the store claimed is lost to the pool until the lease reaper
+requeues it.  Every task must be reported exactly once, and the
+recorded journal must pass the fuzzer's own lifecycle automaton.  A
+second test audits the fetch role itself: at most one claim in flight,
+and never more owned-plus-asked than the batch size.
 
 Marked ``stress`` so CI re-runs it under ``--timeout``: a wedged flusher
 must fail, not hang (every wait below is bounded as well).
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -35,6 +39,9 @@ pytestmark = pytest.mark.stress
 
 N_TASKS = 2000
 N_WORKERS = 8
+#: Lease on the remote-flaky path: a refill lost to an injected fault
+#: is requeued by the service's reaper within this (plus its interval).
+LEASE = 2.0
 
 
 @pytest.fixture
@@ -48,49 +55,54 @@ def journal():
         set_journal(previous)
 
 
+@pytest.fixture
+def clock():
+    """One timebase for ME, pool and reaper, so the automaton can check
+    time order."""
+    return SystemClock()
+
+
 @pytest.fixture(params=["memory", "sqlite", "remote-flaky"])
-def plane(request, tmp_path):
-    """``(me_store, pool_store)`` for one access path."""
+def plane(request, tmp_path, clock):
+    """``(me_store, pool_store, lease)`` for one access path."""
     if request.param == "memory":
         store = MemoryTaskStore()
-        yield store, store
+        yield store, store, None
         store.close()
     elif request.param == "sqlite":
         store = SqliteTaskStore(str(tmp_path / "emews.db"))
-        yield store, store
+        yield store, store, None
         store.close()
     else:
         backing = SqliteTaskStore(str(tmp_path / "emews.db"))
-        service = TaskService(backing).start()
+        service = TaskService(backing, lease_reaper_interval=0.1, clock=clock).start()
         me_store = RemoteTaskStore(*service.address)
         pool_store = FlakyTaskStore(
             RemoteTaskStore(*service.address),
             failure_rate=0.3,
-            methods={"report_batch"},
+            methods={"report_batch", "report_pop"},
             rng=random.Random(19),
         )
-        yield me_store, pool_store
+        yield me_store, pool_store, LEASE
         me_store.close()
         pool_store.close()
         service.stop()
         backing.close()
 
 
-def test_every_task_is_reported_exactly_once(plane, journal):
-    me_store, pool_store = plane
-    clock = SystemClock()  # one timebase, so the automaton can check time order
+def test_every_task_is_reported_exactly_once(plane, journal, clock):
+    me_store, pool_store, lease = plane
     me = EQSQL(me_store, clock=clock)
     pool = ThreadedWorkerPool(
         EQSQL(pool_store, clock=clock),
         PythonTaskHandler(lambda payload: payload, json_io=False),
-        PoolConfig(work_type=0, n_workers=N_WORKERS, batch_size=64),
+        PoolConfig(
+            work_type=0, n_workers=N_WORKERS, batch_size=64, lease_duration=lease
+        ),
     )
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # more workers than cores, switching often
     try:
-        # Submitted before the pool starts: a long-polling pop is stamped
-        # with the time the poll *began*, which would sort it before the
-        # enqueue that woke it.
         futures = me.submit_tasks("stress", 0, [str(i) for i in range(N_TASKS)])
         payload = {f.eq_task_id: str(i) for i, f in enumerate(futures)}
         pool.start()
@@ -116,4 +128,72 @@ def test_every_task_is_reported_exactly_once(plane, journal):
         ) == once, role
     if isinstance(pool_store, FlakyTaskStore):
         # A chaos run that injected nothing proves nothing.
-        assert pool_store.faults_injected.get("report_batch", 0) > 0
+        assert pool_store.faults_injected.get("report_pop", 0) > 0
+
+
+class RoleAudit(MemoryTaskStore):
+    """Checks every claim against the pool's fetch-role invariant.
+
+    A claim is a ``pop_out`` — the fetcher's, or the second half of a
+    ``report_pop`` (which settles ``len(reports)`` owned tasks first).
+    """
+
+    def __init__(self, batch_size: int) -> None:
+        super().__init__()
+        self.batch_size = batch_size
+        self.pool: ThreadedWorkerPool | None = None
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.claims = Counter()
+        self.violations: list[str] = []
+        self.settling = threading.local()
+
+    def report_pop(self, reports, eq_type, n, **kwargs):
+        self.settling.n = len(reports)
+        try:
+            return super().report_pop(reports, eq_type, n, **kwargs)
+        finally:
+            self.settling.n = 0
+
+    def pop_out(self, eq_type, n=1, **kwargs):
+        settling = getattr(self.settling, "n", 0)
+        with self.lock:
+            self.in_flight += 1
+            self.claims["report_pop" if settling else "pop_out"] += 1
+            if self.in_flight > 1:
+                self.violations.append(f"{self.in_flight} claims in flight")
+        try:
+            # Nothing but this claim's holder can raise the owned count.
+            owned = self.pool.owned() - settling
+            if owned + n > self.batch_size:
+                self.violations.append(f"owned {owned} + asked {n}")
+            return super().pop_out(eq_type, n, **kwargs)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_one_claim_in_flight_and_never_past_the_batch_size():
+    batch_size = 2 * N_WORKERS
+    store = RoleAudit(batch_size)
+    eq = EQSQL(store)
+    pool = ThreadedWorkerPool(
+        eq,
+        PythonTaskHandler(lambda payload: payload, json_io=False),
+        PoolConfig(work_type=0, n_workers=N_WORKERS, batch_size=batch_size),
+    )
+    store.pool = pool
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        futures = eq.submit_tasks("role", 0, [str(i) for i in range(N_TASKS)])
+        pool.start()
+        done = list(as_completed(futures, delay=0.001, timeout=60))
+    finally:
+        sys.setswitchinterval(switch_interval)
+        pool.stop(timeout=30)
+    assert len(done) == N_TASKS and pool.tasks_completed == N_TASKS
+    assert store.violations == []
+    # Both claimants took the role: the fetcher, and flushes that found it free.
+    assert store.claims["pop_out"] > 0 and store.claims["report_pop"] > 0
+    assert pool.owned() == 0
