@@ -68,22 +68,9 @@ def test_remote_batch_submit_amortizes(benchmark, remote_eq):
 
 
 def test_remote_rpc_lockstep(benchmark, remote_eq):
-    """N requests, N round trips: the pre-pipelining wire behaviour."""
+    """N requests, N round trips: one request per exchange."""
     store = remote_eq.store
     benchmark(lambda: [store.queue_in_length() for _ in range(N)])
-
-
-def test_remote_rpc_pipelined(benchmark, remote_eq):
-    """The same N requests with 64 in flight: one coalesced send per
-    batch, responses matched by id — vs test_remote_rpc_lockstep."""
-    store = remote_eq.store
-
-    def run():
-        with store.pipeline(max_in_flight=64) as pipe:
-            calls = [pipe.call("queue_in_length", {}) for _ in range(N)]
-        return [c.result() for c in calls]
-
-    benchmark(run)
 
 
 def _claimed_ids(eq, eq_type):

@@ -260,8 +260,8 @@ def bench_store_rpc(smoke: bool = False) -> dict:
 
 
 def bench_service_rpc(smoke: bool = False) -> dict:
-    """Service request throughput on the cheapest call (queue length):
-    lockstep (one round trip per request) vs pipelined (64 in flight)."""
+    """Service request throughput on the cheapest call (queue length),
+    lockstep: one round trip per request."""
     from repro.core.service import TaskService
     from repro.core.service_client import RemoteTaskStore
     from repro.db import MemoryTaskStore
@@ -278,17 +278,9 @@ def bench_service_rpc(smoke: bool = False) -> dict:
             for _ in range(n):
                 remote.queue_in_length()
             t1 = time.perf_counter()
-            t2 = time.perf_counter()
-            with remote.pipeline(max_in_flight=64) as pipe:
-                calls = [
-                    pipe.call("queue_in_length", {}) for _ in range(n)
-                ]
-            assert all(c.result() == 0 for c in calls)
-            t3 = time.perf_counter()
             metrics = {
                 "requests_per_s": _rate(n, t1 - t0),
                 "rtt_seconds": (t1 - t0) / n,
-                "pipelined_requests_per_s": _rate(n, t3 - t2),
             }
         finally:
             remote.close()

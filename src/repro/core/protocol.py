@@ -33,7 +33,6 @@ transport detail beneath the unchanged EQSQL API.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from typing import Any, BinaryIO
 
 from repro.db.schema import TaskRow, TaskStatus
@@ -204,20 +203,6 @@ def write_message(stream: BinaryIO, message: dict[str, Any]) -> int:
     stream.write(frame)
     stream.flush()
     return len(frame)
-
-
-def write_messages(stream: BinaryIO, messages: Iterable[dict[str, Any]]) -> int:
-    """Write many frames as one coalesced send with a single flush.
-
-    The pipelining primitive: N lockstep ``write_message`` calls cost N
-    syscalls (and, without TCP_NODELAY, N Nagle stalls); coalescing puts
-    the whole batch in one segment train.  Returns total bytes written.
-    """
-    buf = b"".join([encode_message(m) for m in messages])
-    if buf:
-        stream.write(buf)
-        stream.flush()
-    return len(buf)
 
 
 #: One attachment slot of a parsed header: (container, key, nbytes).

@@ -7,13 +7,11 @@ class runs against it — an ME algorithm on a laptop drives a database on
 a cluster exactly as it drives a local one, which is the paper's
 deployment (local Python script, EMEWS DB on Bebop, SSH tunnel between).
 
-One socket is shared behind a lock.  Requests are request/response by
-default; throughput-bound callers open an :meth:`RemoteTaskStore.pipeline`
-to keep N requests in flight on the same connection — frames are
-coalesced into one buffered send (a single flush per batch, with
-``TCP_NODELAY`` set so nothing waits on Nagle) and responses are matched
-back to their calls by request id.  Worker pools that want concurrency
-still open one client each.
+One socket is shared behind a lock, and every exchange on it is one
+request and its response (lockstep).  Round trips are saved by the
+batch ops — ``create_tasks``, ``pop_out(n)``, ``report_batch``,
+``report_pop``, ``pop_in_any`` — not by keeping several requests in
+flight.  Worker pools that want concurrency open one client each.
 
 Long-poll RPCs (``pop_out``/``pop_in_any`` with a ``wait``) are the one
 exception to the shared socket: each rides a dedicated wait-channel
@@ -38,11 +36,6 @@ are also derived:
   raises :class:`~repro.util.errors.ConnectionBrokenError` and leaves
   recovery to the caller — for popped-but-lost tasks, the server-side
   lease reaper requeues them automatically.
-
-The same classification governs a pipeline broken mid-batch: calls
-whose responses never arrived are transparently replayed when
-idempotent, and surface ``ConnectionBrokenError`` (exactly once, on
-:meth:`PipelinedCall.result`) when not.
 
 After any mid-request failure the socket is torn down rather than
 reused: a connection that died between write and read is desynced (the
@@ -70,7 +63,7 @@ from repro.core.ops import (
     wait_seconds,
 )
 from repro.db.backend import TaskStore
-from repro.telemetry.metrics import COUNT_BUCKETS, MetricsRegistry, get_metrics
+from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.telemetry.tracing import Span, Tracer, get_tracer
 from repro.util.errors import (
     ConnectionBrokenError,
@@ -113,121 +106,6 @@ WAIT_SLACK: float = 5.0
 #: dedicated sockets (see :class:`RemoteTaskStore`); finished ones are
 #: parked for reuse up to this many, the rest closed.
 WAIT_POOL_SIZE: int = 2
-
-
-class PipelinedCall:
-    """Handle for one RPC issued through an :class:`RpcPipeline`.
-
-    The call is unresolved until the pipeline flushes the batch it rode
-    in; :meth:`result` then returns the RPC's result or raises exactly
-    what the lockstep call would have raised (typed remote errors,
-    :class:`~repro.util.errors.ConnectionBrokenError` for a
-    non-idempotent call lost mid-pipeline, ...).
-    """
-
-    __slots__ = ("method", "params", "request_id", "_result", "_error", "_done")
-
-    def __init__(self, method: str, params: dict[str, Any]) -> None:
-        self.method = method
-        self.params = params
-        self.request_id: int | None = None
-        self._result: Any = None
-        self._error: Exception | None = None
-        self._done = False
-
-    @property
-    def done(self) -> bool:
-        """Whether the call has been resolved (result or error)."""
-        return self._done
-
-    def result(self) -> Any:
-        """The RPC result; raises the call's error if it failed."""
-        if not self._done:
-            raise RuntimeError(
-                f"pipelined call {self.method!r} has not been flushed"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def _set_result(self, result: Any) -> None:
-        self._result = result
-        self._done = True
-
-    def _set_error(self, error: Exception) -> None:
-        self._error = error
-        self._done = True
-
-    def _resolve(self, response: dict[str, Any]) -> None:
-        """Resolve from a matched response frame (a typed error frame is
-        a *successful* exchange — the server handled the request)."""
-        if response.get("ok"):
-            self._result = response.get("result")
-        else:
-            self._error = protocol.remote_error(response.get("error", {}))
-        self._done = True
-
-
-class RpcPipeline:
-    """Pipelined client mode: keep up to N requests in flight.
-
-    Obtained from :meth:`RemoteTaskStore.pipeline`.  Calls are buffered
-    and flushed as one coalesced send (a single ``write``/``flush`` for
-    the whole batch) followed by a response-matching read, whenever
-    ``max_in_flight`` calls are pending — and at context exit::
-
-        with store.pipeline(max_in_flight=64) as pipe:
-            calls = [pipe.call("report", {...}) for ... in work]
-        results = [c.result() for c in calls]
-
-    This turns K round trips into ~K/N, which is the funcX move: the
-    wire format already carries request ids, so the stream needs no
-    per-request synchronization.  ``max_in_flight`` also bounds the
-    bytes parked in socket buffers in each direction (the server
-    answers frame-by-frame, so an unbounded burst of large requests
-    could deadlock both windows); the default suits small control
-    frames.
-
-    Failure semantics match the lockstep client: when the connection
-    breaks mid-batch, already-answered calls keep their results,
-    unanswered *idempotent* calls are replayed through the normal
-    reconnect/backoff path, and unanswered non-idempotent calls resolve
-    to :class:`~repro.util.errors.ConnectionBrokenError`.
-
-    A pipeline instance is not thread-safe; other threads may keep
-    using the owning store's lockstep methods concurrently (flushes and
-    lockstep RPCs serialize on the store's connection lock).
-    """
-
-    def __init__(self, store: "RemoteTaskStore", max_in_flight: int = 64) -> None:
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        self._store = store
-        self._max_in_flight = max_in_flight
-        self._pending: list[PipelinedCall] = []
-
-    def call(self, method: str, params: dict[str, Any]) -> PipelinedCall:
-        """Queue one RPC; flushes automatically at ``max_in_flight``."""
-        call = PipelinedCall(method, params)
-        self._pending.append(call)
-        if len(self._pending) >= self._max_in_flight:
-            self.flush()
-        return call
-
-    def flush(self) -> None:
-        """Send every pending request in one batch and resolve them."""
-        batch, self._pending = self._pending, []
-        if batch:
-            self._store._flush_pipeline(batch)
-
-    def __enter__(self) -> "RpcPipeline":
-        return self
-
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        # Flush on clean exit only: after an exception in the body the
-        # caller is abandoning the batch, not awaiting its results.
-        if exc_type is None:
-            self.flush()
 
 
 class _Conn:
@@ -307,14 +185,6 @@ class RemoteTaskStore(TaskStore):
         self._m_reconnects = registry.counter(
             "service.client.reconnects", "successful reconnections after a drop"
         )
-        self._m_pipeline_flushes = registry.counter(
-            "service.client.pipeline_flushes", "coalesced pipeline batches sent"
-        )
-        self._m_pipeline_batch = registry.histogram(
-            "service.client.pipeline_batch_size",
-            COUNT_BUCKETS,
-            "requests per pipeline flush",
-        )
         self._conn: _Conn | None = None
         self._next_id = 0
         self._id_lock = threading.Lock()
@@ -342,81 +212,64 @@ class RemoteTaskStore(TaskStore):
     # -- the one exchange ----------------------------------------------------
 
     def _exchange(
-        self, conn: _Conn, calls: list[PipelinedCall], span: Span | None
-    ) -> None:
-        """Send ``calls`` as one write; resolve each from its response.
+        self,
+        conn: _Conn,
+        method: str,
+        params: dict[str, Any],
+        span: Span | None,
+    ) -> dict[str, Any]:
+        """Send one request on ``conn`` and return its response frame.
 
         The single send / receive / id-check path under the handshake,
-        lockstep, wait-channel and pipeline callers (a lockstep RPC is a
-        batch of one).  Each response must answer a distinct in-flight
-        request id: a frame answering none of them is a stale reply from
-        an interrupted exchange, i.e. the stream is desynced.
+        lockstep and wait-channel callers.  The response must answer
+        this request's id: any other frame is a stale reply from an
+        interrupted exchange, i.e. the stream is desynced.
 
         On any fault the connection is closed before the error
         propagates — a connection that died between write and read may
         hold a stale frame that would answer the *next* request, so it
-        is never reused; the owner only has to forget it.  Calls
-        resolved before the fault keep their results.
+        is never reused; the owner only has to forget it.
         """
-        pending: dict[int, PipelinedCall] = {}
-        requests: list[dict[str, Any]] = []
-        for call in calls:
-            with self._id_lock:  # ids are unique across all channels
-                self._next_id += 1
-                call.request_id = self._next_id
-            request: dict[str, Any] = {
-                "id": call.request_id,
-                "method": call.method,
-                "params": call.params,
-            }
-            if self._token is not None:
-                request["token"] = self._token
-            if span is not None:
-                protocol.inject_trace(request, span.context)
-            requests.append(request)
-            pending[call.request_id] = call
-        # The server answers frame-by-frame and legitimately goes quiet
-        # for a whole long-poll before answering; a bounded per-RPC read
-        # timeout must cover the largest wait aboard plus slack, or every
-        # empty wait reads as a dead connection.
+        with self._id_lock:  # ids are unique across all channels
+            self._next_id += 1
+            request_id = self._next_id
+        request: dict[str, Any] = {"id": request_id, "method": method, "params": params}
+        if self._token is not None:
+            request["token"] = self._token
+        if span is not None:
+            protocol.inject_trace(request, span.context)
+        # The server legitimately goes quiet for a whole long-poll before
+        # answering; a bounded per-RPC read timeout must cover the wait
+        # plus slack, or every empty wait reads as a dead connection.
         io_timeout = self._io_timeout
-        stretch = io_timeout is not None and any(
-            wait_seconds(call.params) > 0.0 for call in calls
-        )
+        wait = wait_seconds(params) if io_timeout is not None else 0.0
         try:
-            if stretch:
-                longest = max(wait_seconds(call.params) for call in calls)
-                conn.sock.settimeout(longest + max(io_timeout, WAIT_SLACK))  # type: ignore[type-var]
+            if wait > 0.0:
+                conn.sock.settimeout(wait + max(io_timeout, WAIT_SLACK))  # type: ignore[type-var]
             if span is not None:
                 tracer = self.tracer
                 with tracer.span("rpc.send", component="service_client"):
-                    protocol.write_messages(conn.wfile, requests)
+                    protocol.write_message(conn.wfile, request)
                 with tracer.span("rpc.recv", component="service_client"):
-                    self._receive(conn, pending)
+                    response = protocol.read_message(conn.rfile)
             else:
-                protocol.write_messages(conn.wfile, requests)
-                self._receive(conn, pending)
-            if stretch:
+                protocol.write_message(conn.wfile, request)
+                response = protocol.read_message(conn.rfile)
+            if response is None:
+                raise ConnectionError("service closed the connection")
+            rid = response.get("id")
+            # Type-exact: JSON ``true`` decodes to True, which equals 1
+            # and would otherwise answer request 1.
+            if not (type(rid) is int and rid == request_id):
+                raise ConnectionError("service response id mismatch (desynced)")
+            if wait > 0.0:
                 conn.sock.settimeout(io_timeout)
         except (OSError, ConnectionError, ReproError):
             # ReproError: framing/serialization trouble from the
             # protocol layer — the same desync.
             conn.close()
             raise
-
-    @staticmethod
-    def _receive(conn: _Conn, pending: dict[int, PipelinedCall]) -> None:
-        while pending:
-            response = protocol.read_message(conn.rfile)
-            if response is None:
-                raise ConnectionError("service closed the connection")
-            request_id = response.get("id")
-            # Type-exact: JSON ``true`` decodes to True, which equals and
-            # hashes like 1 and would otherwise answer request 1.
-            call = pending.pop(request_id, None) if type(request_id) is int else None
-            if call is None:
-                raise ConnectionError("service response id mismatch (desynced)")
-            call._resolve(response)
+        return response
 
     # -- connection management ---------------------------------------------
 
@@ -444,16 +297,15 @@ class RemoteTaskStore(TaskStore):
             # Handshake: ping carries the auth token and returns the
             # protocol version, so a bad token or an incompatible server
             # surfaces here as a typed remote error, not mid-workload.
-            ping = PipelinedCall(PING.name, {})
             tracer = self.tracer
             if tracer.enabled:
                 # Trace the handshake like any other RPC so the server's
                 # service.ping span parents under it across the wire.
                 with tracer.span("rpc.ping", component="service_client") as sp:
-                    self._exchange(conn, [ping], sp)
+                    response = self._exchange(conn, PING.name, {}, sp)
             else:
-                self._exchange(conn, [ping], None)
-            version = (ping.result() or {}).get("version")
+                response = self._exchange(conn, PING.name, {}, None)
+            version = (_result(response) or {}).get("version")
             if version != protocol.PROTOCOL_VERSION:
                 raise ReproError(
                     f"protocol version mismatch: client {protocol.PROTOCOL_VERSION},"
@@ -513,9 +365,8 @@ class RemoteTaskStore(TaskStore):
         )
         attempt = 0
         while True:
-            call = PipelinedCall(method, params)
             try:
-                attempt_once(call, span)
+                response = attempt_once(method, params, span)
             except _RetryableFailure as failure:
                 attempt += 1
                 if span is not None:
@@ -530,12 +381,14 @@ class RemoteTaskStore(TaskStore):
                 continue
             # A typed error response is a *successful* exchange: the
             # server handled the request; no connection fault occurred.
-            result = call.result()
+            result = _result(response)
             self._m_rpcs.inc()
             self._m_rtt.observe(time.monotonic() - t0)
             return result
 
-    def _attempt_lockstep(self, call: PipelinedCall, span: Span | None) -> None:
+    def _attempt_lockstep(
+        self, method: str, params: dict[str, Any], span: Span | None
+    ) -> dict[str, Any]:
         """One connect-if-needed + exchange cycle on the shared socket.
 
         Raises :class:`_RetryableFailure` when the RPC may be retried
@@ -546,13 +399,13 @@ class RemoteTaskStore(TaskStore):
         with self._lock:
             conn = self._conn or self._ensure_connected_locked()
             try:
-                self._exchange(conn, [call], span)
+                return self._exchange(conn, method, params, span)
             except (OSError, ConnectionError, ReproError) as exc:
                 self._teardown_locked()
-                if retryable(call.method, call.params):
+                if retryable(method, params):
                     raise _RetryableFailure(exc) from exc
                 raise ConnectionBrokenError(
-                    f"connection lost during non-idempotent rpc {call.method!r};"
+                    f"connection lost during non-idempotent rpc {method!r};"
                     " not retried (the request may have been applied)"
                 ) from exc
 
@@ -579,7 +432,9 @@ class RemoteTaskStore(TaskStore):
             self._wait_busy.add(conn)
         return conn
 
-    def _attempt_wait(self, call: PipelinedCall, span: Span | None) -> None:
+    def _attempt_wait(
+        self, method: str, params: dict[str, Any], span: Span | None
+    ) -> dict[str, Any]:
         """One exchange for a long-poll RPC on its own connection.
 
         Failures always raise :class:`_RetryableFailure` — wait RPCs are
@@ -587,7 +442,7 @@ class RemoteTaskStore(TaskStore):
         """
         conn = self._checkout_wait()
         try:
-            self._exchange(conn, [call], span)
+            response = self._exchange(conn, method, params, span)
         except (OSError, ConnectionError, ReproError) as exc:
             with self._wpool_lock:
                 self._wait_busy.discard(conn)
@@ -597,85 +452,9 @@ class RemoteTaskStore(TaskStore):
             self._wait_busy.discard(conn)
             if not self._closed and len(self._wait_idle) < WAIT_POOL_SIZE:
                 self._wait_idle.append(conn)
-                return
+                return response
         conn.close()
-
-    # -- pipelining ---------------------------------------------------------
-
-    def pipeline(self, max_in_flight: int = 64) -> RpcPipeline:
-        """Open a pipelined view of this connection.
-
-        See :class:`RpcPipeline`; the returned pipeline shares this
-        store's socket, auth token, and reconnect semantics.
-        """
-        return RpcPipeline(self, max_in_flight)
-
-    def _flush_pipeline(self, batch: list[PipelinedCall]) -> None:
-        """Send a batch as one coalesced write, then match responses.
-
-        Every call in ``batch`` is resolved by the time this returns:
-        with its result, with a typed remote error, or — after a
-        mid-batch connection break — by transparent lockstep replay
-        (idempotent calls) or :class:`ConnectionBrokenError`
-        (non-idempotent calls whose fate is unknown).
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            self._flush_pipeline_raw(batch, None)
-            return
-        with tracer.span(
-            "rpc.pipeline", component="service_client", batch=len(batch)
-        ) as sp:
-            self._flush_pipeline_raw(batch, sp)
-
-    def _flush_pipeline_raw(
-        self, batch: list[PipelinedCall], span: Span | None
-    ) -> None:
-        t0 = time.monotonic()
-        to_replay: list[PipelinedCall] = []
-        with self._lock:
-            try:
-                conn = self._ensure_connected_locked()
-            except _RetryableFailure:
-                # Nothing was sent: every call — non-idempotent ones
-                # included — is provably unapplied, so all of them go
-                # through the lockstep path, which retries connecting
-                # with backoff.
-                to_replay = list(batch)
-            else:
-                try:
-                    self._exchange(conn, batch, span)
-                except (OSError, ConnectionError, ReproError) as exc:
-                    # Calls already resolved keep their results; the
-                    # rest split by idempotency.
-                    self._teardown_locked()
-                    for call in batch:
-                        if call.done:
-                            continue
-                        if retryable(call.method, call.params):
-                            to_replay.append(call)
-                        else:
-                            error = ConnectionBrokenError(
-                                f"connection lost during non-idempotent rpc"
-                                f" {call.method!r} in a pipeline; not retried"
-                                " (the request may have been applied)"
-                            )
-                            error.__cause__ = exc
-                            call._set_error(error)
-                else:
-                    self._m_rpcs.inc(len(batch))
-                    self._m_rtt.observe(time.monotonic() - t0)
-                    self._m_pipeline_flushes.inc()
-                    self._m_pipeline_batch.observe(len(batch))
-        # Replay outside the connection lock: _call takes it per attempt
-        # (and it is not reentrant).
-        for call in to_replay:
-            try:
-                call._set_result(self._call(call.method, call.params))
-            except Exception as exc:  # noqa: BLE001 - stored, raised on result()
-                call._set_error(exc)
-        if span is not None and to_replay:
-            span.set_attr("replayed", len(to_replay))
+        return response
 
     # -- beyond the TaskStore contract ---------------------------------------
     # (the contract's own methods are derived from repro.core.ops.OPS by
@@ -705,6 +484,14 @@ class RemoteTaskStore(TaskStore):
             self._wait_busy.clear()
         for conn in conns:
             conn.close()
+
+
+def _result(response: dict[str, Any]) -> Any:
+    """A response frame's result; an ``ok: false`` frame raises its
+    typed remote error."""
+    if not response.get("ok"):
+        raise protocol.remote_error(response.get("error", {}))
+    return response.get("result")
 
 
 class _RetryableFailure(Exception):

@@ -18,7 +18,6 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.db.schema import TaskRow, TaskStatus
-from repro.util.errors import NotFoundError
 
 
 def normalize_profiles(
@@ -164,6 +163,7 @@ class TaskStore(ABC):
         field = no profile, so old clients interoperate).
         """
 
+    @abstractmethod
     def report_batch(
         self,
         reports: Sequence[tuple[int, int, str]],
@@ -189,23 +189,10 @@ class TaskStore(ABC):
         naming them; known ids in the same batch may or may not have
         been applied when it raises (retrying the whole batch is safe).
 
-        The default implementation loops :meth:`report`; backends
-        override it to collapse the batch into one critical section /
-        transaction, which is what lifts the wire- and fsync-bound
-        report path (one RPC and one commit per batch, not per task).
+        Backends apply the batch in one critical section / transaction,
+        which is what lifts the wire- and fsync-bound report path (one
+        RPC and one commit per batch, not per task).
         """
-        by_id = normalize_profiles(profiles)
-        missing: list[int] = []
-        for eq_task_id, eq_type, result in reports:
-            try:
-                self.report(
-                    eq_task_id, eq_type, result,
-                    now=now, profile=by_id.get(eq_task_id),
-                )
-            except NotFoundError:
-                missing.append(eq_task_id)
-        if missing:
-            raise NotFoundError(f"no task(s) with id(s) {missing}")
 
     def report_pop(
         self,
@@ -394,15 +381,15 @@ class TaskStore(ABC):
 
     # -- result cache ------------------------------------------------------
 
+    @abstractmethod
     def cache_get(self, cache_key: str, *, now: float = 0.0) -> str | None:
         """Look up a cached result by content hash; ``None`` on miss.
 
         ``cache_key`` is the content address from
         :func:`repro.util.serialization.cache_key`.  A hit refreshes the
         entry's LRU position; an entry whose TTL expired before ``now``
-        is dropped and reported as a miss.  The base implementation is a
-        cacheless store: every lookup misses.  Semantics on caching
-        backends (shared with the conformance model):
+        is dropped and reported as a miss.  Semantics (shared with the
+        conformance model):
 
         - entries are keyed by the hash alone — one result per content;
         - ``expiry`` is absolute store time (``now + ttl`` at put);
@@ -410,8 +397,8 @@ class TaskStore(ABC):
         - recency is a per-store monotonic use counter, bumped on every
           get hit and put.
         """
-        return None
 
+    @abstractmethod
     def cache_put(
         self,
         cache_key: str,
@@ -428,10 +415,10 @@ class TaskStore(ABC):
         convergence for a retried put.  When the insert pushes the cache
         past its capacity bound, least-recently-used entries are evicted
         until the bound holds.  ``ttl`` seconds from ``now`` bounds the
-        entry's life (``None`` = no TTL).  The base implementation
-        discards the entry (cacheless store).
+        entry's life (``None`` = no TTL).
         """
 
+    @abstractmethod
     def cache_stats(self) -> dict:
         """JSON-ready snapshot of cache occupancy and traffic counters.
 
@@ -440,14 +427,6 @@ class TaskStore(ABC):
         since the store opened).  Feeds the ``cache`` section of the
         service ``/status`` document.
         """
-        return {
-            "entries": 0,
-            "capacity": 0,
-            "hits": 0,
-            "misses": 0,
-            "inserts": 0,
-            "evictions": 0,
-        }
 
     # -- maintenance -------------------------------------------------------
 

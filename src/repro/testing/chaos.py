@@ -157,6 +157,12 @@ class ChaosProxy:
 
     def stop(self) -> None:
         self._stopped.set()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join below returns at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

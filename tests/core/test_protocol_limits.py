@@ -1,11 +1,9 @@
-"""Protocol framing limits, attachments, hostile frames and batch writes.
+"""Protocol framing limits, attachments and hostile frames.
 
 The reader must bound per-frame memory (a peer streaming an endless
 line, or declaring endless attachments, would otherwise grow a buffer
-without limit), the attachment codec must be exact, a malformed frame
-must drop the connection on either side and never leave it in use, and
-the batch writer must emit byte-identical frames to N single writes —
-the pipelining primitive is purely a syscall/flush optimization.  The
+without limit), the attachment codec must be exact, and a malformed frame
+must drop the connection on either side and never leave it in use.  The
 generated round-trip properties live in ``test_protocol_properties.py``.
 """
 
@@ -362,26 +360,3 @@ class TestHostileFramesAtTheClient:
         finally:
             server.close()
 
-
-class TestWriteMessages:
-    def test_coalesced_bytes_match_single_writes(self):
-        messages = [{"id": i, "method": "ping", "params": {}} for i in range(5)]
-        single = io.BytesIO()
-        for message in messages:
-            protocol.write_message(single, message)
-        batch = io.BytesIO()
-        written = protocol.write_messages(batch, messages)
-        assert batch.getvalue() == single.getvalue()
-        assert written == len(batch.getvalue())
-
-    def test_empty_batch_writes_nothing(self):
-        stream = io.BytesIO()
-        assert protocol.write_messages(stream, []) == 0
-        assert stream.getvalue() == b""
-
-    def test_frames_round_trip(self):
-        messages = [{"id": i, "ok": True, "result": i * 2} for i in range(3)]
-        stream = io.BytesIO()
-        protocol.write_messages(stream, messages)
-        stream.seek(0)
-        assert [protocol.read_message(stream) for _ in range(3)] == messages

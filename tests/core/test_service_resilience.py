@@ -23,7 +23,11 @@ from repro.db import MemoryTaskStore
 from repro.db.backend import TaskStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.testing import ChaosProxy
-from repro.util.errors import ConnectionBrokenError, ServiceUnavailableError
+from repro.util.errors import (
+    ConnectionBrokenError,
+    NotFoundError,
+    ServiceUnavailableError,
+)
 
 FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.01, max_delay=0.05)
 
@@ -60,7 +64,7 @@ class TestRetryClassification:
         # new store method without a row would have no RPC (and no
         # retry class); a row without a method would have no backend.
         # Walks every public method, not just the abstract ones, so the
-        # default-implemented report_batch / cache ops are covered.
+        # default-implemented report_pop is covered.
         not_rpcs = {"close", "wake_waiters"}  # local lifecycle, never on the wire
         contract = {
             name
@@ -157,6 +161,55 @@ class TestReconnectAndRetry:
         assert not client.connected
         # The caller decides to retry; a fresh connection serves it.
         assert client.create_task("exp", 0, "p2") >= 1
+
+    def test_typed_error_keeps_the_connection(self, client):
+        client.queue_in_length()  # establish
+        rpcs = client.test_metrics.get("service.client.rpcs").value
+        with pytest.raises(NotFoundError):
+            client.get_task(9999)
+        # An ok: false frame is a successful exchange: no teardown, no
+        # reconnect, no count as a completed RPC.
+        assert client.connected
+        assert client.test_metrics.get("service.client.reconnects").value == 0
+        assert client.test_metrics.get("service.client.rpcs").value == rpcs
+        assert client.queue_in_length() == 0
+
+    def test_connect_failure_retries_a_non_idempotent_call(
+        self, proxy, client, monkeypatch
+    ):
+        # No socket held and new connections refused: the create_task
+        # below first fails in its own connect, before the request is
+        # written, so even this non-idempotent call may be retried.
+        proxy.sever_all()
+        with client._lock:
+            client._teardown_locked()
+        proxy.pause()
+        refused, resumed = threading.Event(), threading.Event()
+        open_connection = client._open_connection
+
+        def open_or_signal():
+            try:
+                return open_connection()
+            except (OSError, ConnectionError):
+                refused.set()
+                assert resumed.wait(5)  # the outage ends before the retry
+                raise
+
+        def lift_outage():
+            if refused.wait(5):
+                proxy.resume()
+                resumed.set()
+
+        monkeypatch.setattr(client, "_open_connection", open_or_signal)
+        lifter = threading.Thread(target=lift_outage, daemon=True)
+        lifter.start()
+        tid = client.create_task("exp", 0, "p")
+        lifter.join(5)
+        assert refused.is_set()
+        assert client.test_metrics.get("service.client.retries").value >= 1
+        # Applied exactly once.
+        assert client.max_task_id() == tid == 1
+        assert client.queue_out_length(None) == 1
 
     def test_retries_exhausted_raises_service_unavailable(self, proxy, client):
         client.queue_in_length()  # establish

@@ -138,6 +138,15 @@ class TestChaosProxy:
             proxy.start()
         proxy.stop()
 
+    def test_stop_ends_the_accept_thread(self, echo):
+        proxy = ChaosProxy(*echo.address).start()
+        accept_thread = proxy._accept_thread
+        assert accept_thread is not None and accept_thread.is_alive()
+        proxy.stop()
+        # stop() joins with a 5 s cap; a thread still blocked in
+        # accept() outlives that join.
+        assert not accept_thread.is_alive()
+
 
 @pytest.fixture
 def flaky_pair():
