@@ -15,24 +15,22 @@ Usage::
     python -m repro stragglers URL [--interval S] [--once] [--json]
     python -m repro fleet URL [--interval S] [--once] [--json]
     python -m repro conform [--seeds N] [--start-seed S] [--paths P,...]
-    python -m repro bench [NAME ...] [--smoke] [--baseline FILE]
 
-Every command prints the same text series the benchmark harness writes
-to ``benchmarks/reports/``, so a user can eyeball the reproduced figures
-without running pytest.  ``trace`` runs a fully instrumented ME →
-service → pool workload and exports the spans (Chrome ``trace_event``
-JSON for Perfetto, optional JSONL, and a latency-breakdown table);
-``metrics`` runs the same workload and prints the always-on counter /
-histogram registry; ``chaos`` runs the workload through a
-fault-injecting TCP proxy (random severs, optional mid-batch pool
-kill) and verifies zero lost or duplicated results; ``monitor`` renders
-a live terminal view of a running service's ``/status`` endpoint;
-``timeline`` merges flight-recorder journal files from any number of
-roles into one task's causally-ordered lifecycle; ``stragglers`` is the
-live view over a service's ``/events`` route, ``fleet`` the one over
-``/fleet``; ``conform`` fuzzes the memory / sqlite / remote store paths
-against the reference model; and ``bench`` runs the
-benchmark-regression harness (see :mod:`repro.bench`).
+The figure and sweep commands print the series the paper's figures plot
+(``tests/sim/test_golden_figures.py`` pins their text), so a user can
+eyeball the reproduced figures without running pytest.  ``trace`` runs a
+fully instrumented ME → service → pool workload and exports the spans
+(Chrome ``trace_event`` JSON for Perfetto, optional JSONL, and a
+latency-breakdown table); ``metrics`` runs the same workload and prints
+the always-on counter / histogram registry; ``chaos`` runs the workload
+through a fault-injecting TCP proxy (random severs, optional mid-batch
+pool kill) and verifies zero lost or duplicated results; ``monitor``
+renders a live terminal view of a running service's ``/status``
+endpoint; ``timeline`` merges flight-recorder journal files from any
+number of roles into one task's causally-ordered lifecycle;
+``stragglers`` is the live view over a service's ``/events`` route,
+``fleet`` the one over ``/fleet``; and ``conform`` fuzzes the memory /
+sqlite / remote store paths against the reference model.
 """
 
 from __future__ import annotations
@@ -557,18 +555,6 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_harness
-
-    return run_harness(
-        names=args.names or None,
-        smoke=args.smoke,
-        out_dir=args.out_dir,
-        baseline_path=args.baseline,
-        tolerance=args.tolerance,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -705,22 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", default="memory,sqlite,remote",
                    help="comma-separated access paths (default all three)")
     p.set_defaults(fn=_cmd_conform)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark-regression harness: run curated benches, compare baseline",
-    )
-    p.add_argument("names", nargs="*",
-                   help="benches to run (default: all; see repro.bench.BENCHES)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny workloads: exercise every path quickly")
-    p.add_argument("--out-dir", default="benchmarks/reports",
-                   help="directory for BENCH_<name>.json results")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON to compare against (exit 1 on regression)")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed fractional degradation vs baseline (default 0.5)")
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -635,6 +635,14 @@ class TaskService:
         if self._reaper is not None:
             self._reaper.stop()
         if self._thread is not None:
+            # serve_forever() checks its shutdown flag once per 0.5 s
+            # select() poll; shutting the listener down makes it
+            # readable now (the accept fails and is dropped), so the
+            # loop sees the flag at once instead of on the next tick.
+            try:
+                self._server.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # unsupported here: stop on the next poll tick
             self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None

@@ -1,9 +1,9 @@
 """Plain-text rendering of benchmark series.
 
-The benchmark harness prints the same series the paper's figures plot;
-these helpers render them as aligned tables and block-character charts
-so shapes (full utilization vs saw-tooth) are visible in terminal output
-and in ``bench_output.txt``.
+The figure commands (``python -m repro fig3`` and friends) and the
+benchmark scripts print the series the paper's figures plot; these
+helpers render them as aligned tables and block-character charts so
+shapes (full utilization vs saw-tooth) are visible in terminal output.
 """
 
 from __future__ import annotations

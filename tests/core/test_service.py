@@ -7,13 +7,15 @@ paper's ME algorithm uses through its SSH tunnel to the remote service.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro.core import EQSQL, ResultStatus, TaskService, RemoteTaskStore
+from repro.core import EQSQL, ResultStatus, TaskService, RemoteTaskStore, as_completed
 from repro.core.protocol import task_row_from_dict, task_row_to_dict
 from repro.db import MemoryTaskStore
 from repro.db.schema import TaskRow, TaskStatus
+from repro.telemetry.metrics import MetricsRegistry
 from repro.util.errors import AuthenticationError, NotFoundError
 
 
@@ -110,6 +112,55 @@ class TestRemoteStore:
         statuses = dict(remote.get_statuses(ids))
         assert statuses[ids[0]] == TaskStatus.RUNNING
         assert statuses[ids[1]] == TaskStatus.QUEUED
+
+
+class TestStop:
+    def test_stop_does_not_wait_out_the_serve_poll(self):
+        backing = MemoryTaskStore()
+        service = TaskService(backing).start()
+        serve_thread = service._thread
+        try:
+            # A served connection puts serve_forever() back into a fresh
+            # 0.5 s select() poll, the wait stop() used to sit out.
+            RemoteTaskStore(*service.address).close()
+            t0 = time.monotonic()
+            service.stop()
+            elapsed = time.monotonic() - t0
+        finally:
+            service.stop()  # idempotent
+            backing.close()
+        assert not serve_thread.is_alive()
+        assert elapsed < 0.25
+
+
+class TestMeRpcCost:
+    def test_submit_and_collect_are_one_rpc_per_batch(self):
+        # The ME-side twin of the busy pool's one RPC per task: a batch
+        # submit is one create_tasks, and draining results that have
+        # all landed is one pop_in_any, not one round trip per task.
+        n_tasks = 200
+        backing = MemoryTaskStore()
+        service = TaskService(backing).start()
+        registry = MetricsRegistry()
+        store = RemoteTaskStore(*service.address, metrics=registry)
+        rpcs = registry.get("service.client.rpcs")
+        try:
+            eq = EQSQL(store)
+            before = rpcs.value
+            futures = eq.submit_tasks("exp", 0, ["{}"] * n_tasks)
+            submit_rpcs = rpcs.value - before
+            for task_id, _ in backing.pop_out(0, n=n_tasks):
+                backing.report(task_id, 0, "r")
+            before = rpcs.value
+            collected = list(as_completed(futures, timeout=10.0))
+            collect_rpcs = rpcs.value - before
+        finally:
+            store.close()
+            service.stop()
+            backing.close()
+        assert submit_rpcs == 1
+        assert len(collected) == n_tasks
+        assert collect_rpcs == 1
 
 
 class TestConcurrentClients:
