@@ -42,7 +42,7 @@ def test_pop_report_cycle(benchmark, kind):
             if not popped:
                 break
             for tid, _payload in popped:
-                store.report(tid, 0, "r")
+                store.report_batch([(tid, 0, "r")])
         store.pop_in_any(ids)
 
     benchmark(cycle)
@@ -79,7 +79,7 @@ def test_priority_pop_order_cost(benchmark, kind):
         got = store.pop_out(0, 50)
         # Requeue to keep the queue size stable across rounds.
         for tid, _ in got:
-            store.report(tid, 0, "r")
+            store.report_batch([(tid, 0, "r")])
         refill = store.create_tasks(
             "exp", 0, ["{}"] * len(got), priority=[rng.randrange(1000) for _ in got]
         )

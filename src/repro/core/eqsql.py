@@ -224,42 +224,6 @@ class EQSQL:
 
     # -- submission (ME algorithm side) ---------------------------------------
 
-    def _create_one(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        priority: int,
-        tag: str | None,
-    ) -> int:
-        """Create one task row in the store; returns its id."""
-        self._m_submitted.inc()
-        self._m_payload_bytes.observe(len(payload))
-        tracer = self.tracer
-        # Hot path: skip the span machinery entirely when tracing is off —
-        # no handle, no kwargs dict, no payload envelope.
-        if tracer.enabled:
-            with tracer.span("eqsql.submit", component="eqsql", eq_type=eq_type) as sp:
-                eq_task_id = self._store.create_task(
-                    exp_id,
-                    eq_type,
-                    wrap_payload(payload, sp.context),
-                    priority=priority,
-                    tag=tag,
-                    time_created=self._clock.now(),
-                )
-                sp.set_attr("eq_task_id", eq_task_id)
-        else:
-            eq_task_id = self._store.create_task(
-                exp_id,
-                eq_type,
-                payload,
-                priority=priority,
-                tag=tag,
-                time_created=self._clock.now(),
-            )
-        return eq_task_id
-
     def _create_batch(
         self,
         exp_id: str,
@@ -273,13 +237,16 @@ class EQSQL:
         for payload in payloads:
             self._m_payload_bytes.observe(len(payload))
         tracer = self.tracer
+        # Hot path: skip the span machinery entirely when tracing is off —
+        # no handle, no kwargs dict, no payload envelope.
         if tracer.enabled:
+            name = "eqsql.submit" if len(payloads) == 1 else "eqsql.submit_batch"
             with tracer.span(
-                "eqsql.submit_batch", component="eqsql", eq_type=eq_type, n=len(payloads)
+                name, component="eqsql", eq_type=eq_type, n=len(payloads)
             ) as sp:
-                # Every task in the batch parents under the one
-                # submit-batch span; per-task identity rides in the
-                # pool-side execution spans' eq_task_id attrs.
+                # Every task in the batch parents under the one submit
+                # span; per-task identity rides in the pool-side
+                # execution spans' eq_task_id attrs.
                 ids = self._store.create_tasks(
                     exp_id,
                     eq_type,
@@ -299,19 +266,6 @@ class EQSQL:
             )
         return ids
 
-    def _completed_future(
-        self, eq_type: int, exp_id: str, tag: str | None, result: str
-    ) -> "Future":
-        """An already-resolved Future for a cache hit (no store row)."""
-        from repro.core.futures import Future
-
-        with self._cache_lock:
-            self._synthetic_id -= 1
-            synthetic = self._synthetic_id
-        future = Future(self, synthetic, eq_type, exp_id=exp_id, tag=tag)
-        future._set_result(result)
-        return future
-
     def submit_task(
         self,
         exp_id: str,
@@ -324,7 +278,22 @@ class EQSQL:
         """Submit a task; returns a :class:`Future` for its result.
 
         The payload must carry sufficient information for a worker pool
-        to execute the task — typically a JSON string.
+        to execute the task — typically a JSON string.  A one-element
+        :meth:`submit_tasks` (``cache`` as there).
+        """
+        return self.submit_tasks(exp_id, eq_type, [payload], priority, tag, cache)[0]
+
+    def submit_tasks(
+        self,
+        exp_id: str,
+        eq_type: int,
+        payloads: Sequence[str],
+        priority: int | Sequence[int] = 0,
+        tag: str | None = None,
+        cache: str = "off",
+    ) -> list["Future"]:
+        """Submit tasks in one store transaction; returns one
+        :class:`Future` per payload, in order.
 
         ``cache`` selects result memoization, content-addressed by
         ``(eq_type, canonical payload)``:
@@ -338,60 +307,11 @@ class EQSQL:
           ``cache_ttl``).
 
         Either cached mode is also *single-flight*: a submission whose
-        key matches a task still in flight coalesces onto that task —
-        no new row is created, and the returned Future resolves with
-        the original task's result when it lands.
-        """
-        from repro.core.futures import Future
-
-        if cache == "off":
-            eq_task_id = self._create_one(exp_id, eq_type, payload, priority, tag)
-            return Future(self, eq_task_id, eq_type, exp_id=exp_id, tag=tag)
-        if cache not in CACHE_MODES:
-            raise ValueError(f"cache must be one of {CACHE_MODES}, got {cache!r}")
-        key = cache_key(eq_type, payload)
-        cached = self._store.cache_get(key, now=self._clock.now())
-        if cached is not None:
-            return self._completed_future(eq_type, exp_id, tag, cached)
-        writeback = cache == "readwrite"
-        with self._cache_lock:
-            flight = self._flights_by_key.get(key)
-            if flight is not None:
-                # Coalesce: piggyback on the in-flight task.  A readwrite
-                # duplicate upgrades a read-only flight to write back.
-                flight.writeback = flight.writeback or writeback
-                future = Future(
-                    self, flight.eq_task_id, eq_type, exp_id=exp_id, tag=tag
-                )
-                flight.futures.append(future)
-                self._m_coalesced.inc()
-                return future
-            # Single-flight: the lock is held across the create so a
-            # concurrent identical submission coalesces instead of
-            # double-submitting.
-            eq_task_id = self._create_one(exp_id, eq_type, payload, priority, tag)
-            future = Future(self, eq_task_id, eq_type, exp_id=exp_id, tag=tag)
-            flight = _CacheFlight(key, eq_type, eq_task_id, writeback)
-            flight.futures.append(future)
-            self._flights_by_key[key] = flight
-            self._flights_by_id[eq_task_id] = flight
-            return future
-
-    def submit_tasks(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payloads: Sequence[str],
-        priority: int | Sequence[int] = 0,
-        tag: str | None = None,
-        cache: str = "off",
-    ) -> list["Future"]:
-        """Batch submission: one store transaction, many futures.
-
-        ``cache`` applies :meth:`submit_task` memoization per payload;
-        only cache misses that are not already in flight reach the
-        store (still as one transaction).  Duplicate payloads *within*
-        the batch coalesce onto the first occurrence's task.
+        key matches a task still in flight — or an earlier payload of
+        the same batch — coalesces onto that task: no new row is
+        created, and the returned Future resolves with the original
+        task's result when it lands.  Only cache misses that are not
+        already in flight reach the store (still as one transaction).
         """
         from repro.core.futures import Future
 
@@ -426,6 +346,8 @@ class EQSQL:
                     continue
                 flight = self._flights_by_key.get(key)
                 if flight is not None:
+                    # Coalesce: piggyback on the in-flight task.  A readwrite
+                    # duplicate upgrades a read-only flight to write back.
                     flight.writeback = flight.writeback or writeback
                     future = Future(
                         self, flight.eq_task_id, eq_type, exp_id=exp_id, tag=tag
@@ -443,6 +365,9 @@ class EQSQL:
                 local[key] = i
                 create.append(i)
             if create:
+                # Single-flight: the lock is held across the create so a
+                # concurrent identical submission coalesces instead of
+                # double-submitting.
                 sub_priority: int | list[int]
                 if isinstance(priority, int):
                     sub_priority = priority
@@ -636,26 +561,12 @@ class EQSQL:
 
         ``profile`` optionally carries the executing pool's
         :class:`~repro.telemetry.profiling.TaskProfile` dict alongside
-        the result (absent = no profiling; the wire format is
-        unchanged).
+        the result.  A one-element :meth:`report_tasks`.
         """
-        self._m_reported.inc()
-        tracer = self.tracer
-        if not tracer.enabled:
-            # Hot path: one report per task; skip the span machinery.
-            self._store.report(
-                eq_task_id, eq_type, result,
-                now=self._clock.now(), profile=profile,
-            )
-        else:
-            with tracer.span(
-                "eqsql.report", component="eqsql", eq_task_id=eq_task_id
-            ):
-                self._store.report(
-                    eq_task_id, eq_type, result,
-                    now=self._clock.now(), profile=profile,
-                )
-        self._writeback_cache([(eq_task_id, eq_type, result)])
+        self.report_tasks(
+            [(eq_task_id, eq_type, result)],
+            profiles={eq_task_id: profile} if profile else None,
+        )
 
     def report_tasks(
         self,
@@ -669,9 +580,8 @@ class EQSQL:
         triples; ``profiles`` optionally maps task id to that task's
         profile dict.  Against a remote store this is a single RPC —
         the round trip is paid once per batch instead of once per task
-        — and against SQLite a single transaction.  Semantics are
-        per-item identical to :meth:`report_task` (first-write-wins;
-        already-complete tasks are skipped).
+        — and against SQLite a single transaction.  First write wins:
+        already-complete tasks are skipped.
         """
         if not reports:
             return
@@ -682,9 +592,8 @@ class EQSQL:
                 reports, now=self._clock.now(), profiles=profiles
             )
         else:
-            with tracer.span(
-                "eqsql.report_batch", component="eqsql", n=len(reports)
-            ):
+            name = "eqsql.report" if len(reports) == 1 else "eqsql.report_batch"
+            with tracer.span(name, component="eqsql", n=len(reports)):
                 self._store.report_batch(
                     reports, now=self._clock.now(), profiles=profiles
                 )

@@ -155,15 +155,6 @@ def _lists(
     return to_wire
 
 
-def _report_to_wire(params: Params) -> Params:
-    # The profile rides the same frame but only when present, so a
-    # non-profiling pool sends byte-identical requests to a pre-profile
-    # client (absent field = no profile: old services interoperate).
-    if params["profile"] is None:
-        del params["profile"]
-    return params
-
-
 def _reports_to_wire(params: Params) -> Params:
     params["reports"] = [list(report) for report in params["reports"]]
     profiles = params.pop("profiles")
@@ -188,8 +179,8 @@ def _report_profiles(params: Params) -> list[dict]:
 # Why each row carries the ``idempotent`` flag it does:
 #
 # - reads are idempotent, as are writes whose double application
-#   converges to the same state: ``report``/``report_batch`` are
-#   first-write-wins in every backend; ``requeue``, ``renew_leases`` and
+#   converges to the same state: ``report_batch`` is first-write-wins
+#   in every backend; ``requeue``, ``renew_leases`` and
 #   ``requeue_expired`` check task state server-side; ``update_
 #   priorities``, ``cancel_tasks`` and ``clear`` set absolute state;
 #   ``cache_get`` is a read (its LRU touch converges) and ``cache_put``
@@ -197,16 +188,14 @@ def _report_profiles(params: Params) -> list[dict]:
 #   heartbeat is harmless.
 # - creates are not: a re-sent create would duplicate rows.
 # - pops are not: a re-sent ``pop_out`` would claim extra tasks, and a
-#   re-sent ``pop_in``/``pop_in_any`` would silently consume a result
-#   whose response was lost.  ``report_pop`` is a pop: its report half
+#   re-sent ``pop_in_any`` would silently consume a result whose
+#   response was lost.  ``report_pop`` is a pop: its report half
 #   converges, its claim does not.
 
 OPS: Mapping[str, Op] = MappingProxyType({
     op.name: op
     for op in (
         # task creation
-        Op("create_task", idempotent=False,
-           hops=(Hop(EV_ENQUEUE, _typed(lambda params, result: [result])),)),
         Op("create_tasks", idempotent=False, to_wire=_lists("payloads", "priority"),
            hops=(Hop(EV_ENQUEUE, _RETURNED_IDS),)),
         # output queue (ME -> worker pools)
@@ -214,15 +203,11 @@ OPS: Mapping[str, Op] = MappingProxyType({
            decode_result=_pairs, hops=(_POPPED,)),
         Op("queue_out_length", idempotent=True),
         # input queue (worker pools -> ME)
-        Op("report", idempotent=True, to_wire=_report_to_wire,
-           hops=(Hop(EV_REPORT, _typed(lambda params, result: [params["eq_task_id"]])),),
-           profiles=lambda params: [params["profile"]] if params.get("profile") else []),
         Op("report_batch", idempotent=True, to_wire=_report_batch_to_wire,
            hops=(_REPORTED,), profiles=_report_profiles),
         # a busy pool's flush plus the refill it frees, in one round trip
         Op("report_pop", idempotent=False, to_wire=_reports_to_wire,
            decode_result=_pairs, hops=(_REPORTED, _POPPED), profiles=_report_profiles),
-        Op("pop_in", idempotent=False),
         Op("pop_in_any", idempotent=False, waitable=True, decode_result=_pairs,
            to_wire=_lists("eq_task_ids", then=_wait_to_ms)),
         Op("queue_in_length", idempotent=True),
@@ -281,7 +266,7 @@ def retryable(method: str, params: Mapping[str, Any]) -> bool:
     pop.  A long-poll spends almost its whole lifetime blocked
     server-side before any row is claimed, so a severed connection is
     overwhelmingly pre-pop; in the rare post-pop race the claimed rows
-    are leased, the reaper requeues them, and ``report`` is
+    are leased, the reaper requeues them, and ``report_batch`` is
     first-write-wins — the recovery chain that already covers a pop
     whose pool dies.  Not retrying would turn every transient drop
     during an idle wait into a caller-visible error.

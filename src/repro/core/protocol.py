@@ -6,8 +6,8 @@ Each message is a JSON object — a request ``{"id": n, "method": name,
 "message": ...}}`` — sent over a stream socket as one **frame**: a JSON
 header line, then zero or more raw UTF-8 *attachments*::
 
-    {"id":3,"method":"report","params":{"eq_task_id":7,"eq_type":0,
-     "result":null,"now":0.0},"att":[[["params","result"],65536]]}\\n
+    {"id":3,"method":"report_batch","params":{"reports":[[7,0,null]],
+     "now":0.0},"att":[[["params","reports",0,2],65536]]}\\n
     <the 65 536 bytes of the result text>
 
 Every ``str`` value of at least :data:`ATTACH_MIN` characters, wherever

@@ -25,13 +25,13 @@ idempotent or not — the flag, and the reason for it, is on the op's row
 in :mod:`repro.core.ops`, from which this class's ``TaskStore`` methods
 are also derived:
 
-- **Idempotent** methods (reads, ``report``, ``requeue``, lease
+- **Idempotent** methods (reads, ``report_batch``, ``requeue``, lease
   renewal, ...) are retried transparently — the client tears down the
   broken socket, reconnects with exponential backoff + jitter,
   re-handshakes (ping + auth), and re-sends.
-- **Non-idempotent** methods (``create_task[s]``, ``pop_out``,
-  ``report_pop``, ``pop_in[_any]``) are retried only while the failure is provably
-  pre-send (the connect itself failed).  Once the request may have
+- **Non-idempotent** methods (``create_tasks``, ``pop_out``,
+  ``report_pop``, ``pop_in_any``) are retried only while the failure is
+  provably pre-send (the connect itself failed).  Once the request may have
   reached the server, retrying could double-apply it, so the client
   raises :class:`~repro.util.errors.ConnectionBrokenError` and leaves
   recovery to the caller — for popped-but-lost tasks, the server-side

@@ -54,28 +54,6 @@ class TaskStore(ABC):
     # -- task creation ---------------------------------------------------
 
     @abstractmethod
-    def create_task(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        *,
-        priority: int = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> int:
-        """Insert a task and enqueue it on the output queue.
-
-        Returns the newly allocated integer task identifier.  The row is
-        created with status QUEUED; the (id, type, priority) triple goes
-        into ``emews_queue_out``; the experiment link and optional tag
-        rows are written in the same transaction.  ``priority`` is also
-        recorded on the task row itself (``TaskRow.eq_priority``) so it
-        survives the pop that deletes the queue row — fault-recovery
-        requeues restore it by default.
-        """
-
-    @abstractmethod
     def create_tasks(
         self,
         exp_id: str,
@@ -86,7 +64,18 @@ class TaskStore(ABC):
         tag: str | None = None,
         time_created: float = 0.0,
     ) -> list[int]:
-        """Batch form of :meth:`create_task`; one transaction, many rows."""
+        """Insert tasks and enqueue them on the output queue, in one
+        transaction; returns the newly allocated integer task ids in
+        ``payloads`` order.
+
+        Each row is created with status QUEUED; its (id, type, priority)
+        triple goes into ``emews_queue_out``; the experiment link and
+        optional tag rows are written in the same transaction.
+        ``priority`` (one value for all, or one per payload) is also
+        recorded on the task row itself (``TaskRow.eq_priority``) so it
+        survives the pop that deletes the queue row — fault-recovery
+        requeues restore it by default.
+        """
 
     # -- output queue (ME -> worker pools) --------------------------------
 
@@ -137,33 +126,6 @@ class TaskStore(ABC):
     # -- input queue (worker pools -> ME) ---------------------------------
 
     @abstractmethod
-    def report(
-        self,
-        eq_task_id: int,
-        eq_type: int,
-        result: str,
-        *,
-        now: float = 0.0,
-        profile: dict | None = None,
-    ) -> None:
-        """Record a result: set ``json_in``, mark COMPLETE, stamp the stop
-        time, clear any lease, and push (id, type) onto ``emews_queue_in``.
-
-        Raises :class:`repro.util.errors.NotFoundError` for an unknown id.
-
-        Idempotent: reporting an already-COMPLETE task is a no-op (first
-        write wins, no duplicate input-queue row).  This makes ``report``
-        safe to retry over a lossy connection and absorbs the duplicate
-        execution that follows a lease-expiry requeue of a task whose
-        original pool was slow rather than dead.
-
-        ``profile`` is an optional :class:`repro.telemetry.profiling
-        .TaskProfile` dict from the executing pool; backends attach it
-        to the journal's report event and otherwise ignore it (absent
-        field = no profile, so old clients interoperate).
-        """
-
-    @abstractmethod
     def report_batch(
         self,
         reports: Sequence[tuple[int, int, str]],
@@ -171,27 +133,33 @@ class TaskStore(ABC):
         now: float = 0.0,
         profiles: Mapping[int, dict] | None = None,
     ) -> None:
-        """Record many results in one store operation.
+        """Record results: for each ``(eq_task_id, eq_type, result)``
+        triple in ``reports``, set ``json_in``, mark COMPLETE, stamp the
+        stop time ``now``, clear any lease, and push (id, type) onto
+        ``emews_queue_in`` — in one critical section / transaction (one
+        RPC and one commit per batch, not per task).
 
-        ``reports`` is a sequence of ``(eq_task_id, eq_type, result)``
-        triples; each is applied with :meth:`report` semantics (first
-        write wins, requeued copies withdrawn, input-queue row pushed).
+        First write wins: reporting an already-COMPLETE task — or an id
+        a second time within the batch — is a no-op (no overwrite, no
+        duplicate input-queue row).  If the task was requeued (a lease
+        expiry racing a slow pool), the queued copy is withdrawn: the
+        result is in, so re-execution would only waste a worker.  This
+        makes a report safe to retry over a lossy connection and
+        absorbs the duplicate execution that follows a lease-expiry
+        requeue of a task whose original pool was slow rather than dead.
+
         The batch is a *performance* primitive, not an atomicity one:
         items are individually idempotent, so a retried batch — or a
         batch replayed after a partial failure — converges to the same
-        state as single reports.
-
-        ``profiles`` optionally maps task id to that task's profile
-        dict (ids may arrive as strings after a JSON round-trip;
-        backends normalize).
-
-        Unknown ids raise :class:`repro.util.errors.NotFoundError`
+        state.  Unknown ids raise :class:`repro.util.errors.NotFoundError`
         naming them; known ids in the same batch may or may not have
         been applied when it raises (retrying the whole batch is safe).
 
-        Backends apply the batch in one critical section / transaction,
-        which is what lifts the wire- and fsync-bound report path (one
-        RPC and one commit per batch, not per task).
+        ``profiles`` optionally maps task id to the executing pool's
+        :class:`repro.telemetry.profiling.TaskProfile` dict (ids may
+        arrive as strings after a JSON round-trip; backends normalize);
+        backends attach it to the journal's report event and otherwise
+        ignore it.
         """
 
     def report_pop(
@@ -227,14 +195,6 @@ class TaskStore(ABC):
         )
 
     @abstractmethod
-    def pop_in(self, eq_task_id: int) -> str | None:
-        """Pop one completed task off the input queue.
-
-        Returns the result payload if the task was on the input queue
-        (deleting the queue row), else ``None`` (callers poll).
-        """
-
-    @abstractmethod
     def pop_in_any(
         self,
         eq_task_ids: Iterable[int],
@@ -251,9 +211,9 @@ class TaskStore(ABC):
 
         ``wait`` long-polls as in :meth:`pop_out`: when none of the
         listed tasks are on the input queue, the store blocks up to
-        ``wait`` real seconds and wakes the instant a report lands
-        (single or batch), or returns early and empty.  ``None``/``<= 0``
-        is the immediate non-blocking form.
+        ``wait`` real seconds and wakes the instant a report lands, or
+        returns early and empty.  ``None``/``<= 0`` is the immediate
+        non-blocking form.
         """
 
     @abstractmethod
@@ -309,7 +269,7 @@ class TaskStore(ABC):
         sticky value and becomes the task's new current priority.
         Returns False (and changes nothing) unless the task is RUNNING.
         The check-and-requeue is one atomic operation, so a racing
-        ``report`` can never be overwritten: whichever lands first wins
+        report can never be overwritten: whichever lands first wins
         and the loser is a no-op.
         """
 

@@ -177,7 +177,7 @@ class MemoryTaskStore(TaskStore):
         self._out_entries[eq_task_id] = entry
         heapq.heappush(self._out_heaps.setdefault(eq_type, []), entry)
         # Wake pop_out long-polls for this work type.  Covers every path
-        # that makes a task claimable: create_task(s), requeue, and the
+        # that makes a task claimable: create_tasks, requeue, and the
         # reaper's requeue_expired all funnel through here.
         cond = self._out_conds.get(eq_type)
         if cond is not None:
@@ -236,20 +236,6 @@ class MemoryTaskStore(TaskStore):
         return eq_task_id
 
     # -- task creation -----------------------------------------------------
-
-    def create_task(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        *,
-        priority: int = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> int:
-        with self._lock:
-            self._check_open()
-            return self._insert_task(exp_id, eq_type, payload, priority, tag, time_created)
 
     def create_tasks(
         self,
@@ -353,51 +339,6 @@ class MemoryTaskStore(TaskStore):
 
     # -- input queue ----------------------------------------------------------
 
-    def report(
-        self,
-        eq_task_id: int,
-        eq_type: int,
-        result: str,
-        *,
-        now: float = 0.0,
-        profile: dict | None = None,
-    ) -> None:
-        with self._lock:
-            self._check_open()
-            row = self._tasks.get(eq_task_id)
-            if row is None:
-                raise NotFoundError(f"no task with id {eq_task_id}")
-            if row.eq_status == TaskStatus.COMPLETE:
-                return  # idempotent: first report wins, no duplicate queue row
-            row.json_in = result
-            row.eq_status = TaskStatus.COMPLETE
-            row.time_stop = now
-            row.lease_expiry = None
-            # If the task was requeued (lease expiry racing a slow pool's
-            # report), withdraw the queued copy: the result is in, so
-            # re-execution would only waste a worker — and a re-claim
-            # would flip the row back to RUNNING, breaking the invariant
-            # that the output queue holds only QUEUED tasks.
-            entry = self._out_entries.pop(eq_task_id, None)
-            if entry is not None:
-                entry.alive = False
-                self._note_dead(row.eq_task_type)
-                self._m_report_withdrawals.inc()
-            self._in_queue[eq_task_id] = eq_type
-            self._in_cond.notify_all()  # wake pop_in_any long-polls
-            journal = self._jrnl()
-            if journal.enabled:
-                if entry is not None:
-                    journal.emit(
-                        EV_WITHDRAW, eq_task_id, role=ROLE_DB,
-                        work_type=eq_type, time=now,
-                    )
-                journal.emit(
-                    EV_REPORT, eq_task_id, role=ROLE_DB, work_type=eq_type,
-                    time=now, source=row.worker_pool or "",
-                    extra={"profile": profile} if profile else None,
-                )
-
     def report_batch(
         self,
         reports: Sequence[tuple[int, int, str]],
@@ -405,8 +346,9 @@ class MemoryTaskStore(TaskStore):
         now: float = 0.0,
         profiles: Mapping[int, dict] | None = None,
     ) -> None:
-        # One lock acquisition for the whole batch; per-item semantics
-        # identical to report() (first write wins, withdraw requeues).
+        # One lock acquisition for the whole batch.  First write wins,
+        # so a retried or duplicate report neither overwrites the result
+        # nor enqueues a second input-queue row.
         profile_by_id = normalize_profiles(profiles)
         with self._lock:
             self._check_open()
@@ -425,6 +367,12 @@ class MemoryTaskStore(TaskStore):
                 row.eq_status = TaskStatus.COMPLETE
                 row.time_stop = now
                 row.lease_expiry = None
+                # If the task was requeued (lease expiry racing a slow
+                # pool's report), withdraw the queued copy: the result
+                # is in, so re-execution would only waste a worker — and
+                # a re-claim would flip the row back to RUNNING, breaking
+                # the invariant that the output queue holds only QUEUED
+                # tasks.
                 entry = self._out_entries.pop(eq_task_id, None)
                 if entry is not None:
                     entry.alive = False
@@ -448,14 +396,6 @@ class MemoryTaskStore(TaskStore):
                 self._m_report_withdrawals.inc(withdrawals)
         if missing:
             raise NotFoundError(f"no task(s) with id(s) {missing}")
-
-    def pop_in(self, eq_task_id: int) -> str | None:
-        with self._lock:
-            self._check_open()
-            if eq_task_id in self._in_queue:
-                del self._in_queue[eq_task_id]
-                return self._tasks[eq_task_id].json_in
-            return None
 
     def pop_in_any(
         self,

@@ -263,64 +263,6 @@ class SqliteTaskStore(TaskStore):
 
     # -- task creation -----------------------------------------------------
 
-    def _insert_task(
-        self,
-        cur: sqlite3.Cursor,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        priority: int,
-        tag: str | None,
-        time_created: float,
-    ) -> int:
-        cur.execute(
-            "INSERT INTO eq_tasks (eq_task_type, eq_status, time_created,"
-            " eq_priority) VALUES (?, ?, ?, ?)",
-            (eq_type, int(TaskStatus.QUEUED), time_created, priority),
-        )
-        eq_task_id = cur.lastrowid
-        assert eq_task_id is not None
-        cur.execute(
-            "INSERT INTO eq_task_out (eq_task_id, json_out) VALUES (?, ?)",
-            (eq_task_id, payload),
-        )
-        cur.execute(
-            "INSERT INTO eq_exp_id_tasks (exp_id, eq_task_id) VALUES (?, ?)",
-            (exp_id, eq_task_id),
-        )
-        if tag is not None:
-            cur.execute(
-                "INSERT INTO eq_task_tags (eq_task_id, tag) VALUES (?, ?)",
-                (eq_task_id, tag),
-            )
-        cur.execute(
-            "INSERT INTO emews_queue_out (eq_task_id, eq_task_type, eq_priority)"
-            " VALUES (?, ?, ?)",
-            (eq_task_id, eq_type, priority),
-        )
-        self._notify_out(eq_type, time_created)
-        journal = self._jrnl()
-        if journal.enabled:
-            journal.emit(
-                EV_ENQUEUE, eq_task_id, role=ROLE_DB, work_type=eq_type,
-                time=time_created, extra={"exp_id": exp_id, "priority": priority},
-            )
-        return eq_task_id
-
-    def create_task(
-        self,
-        exp_id: str,
-        eq_type: int,
-        payload: str,
-        *,
-        priority: int = 0,
-        tag: str | None = None,
-        time_created: float = 0.0,
-    ) -> int:
-        self._check_open()
-        with self._txn() as cur:
-            return self._insert_task(cur, exp_id, eq_type, payload, priority, tag, time_created)
-
     def create_tasks(
         self,
         exp_id: str,
@@ -464,72 +406,6 @@ class SqliteTaskStore(TaskStore):
 
     # -- input queue ----------------------------------------------------------
 
-    def report(
-        self,
-        eq_task_id: int,
-        eq_type: int,
-        result: str,
-        *,
-        now: float = 0.0,
-        profile: dict | None = None,
-    ) -> None:
-        self._check_open()
-        with self._txn() as cur:
-            # Idempotent: only a not-yet-COMPLETE row accepts a result
-            # (first report wins), so a retried or duplicate report can
-            # neither overwrite the stored result nor enqueue a second
-            # input-queue row — and the result text is written once.
-            cur.execute(
-                "UPDATE eq_tasks SET eq_status = ?, time_stop = ?,"
-                " lease_expiry = NULL WHERE eq_task_id = ? AND eq_status != ?",
-                (int(TaskStatus.COMPLETE), now, eq_task_id,
-                 int(TaskStatus.COMPLETE)),
-            )
-            if cur.rowcount == 0:
-                cur.execute(
-                    "SELECT 1 FROM eq_tasks WHERE eq_task_id = ?", (eq_task_id,)
-                )
-                if cur.fetchone() is None:
-                    raise NotFoundError(f"no task with id {eq_task_id}")
-                return  # duplicate report of a COMPLETE task: no-op
-            cur.execute(
-                "INSERT INTO eq_task_in (eq_task_id, json_in) VALUES (?, ?)",
-                (eq_task_id, result),
-            )
-            # If the task was requeued (lease expiry racing a slow pool's
-            # report), withdraw the queued copy — the output queue must
-            # hold only QUEUED tasks, and this result makes re-execution
-            # pointless.
-            cur.execute(
-                "DELETE FROM emews_queue_out WHERE eq_task_id = ?", (eq_task_id,)
-            )
-            withdrew = cur.rowcount
-            if withdrew:
-                self._m_report_withdrawals.inc(withdrew)
-            cur.execute(
-                "INSERT INTO emews_queue_in (eq_task_id, eq_task_type) VALUES (?, ?)",
-                (eq_task_id, eq_type),
-            )
-            self._in_cond.notify_all()  # wake pop_in_any long-polls
-            journal = self._jrnl()
-            if journal.enabled:
-                cur.execute(
-                    "SELECT worker_pool FROM eq_tasks WHERE eq_task_id = ?",
-                    (eq_task_id,),
-                )
-                pool_row = cur.fetchone()
-                source = pool_row[0] if pool_row and pool_row[0] else ""
-                if withdrew:
-                    journal.emit(
-                        EV_WITHDRAW, eq_task_id, role=ROLE_DB,
-                        work_type=eq_type, time=now,
-                    )
-                journal.emit(
-                    EV_REPORT, eq_task_id, role=ROLE_DB, work_type=eq_type,
-                    time=now, source=source,
-                    extra={"profile": profile} if profile else None,
-                )
-
     def report_batch(
         self,
         reports: Sequence[tuple[int, int, str]],
@@ -553,7 +429,9 @@ class SqliteTaskStore(TaskStore):
             missing_set = set(missing)
             # First write wins — across the batch and within it: skip
             # already-COMPLETE rows and duplicate ids after their first
-            # occurrence, mirroring N sequential report() calls.
+            # occurrence, so a retried or duplicate report can neither
+            # overwrite the stored result nor enqueue a second
+            # input-queue row — and the result text is written once.
             fresh: list[tuple[int, int, str]] = []
             seen: set[int] = set()
             for tid, eq_type, result in reports:
@@ -576,7 +454,7 @@ class SqliteTaskStore(TaskStore):
                         [tid for tid, _, _ in fresh],
                     )
                     withdrawn = {row[0] for row in cur.fetchall()}
-                    # ... and the reporting pool, as report() records it.
+                    # ... and the reporting pool, for the report event.
                     cur.execute(
                         f"SELECT eq_task_id, worker_pool FROM eq_tasks"
                         f" WHERE eq_task_id IN ({fmarks})",
@@ -592,6 +470,10 @@ class SqliteTaskStore(TaskStore):
                     "INSERT INTO eq_task_in (eq_task_id, json_in) VALUES (?, ?)",
                     [(tid, result) for tid, _, result in fresh],
                 )
+                # If a task was requeued (lease expiry racing a slow
+                # pool's report), withdraw the queued copy — the output
+                # queue must hold only QUEUED tasks, and the result
+                # makes re-execution pointless.
                 fmarks = ",".join("?" for _ in fresh)
                 cur.execute(
                     f"DELETE FROM emews_queue_out WHERE eq_task_id IN ({fmarks})",
@@ -621,20 +503,6 @@ class SqliteTaskStore(TaskStore):
                         )
         if missing:
             raise NotFoundError(f"no task(s) with id(s) {missing}")
-
-    def pop_in(self, eq_task_id: int) -> str | None:
-        self._check_open()
-        with self._txn() as cur:
-            cur.execute(
-                "DELETE FROM emews_queue_in WHERE eq_task_id = ?", (eq_task_id,)
-            )
-            if cur.rowcount == 0:
-                return None
-            cur.execute(
-                "SELECT json_in FROM eq_task_in WHERE eq_task_id = ?", (eq_task_id,)
-            )
-            row = cur.fetchone()
-            return row[0] if row is not None else None
 
     def pop_in_any(
         self,

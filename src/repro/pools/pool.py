@@ -14,9 +14,9 @@ same path locally.
 
 Results leave through one combining reporter (``_report``): a worker
 that finishes a task appends the result to a pending buffer and, unless
-a flush is already in flight, flushes the buffer itself — a lone result
-as a plain ``report``, several as one ``report_batch`` — so the batch
-size emerges from load, a remote store's round trip is paid per flush,
+a flush is already in flight, flushes the buffer itself as one
+``report_batch`` of whatever is pending — so the batch size emerges
+from load, a remote store's round trip is paid per flush,
 and a lone result still leaves at once on the thread that produced it.
 
 Claims have one owner at a time, the *fetch role* (``_fetching``, under
@@ -28,7 +28,7 @@ a busy pool pays one RPC per flush instead of a report and a separate
 as the fetcher admits a fetch, then releases the role.  So at most one
 claim is in flight and ``owned + asked <= batch_size`` holds, with the
 batch/threshold policy unchanged.  While the fetcher holds the role (an
-idle long-poll) flushes are plain reports, byte for byte as before.  A
+idle long-poll) flushes are plain ``report_batch`` calls.  A
 ``report_pop`` that fails ambiguously falls back to per-item reports and
 loses its refill: leased tasks are reaped, unleased ones wait for
 ``recover_pool``, as after a lost ``pop_out``.
@@ -674,12 +674,10 @@ class ThreadedWorkerPool:
     def _flush(self, batch: list[_Done]) -> None:
         """Report one flush: with the fetch role free, as one
         ``report_pop`` that also claims the slots it frees; otherwise
-        several results as one ``report_batch`` and a lone one as a
-        plain ``report`` (the same bytes on the wire as an uncoalesced
-        pool sends).
+        as one ``report_batch`` of any size.
 
-        If the ``report_pop`` or batch RPC fails the flush degrades to
-        per-item reports (``report`` is first-write-wins idempotent, so
+        If that RPC fails the flush degrades to per-item reports, each
+        a one-element ``report_batch`` (first-write-wins idempotent, so
         items the broken call may already have applied re-send safely);
         only items whose own report also fails are lost.  A failed
         ``report_pop`` also loses its refill, as a failed fetch does.
@@ -692,27 +690,26 @@ class ThreadedWorkerPool:
         want = self._take_refill(len(batch))
         refill: list[dict[str, Any]] = []
         try:
-            if want or len(batch) > 1:
-                reports = [(d.eq_task_id, work_type, d.result) for d in batch]
-                profiles = {d.eq_task_id: d.profile for d in batch if d.profile}
-                try:
-                    if want:
-                        refill = eqsql.report_and_fetch(
-                            reports, work_type, want, worker_pool=config.name,
-                            lease=config.lease_duration, profiles=profiles or None,
-                        )
-                    else:
-                        eqsql.report_tasks(reports, profiles=profiles or None)
-                    unacked.clear()
-                except (ReproError, OSError) as exc:
-                    if want:
-                        self._m_fetch_errors.inc()
-                        log_event(
-                            _log, "pool.refill_error", level=30,
-                            pool=self.name, error=str(exc),
-                        )
-                    # degrade to the per-item loop below
-            if unacked:  # a lone result, or a batch whose RPC failed
+            reports = [(d.eq_task_id, work_type, d.result) for d in batch]
+            profiles = {d.eq_task_id: d.profile for d in batch if d.profile}
+            try:
+                if want:
+                    refill = eqsql.report_and_fetch(
+                        reports, work_type, want, worker_pool=config.name,
+                        lease=config.lease_duration, profiles=profiles or None,
+                    )
+                else:
+                    eqsql.report_tasks(reports, profiles=profiles or None)
+                unacked.clear()
+            except (ReproError, OSError) as exc:
+                if want:
+                    self._m_fetch_errors.inc()
+                    log_event(
+                        _log, "pool.refill_error", level=30,
+                        pool=self.name, error=str(exc),
+                    )
+                # degrade to the per-item loop below
+            if unacked:  # the flush's RPC failed
                 for done in batch:
                     try:
                         eqsql.report_task(

@@ -294,7 +294,7 @@ class FleetRegistry:
     def observe_profiles(self, profiles: list[Mapping[str, Any]]) -> None:
         """Fold report-path profiles into the aggregates.
 
-        The service calls this for ``report``/``report_batch`` params
+        The service calls this for ``report_batch``/``report_pop`` params
         carrying profiles, so the per-work-type tables fill even when
         no worker has push telemetry configured.
         """

@@ -9,8 +9,8 @@ source: worker pools wrap each task execution in a
 :class:`TaskProfile` — wall seconds (``time.perf_counter`` delta),
 thread CPU seconds (``time.thread_time`` delta), the process max-RSS
 delta (``resource.getrusage``), and an optional tracemalloc allocation
-peak.  Profiles are plain dicts on the wire: they ride ``report`` /
-``report_batch`` payloads (absent field = no profile, so old clients
+peak.  Profiles are plain dicts on the wire: they ride ``report_batch`` /
+``report_pop`` payloads (absent field = no profile, so old clients
 and servers interoperate) and land in the journal's ``run_end`` extra.
 
 Two portability gates keep the module import-safe everywhere:

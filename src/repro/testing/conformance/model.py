@@ -112,7 +112,7 @@ class ModelStore:
 
     # -- input queue ------------------------------------------------------
 
-    def report(self, eq_task_id: int, result: str) -> str:
+    def report_one(self, eq_task_id: int, result: str) -> str:
         """Apply one report; returns 'applied', 'duplicate', or 'missing'.
 
         First write wins; a requeued (QUEUED-again) copy is withdrawn

@@ -76,8 +76,6 @@ def _bulk(text: str, key: int) -> str:
 #: schedule (``tests/testing/test_conformance_fuzzer.py`` checks), so a
 #: new RPC cannot ship without either an actor or a line here.
 UNDRIVEN_OPS: dict[str, str] = {
-    "create_task": "single-row form of create_tasks; same backend code path",
-    "pop_in": "single-id form of pop_in_any, which the collector drives",
     "requeue": "manual recovery; the reaper actor drives requeue_expired",
     "tasks_for_experiment": "read-only index query, no queue semantics",
     "tasks_for_tag": "read-only index query, no queue semantics",
@@ -229,10 +227,10 @@ class ScheduleEngine:
                      [tid for tid, _ in want])
 
     def _op_report(self) -> None:
-        """One pool reports: a single ``report``, or a ``report_batch``
-        of up to three held results (mixed work types, and — when the
-        pool re-popped its own requeued task — the same id twice), each
-        item verified against the model's single-report semantics.  Some
+        """One pool reports: a ``report_batch`` of one held result, or
+        of up to three (mixed work types, and — when the pool re-popped
+        its own requeued task — the same id twice), each item verified
+        against the model's single-report semantics.  Some
         batches are a ``report_pop``: the same reports, then a refill of
         0–3 tasks verified as the model's ``pop_out``."""
         rng = self.rng
@@ -260,12 +258,10 @@ class ScheduleEngine:
             got = self.store.report_pop(
                 reports, eq_type, n, worker_pool=pool.name, now=now, lease=lease
             )
-        elif batched:
+        else:  # a lone report too: one-element batch
             self.store.report_batch(reports, now=now)
-        else:
-            self.store.report(*reports[0], now=now)
         for tid, _eq_type, result in reports:
-            outcome = self.model.report(tid, result)
+            outcome = self.model.report_one(tid, result)
             if outcome == "missing":
                 self._fail("report", f"model lost task {tid}")
             self._record("report", pool.name, tid, outcome, batched)
@@ -557,8 +553,8 @@ class ScheduleEngine:
         )
         thread.start()
         time.sleep(_WAITER_SETTLE)
-        self.store.report(tid, eq_type, result, now=now)
-        report_outcome = model.report(tid, result)
+        self.store.report_batch([(tid, eq_type, result)], now=now)
+        report_outcome = model.report_one(tid, result)
         if report_outcome == "missing":
             self._fail("waiter:pop_in", f"model lost task {tid}")
         thread.join(_WAITER_JOIN)

@@ -191,4 +191,4 @@ class TestInit:
         with init_eqsql() as eq:
             eq.submit_task("e", 0, "p")
         with pytest.raises(RuntimeError):
-            eq.store.create_task("e", 0, "p")
+            eq.store.create_tasks("e", 0, ["p"])

@@ -24,7 +24,7 @@ from repro.util.clock import VirtualClock
 
 
 def claim(store, *, now=0.0, lease=None, pool="p"):
-    tid = store.create_task("exp", 0, "payload")
+    tid = store.create_tasks("exp", 0, ["payload"])[0]
     popped = store.pop_out(0, worker_pool=pool, now=now, lease=lease)
     assert [t for t, _ in popped] == [tid]
     return tid
@@ -43,7 +43,7 @@ class TestLeaseStamping:
 
     def test_report_clears_lease(self, store):
         tid = claim(store, now=0.0, lease=10.0)
-        store.report(tid, 0, "r", now=5.0)
+        store.report_batch([(tid, 0, "r")], now=5.0)
         row = store.get_task(tid)
         assert row.eq_status == TaskStatus.COMPLETE
         assert row.lease_expiry is None
@@ -68,8 +68,8 @@ class TestRenewLeases:
 
     def test_renewal_skips_non_running(self, store):
         done = claim(store, now=0.0, lease=10.0)
-        store.report(done, 0, "r")
-        queued = store.create_task("exp", 0, "q")
+        store.report_batch([(done, 0, "r")])
+        queued = store.create_tasks("exp", 0, ["q"])[0]
         assert store.renew_leases([queued, done], now=1.0, lease=10.0) == 0
         assert store.get_task(queued).lease_expiry is None
 
@@ -111,11 +111,11 @@ class TestRequeueExpired:
         # no other pool re-claims a completed task.
         tid = claim(store, now=0.0, lease=5.0, pool="slow")
         assert store.requeue_expired(now=10.0) == [tid]
-        store.report(tid, 0, "late-result", now=11.0)
+        store.report_batch([(tid, 0, "late-result")], now=11.0)
         assert store.get_task(tid).eq_status == TaskStatus.COMPLETE
         assert store.queue_out_length(0) == 0
         assert store.pop_out(0, now=12.0) == []
-        assert store.pop_in(tid) == "late-result"
+        assert store.pop_in_any([tid]) == [(tid, "late-result")]
         assert store.queue_in_length() == 0
 
     def test_duplicate_report_after_requeue_and_reexecution(self, store):
@@ -125,8 +125,8 @@ class TestRequeueExpired:
         tid = claim(store, now=0.0, lease=5.0, pool="slow")
         store.requeue_expired(now=10.0)
         store.pop_out(0, worker_pool="second", now=11.0, lease=5.0)
-        store.report(tid, 0, "second-result", now=12.0)
-        store.report(tid, 0, "stale-result", now=13.0)
+        store.report_batch([(tid, 0, "second-result")], now=12.0)
+        store.report_batch([(tid, 0, "stale-result")], now=13.0)
         assert store.pop_in_any([tid]) == [(tid, "second-result")]
         assert store.queue_in_length() == 0
 
@@ -145,7 +145,7 @@ class TestConcurrentReportVsRequeue:
             def reporter():
                 barrier.wait()
                 try:
-                    store.report(tid, 0, "result", now=2.0)
+                    store.report_batch([(tid, 0, "result")], now=2.0)
                 except Exception as exc:  # noqa: BLE001 - collected for assert
                     errors.append(exc)
 
@@ -166,7 +166,7 @@ class TestConcurrentReportVsRequeue:
                 t.join()
             assert errors == []
             assert store.get_task(tid).eq_status == TaskStatus.COMPLETE
-            assert store.pop_in(tid) == "result"
+            assert store.pop_in_any([tid]) == [(tid, "result")]
             assert store.pop_out(0, now=3.0) == []
             assert store.queue_in_length() == 0
 

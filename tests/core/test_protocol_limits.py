@@ -231,9 +231,9 @@ def _served(service: TaskService) -> bool:
 class TestHostileFramesAtTheService:
     def test_oversize_declared_total_is_refused_before_it_is_read(self, service):
         header = {
-            "id": 1, "method": "report",
-            "params": {"eq_task_id": 1, "eq_type": 0, "result": None},
-            "att": [[["params", "result"], protocol.MAX_FRAME_BYTES]],
+            "id": 1, "method": "report_batch",
+            "params": {"reports": [[1, 0, None]]},
+            "att": [[["params", "reports", 0, 2], protocol.MAX_FRAME_BYTES]],
         }
         # No body is sent: the drop comes from the header alone.
         assert _send_raw(service, _frame(header)) == b""
@@ -246,8 +246,8 @@ class TestHostileFramesAtTheService:
 
     def test_truncated_body_drops_the_connection(self, service):
         frame = protocol.encode_message(
-            {"id": 1, "method": "create_task",
-             "params": {"exp_id": "e", "eq_type": 0, "payload": BIG}}
+            {"id": 1, "method": "create_tasks",
+             "params": {"exp_id": "e", "eq_type": 0, "payloads": [BIG]}}
         )
         assert _send_raw(service, frame[:-10], close_write=True) == b""
         assert service.store.queue_out_length() == 0  # nothing applied
@@ -255,8 +255,8 @@ class TestHostileFramesAtTheService:
     def test_frames_after_an_attachment_are_served_in_one_batch(self, service):
         frames = [
             protocol.encode_message(
-                {"id": i, "method": "create_task",
-                 "params": {"exp_id": "e", "eq_type": 0, "payload": BIG}}
+                {"id": i, "method": "create_tasks",
+                 "params": {"exp_id": "e", "eq_type": 0, "payloads": [BIG]}}
             )
             for i in range(1, 4)
         ]
@@ -264,7 +264,7 @@ class TestHostileFramesAtTheService:
             sock.sendall(b"".join(frames))
             rfile = sock.makefile("rb")
             answers = [protocol.read_message(rfile) for _ in frames]
-        assert [a["result"] for a in answers] == [1, 2, 3]
+        assert [a["result"] for a in answers] == [[1], [2], [3]]
         assert service.store.pop_out(0, 3) == [(1, BIG), (2, BIG), (3, BIG)]
 
 
@@ -353,7 +353,7 @@ class TestHostileFramesAtTheClient:
         try:
             client = RemoteTaskStore(*server.address, retry=_FAST)
             with pytest.raises(ConnectionBrokenError):
-                client.create_task("e", 0, "p")
+                client.create_tasks("e", 0, ["p"])
             assert not client.connected
             assert server.connections == 1
             client.close()

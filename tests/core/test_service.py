@@ -52,7 +52,7 @@ class TestAuth:
         with TaskService(backing) as svc:
             host, port = svc.address
             store = RemoteTaskStore(host, port)
-            assert store.create_task("e", 0, "p") == 1
+            assert store.create_tasks("e", 0, ["p"])[0] == 1
             store.close()
         backing.close()
 
@@ -67,7 +67,7 @@ class TestRemoteStore:
         assert future.result(timeout=0) == (ResultStatus.SUCCESS, '{"y": 2}')
 
     def test_get_task_row(self, remote):
-        tid = remote.create_task("exp", 1, "payload", tag="tag-a", time_created=5.0)
+        tid = remote.create_tasks("exp", 1, ["payload"], tag="tag-a", time_created=5.0)[0]
         row = remote.get_task(tid)
         assert row.eq_task_id == tid
         assert row.eq_task_type == 1
@@ -88,12 +88,12 @@ class TestRemoteStore:
         popped = remote.pop_out(0, 5)
         assert [t for t, _ in popped] == [ids[0], ids[1]]
         for tid in (ids[0], ids[1]):
-            remote.report(tid, 0, f"r{tid}")
+            remote.report_batch([(tid, 0, f"r{tid}")])
         assert dict(remote.pop_in_any(ids)) == {ids[0]: f"r{ids[0]}", ids[1]: f"r{ids[1]}"}
 
     def test_experiment_and_tag_queries(self, remote):
-        a = remote.create_task("exp-x", 0, "p", tag="t1")
-        b = remote.create_task("exp-x", 0, "p")
+        a = remote.create_tasks("exp-x", 0, ["p"], tag="t1")[0]
+        b = remote.create_tasks("exp-x", 0, ["p"])[0]
         assert remote.tasks_for_experiment("exp-x") == [a, b]
         assert remote.tasks_for_tag("t1") == [a]
 
@@ -150,7 +150,7 @@ class TestMeRpcCost:
             futures = eq.submit_tasks("exp", 0, ["{}"] * n_tasks)
             submit_rpcs = rpcs.value - before
             for task_id, _ in backing.pop_out(0, n=n_tasks):
-                backing.report(task_id, 0, "r")
+                backing.report_batch([(task_id, 0, "r")])
             before = rpcs.value
             collected = list(as_completed(futures, timeout=10.0))
             collect_rpcs = rpcs.value - before
@@ -161,6 +161,57 @@ class TestMeRpcCost:
         assert submit_rpcs == 1
         assert len(collected) == n_tasks
         assert collect_rpcs == 1
+
+    def test_singular_api_is_one_batch_of_one_rpc_per_call(self):
+        # The paper's Listing 1/2 names on the pingpong path: each call
+        # is one round trip, and on the wire it is the batch op.
+        backing = MemoryTaskStore()
+        service_metrics = MetricsRegistry()
+        service = TaskService(backing, metrics=service_metrics).start()
+        me_metrics, pool_metrics = MetricsRegistry(), MetricsRegistry()
+        me = EQSQL(RemoteTaskStore(*service.address, metrics=me_metrics))
+        pool = EQSQL(RemoteTaskStore(*service.address, metrics=pool_metrics))
+
+        def served() -> dict[str, float]:
+            return {
+                name.removeprefix("service.requests."): service_metrics.get(name).value
+                for name in service_metrics.names()
+                if name.startswith("service.requests.")
+            }
+
+        def cost(client_metrics: MetricsRegistry, call):
+            """``call()``'s value, its client RPCs, and the requests the
+            service served for it by method (handshakes aside)."""
+            rpcs = client_metrics.counter("service.client.rpcs")
+            rpcs_before, served_before = rpcs.value, served()
+            value = call()
+            moved = {
+                method: count - served_before[method]
+                for method, count in served().items()
+                if count != served_before[method] and method != "ping"
+            }
+            return value, rpcs.value - rpcs_before, moved
+
+        try:
+            future, n, methods = cost(me_metrics, lambda: me.submit_task("exp", 0, "{}"))
+            assert (n, methods) == (1, {"create_tasks": 1})
+            ((tid, _payload),) = backing.pop_out(0)
+            _, n, methods = cost(pool_metrics, lambda: pool.report_task(tid, 0, "r"))
+            assert (n, methods) == (1, {"report_batch": 1})
+            result, n, methods = cost(me_metrics, lambda: future.result(timeout=10.0))
+            assert result == (ResultStatus.SUCCESS, "r")
+            assert (n, methods) == (1, {"pop_in_any": 1})
+            assert {m for m, count in served().items() if count} <= {
+                "ping", "create_tasks", "report_batch", "pop_in_any",
+            }
+            assert not {
+                f"service.requests.{m}" for m in ("create_task", "report", "pop_in")
+            } & set(service_metrics.names())
+        finally:
+            me.close()
+            pool.close()
+            service.stop()
+            backing.close()
 
 
 class TestConcurrentClients:

@@ -78,6 +78,8 @@ class TestRetryClassification:
         }
         for name, op in OPS.items():
             assert op.name == name and isinstance(op.idempotent, bool)
+        # One op per verb: the batch ops are the only create/report/collect.
+        assert not {"create_task", "report", "pop_in"} & set(OPS)
 
     def test_derived_stubs_cover_the_contract(self):
         # Nothing abstract is left, and no op silently falls back to the
@@ -92,11 +94,11 @@ class TestRetryClassification:
                     assert getattr(cls, name).__doc__ == getattr(TaskStore, name).__doc__
 
     def test_mutating_but_convergent_methods_are_idempotent(self):
-        for method in ("report", "requeue", "renew_leases", "requeue_expired"):
+        for method in ("report_batch", "requeue", "renew_leases", "requeue_expired"):
             assert OPS[method].idempotent
 
     def test_pops_and_creates_are_not(self):
-        for method in ("create_task", "create_tasks", "pop_out", "pop_in", "report_pop"):
+        for method in ("create_tasks", "pop_out", "pop_in_any", "report_pop"):
             assert not OPS[method].idempotent
             assert not retryable(method, {})
         # ... except a long-poll pop, which is always re-sent.
@@ -128,7 +130,7 @@ class TestRetryClassification:
 
 class TestReconnectAndRetry:
     def test_idempotent_call_survives_sever(self, proxy, client):
-        client.create_task("exp", 0, "p")
+        client.create_tasks("exp", 0, ["p"])
         assert proxy.sever_all() >= 1
         # The read fails on the dead socket; the client reconnects
         # (through the proxy) and re-sends transparently.
@@ -137,14 +139,14 @@ class TestReconnectAndRetry:
         assert client.test_metrics.get("service.client.reconnects").value >= 1
 
     def test_report_survives_sever(self, proxy, client):
-        tid = client.create_task("exp", 0, "p")
+        tid = client.create_tasks("exp", 0, ["p"])[0]
         client.pop_out(0, worker_pool="w")
         proxy.sever_all()
-        client.report(tid, 0, "result")  # idempotent: retried
-        assert client.pop_in(tid) == "result"
+        client.report_batch([(tid, 0, "result")])  # idempotent: retried
+        assert client.pop_in_any([tid]) == [(tid, "result")]
 
     def test_lease_calls_survive_sever(self, proxy, client):
-        tid = client.create_task("exp", 0, "p")
+        tid = client.create_tasks("exp", 0, ["p"])[0]
         client.pop_out(0, worker_pool="w", now=0.0, lease=10.0)
         proxy.sever_all()
         assert client.renew_leases([tid], now=5.0, lease=10.0) == 1
@@ -156,11 +158,11 @@ class TestReconnectAndRetry:
     ):
         proxy.sever_all()  # client holds a socket the proxy just killed
         with pytest.raises(ConnectionBrokenError):
-            client.create_task("exp", 0, "p")
+            client.create_tasks("exp", 0, ["p"])
         # The desynced socket was torn down, not kept.
         assert not client.connected
         # The caller decides to retry; a fresh connection serves it.
-        assert client.create_task("exp", 0, "p2") >= 1
+        assert client.create_tasks("exp", 0, ["p2"])[0] >= 1
 
     def test_typed_error_keeps_the_connection(self, client):
         client.queue_in_length()  # establish
@@ -203,7 +205,7 @@ class TestReconnectAndRetry:
         monkeypatch.setattr(client, "_open_connection", open_or_signal)
         lifter = threading.Thread(target=lift_outage, daemon=True)
         lifter.start()
-        tid = client.create_task("exp", 0, "p")
+        tid = client.create_tasks("exp", 0, ["p"])[0]
         lifter.join(5)
         assert refused.is_set()
         assert client.test_metrics.get("service.client.retries").value >= 1
@@ -302,7 +304,7 @@ class TestDesyncDetection:
         try:
             client = RemoteTaskStore(*server.address, retry=FAST_RETRY)
             with pytest.raises(ConnectionBrokenError):
-                client.create_task("exp", 0, "p")
+                client.create_tasks("exp", 0, ["p"])
             assert not client.connected
             client.close()
         finally:

@@ -40,7 +40,7 @@ class TestMalformedTraffic:
         # The server still serves a proper client.
         host, port = service.address
         store = RemoteTaskStore(host, port)
-        assert store.create_task("e", 0, "p") == 1
+        assert store.create_tasks("e", 0, ["p"])[0] == 1
         store.close()
 
     def test_non_object_frame(self, service):
@@ -69,7 +69,7 @@ class TestMalformedTraffic:
 
     def test_bad_params_type(self, service):
         sock, rfile, wfile = raw_connection(service)
-        write_message(wfile, {"id": 3, "method": "pop_in", "params": [1]})
+        write_message(wfile, {"id": 3, "method": "pop_in_any", "params": [[1]]})
         response = read_message(rfile)
         assert response["ok"] is False
         sock.close()
@@ -77,7 +77,7 @@ class TestMalformedTraffic:
     def test_wrong_param_names_reported(self, service):
         sock, rfile, wfile = raw_connection(service)
         write_message(
-            wfile, {"id": 4, "method": "pop_in", "params": {"wrong": 1}}
+            wfile, {"id": 4, "method": "pop_in_any", "params": {"wrong": 1}}
         )
         response = read_message(rfile)
         assert response["ok"] is False

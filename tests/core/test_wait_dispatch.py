@@ -75,7 +75,7 @@ def _report_later(backing, n, delay=0.05):
     def worker():
         time.sleep(delay)
         for tid, _ in backing.pop_out(0, n, worker_pool="w", now=1.0):
-            backing.report(tid, 0, f"r{tid}", now=2.0)
+            backing.report_batch([(tid, 0, f"r{tid}")], now=2.0)
 
     threading.Thread(target=worker).start()
 
@@ -146,16 +146,18 @@ class TestServiceWaitGrant:
             backing.close()
 
     def test_waiters_gauge_tracks_parked_handlers(self, service_stack):
-        _, service, client = service_stack
-        # The wait must comfortably outlast the gauge check below even
-        # on a stalled machine, yet still expire well inside the join.
-        thread, _ = _park_one_waiter(
+        backing, service, client = service_stack
+        # The wait outlasts the gauge check below even on a stalled
+        # machine; a wake ends it, so nothing waits out a timeout.
+        thread, results = _park_one_waiter(
             service,
-            lambda: client.pop_in_any([999], wait=5.0),
+            lambda: client.pop_in_any([999], wait=30.0),
         )
         assert service.status_snapshot()["service"]["waiters"] == 1
+        backing.wake_waiters()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+        assert results == [[]]
         assert service.status_snapshot()["service"]["waiters"] == 0
 
     def test_stop_wakes_parked_waiters(self):
@@ -279,7 +281,7 @@ class TestEqsqlFastPath:
             def worker():
                 time.sleep(0.05)
                 [(tid, _)] = backing.pop_out(0, 1, worker_pool="w", now=1.0)
-                backing.report(tid, 0, "done", now=2.0)
+                backing.report_batch([(tid, 0, "done")], now=2.0)
 
             threading.Thread(target=worker).start()
             t0 = time.monotonic()
@@ -304,7 +306,7 @@ class TestEqsqlFastPath:
             def worker():
                 time.sleep(0.05)
                 for tid, _ in backing.pop_out(0, 3, worker_pool="w", now=1.0):
-                    backing.report(tid, 0, f"r{tid}", now=2.0)
+                    backing.report_batch([(tid, 0, f"r{tid}")], now=2.0)
 
             threading.Thread(target=worker).start()
             t0 = time.monotonic()

@@ -15,6 +15,9 @@ The committed fixture was recorded at commit 73c8cf9 (the hand-written
 stubs and dispatch ladder).  Protocol version 2 changed exactly one of
 those records, the ``ping`` response's version, and appended the
 attachment cases; the ``report_pop`` case was appended with that op.
+Retiring the single-row ops ``create_task``, ``report`` and ``pop_in``
+deleted their seven records and appended ``create_tasks/all``, which
+carries the retired ``create_task/all`` keywords on the batch op.
 Every other record is the original recording.
 Re-record only for a deliberate wire change::
 
@@ -74,9 +77,6 @@ _BIG_ROW = TaskRow(
 
 #: (case name, method, args, kwargs, scripted store return or exception).
 CASES: list[tuple[str, str, tuple, dict, Any]] = [
-    ("create_task", "create_task", ("exp", 0, "p"), {}, 7),
-    ("create_task/all", "create_task", ("exp", 0, "p"),
-     {"priority": 5, "tag": "t", "time_created": 1.5}, 8),
     ("create_tasks", "create_tasks", ("exp", 1, ("a", "b")), {}, [1, 2]),
     ("create_tasks/seq-priority", "create_tasks", ("exp", 1, ["a", "b"]),
      {"priority": (3, 4), "tag": "t", "time_created": 2.5}, [3, 4]),
@@ -88,9 +88,6 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
     ("pop_out/wait-zero", "pop_out", (0,), {"wait": 0}, []),
     ("queue_out_length", "queue_out_length", (), {}, 3),
     ("queue_out_length/type", "queue_out_length", (2,), {}, 1),
-    ("report", "report", (1, 0, "r"), {}, None),
-    ("report/profile", "report", (1, 0, "r"),
-     {"now": 3.0, "profile": _PROFILE}, None),
     ("report_batch", "report_batch", ([(1, 0, "r1"), (2, 0, "r2")],),
      {"now": 3.0}, None),
     ("report_batch/profiles", "report_batch", (((1, 0, "r1"),),),
@@ -98,8 +95,6 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
     ("report_batch/empty", "report_batch", ([],), {}, None),
     ("telemetry", "telemetry",
      ({"worker_id": "pool-a", "interval": 5.0, "n_workers": 2},), {}, None),
-    ("pop_in", "pop_in", (1,), {}, "res"),
-    ("pop_in/none", "pop_in", (1,), {}, None),
     ("pop_in_any", "pop_in_any", (range(1, 4),), {},
      [(1, "r1"), (3, "r3")]),
     ("pop_in_any/limit-wait", "pop_in_any", ([1, 2],),
@@ -137,7 +132,6 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
     ("create_tasks/attachment", "create_tasks", ("exp", 1, ["a", _BIG, "b"]),
      {}, [5, 6, 7]),
     ("pop_out/attachment", "pop_out", (0, 2), {}, [(5, "a"), (6, _BIG)]),
-    ("report/attachment", "report", (6, 1, _BIG), {}, None),
     ("report_batch/attachments", "report_batch",
      ([(5, 1, "r"), (6, 1, _BIG), (7, 1, _UNDER), (8, 1, _EXACT)],), {}, None),
     ("get_task/attachments", "get_task", (7,), {}, _BIG_ROW),
@@ -147,6 +141,9 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
     ("report_pop", "report_pop", ([(1, 0, "r1")], 0, 2),
      {"worker_pool": "w", "now": 3.0, "lease": 30.0, "profiles": {1: _PROFILE}},
      [(2, "a"), (3, "b")]),
+    # Every keyword of the retired single-row create, on the batch op.
+    ("create_tasks/all", "create_tasks", ("exp", 0, ["p"]),
+     {"priority": 5, "tag": "t", "time_created": 1.5}, [8]),
 ]
 
 

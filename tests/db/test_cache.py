@@ -370,7 +370,7 @@ class TestRemoteSubmitPathCache:
             future = me.submit_task("e", 0, '{"x": 1}', cache="readwrite")
             popped = pool_client.pop_out(0, 1, worker_pool="w", now=0.0)
             # The pool-side report: a different store handle entirely.
-            pool_client.report(popped[0][0], 0, '{"res": 7}', now=1.0)
+            pool_client.report_batch([(popped[0][0], 0, '{"res": 7}')], now=1.0)
             assert future.result(timeout=5.0) == (
                 ResultStatus.SUCCESS, '{"res": 7}'
             )

@@ -54,7 +54,7 @@ def test_concurrent_submit_and_pop(backend):
 
     def producer(k: int):
         for i in range(per_producer):
-            store.create_task(f"exp-{k}", 0, f"p-{k}-{i}")
+            store.create_tasks(f"exp-{k}", 0, [f"p-{k}-{i}"])
 
     def consumer():
         while True:
@@ -90,7 +90,7 @@ def test_concurrent_report_and_pop_in(backend):
 
     def reporter(chunk):
         for tid in chunk:
-            store.report(tid, 0, f"r{tid}")
+            store.report_batch([(tid, 0, f"r{tid}")])
 
     threads = [
         threading.Thread(target=reporter, args=(ids[i::4],)) for i in range(4)

@@ -20,12 +20,12 @@ def submit(store, n=1, eq_type=0, priority=0, exp_id="exp", tag=None):
 
 class TestCreate:
     def test_create_returns_increasing_ids(self, store):
-        ids = [store.create_task("e", 0, f"p{i}") for i in range(5)]
+        ids = [store.create_tasks("e", 0, [f"p{i}"])[0] for i in range(5)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 5
 
     def test_create_sets_queued_status(self, store):
-        tid = store.create_task("e", 0, "p", time_created=42.0)
+        tid = store.create_tasks("e", 0, ["p"], time_created=42.0)[0]
         row = store.get_task(tid)
         assert row.eq_status == TaskStatus.QUEUED
         assert row.json_out == "p"
@@ -74,8 +74,8 @@ class TestPopOut:
         assert row.worker_pool == "pool-a"
 
     def test_pop_respects_work_type(self, store):
-        store.create_task("e", 1, "type1")
-        store.create_task("e", 2, "type2")
+        store.create_tasks("e", 1, ["type1"])
+        store.create_tasks("e", 2, ["type2"])
         popped = store.pop_out(1, 5)
         assert [p for _, p in popped] == ["type1"]
 
@@ -110,7 +110,7 @@ class TestReportAndPopIn:
     def test_report_sets_complete(self, store):
         (tid,) = submit(store, 1)
         store.pop_out(0, 1)
-        store.report(tid, 0, '{"y":1}', now=9.0)
+        store.report_batch([(tid, 0, '{"y":1}')], now=9.0)
         row = store.get_task(tid)
         assert row.eq_status == TaskStatus.COMPLETE
         assert row.json_in == '{"y":1}'
@@ -118,24 +118,24 @@ class TestReportAndPopIn:
 
     def test_report_unknown_task_raises(self, store):
         with pytest.raises(NotFoundError):
-            store.report(999, 0, "r")
+            store.report_batch([(999, 0, "r")])
 
     def test_pop_in_returns_result_once(self, store):
         (tid,) = submit(store, 1)
         store.pop_out(0, 1)
-        store.report(tid, 0, "result")
-        assert store.pop_in(tid) == "result"
-        assert store.pop_in(tid) is None  # queue row consumed
+        store.report_batch([(tid, 0, "result")])
+        assert store.pop_in_any([tid]) == [(tid, "result")]
+        assert store.pop_in_any([tid]) == []  # queue row consumed
 
     def test_pop_in_before_report(self, store):
         (tid,) = submit(store, 1)
-        assert store.pop_in(tid) is None
+        assert store.pop_in_any([tid]) == []
 
     def test_pop_in_any_batch(self, store):
         ids = submit(store, 4)
         store.pop_out(0, 4)
-        store.report(ids[1], 0, "r1")
-        store.report(ids[3], 0, "r3")
+        store.report_batch([(ids[1], 0, "r1")])
+        store.report_batch([(ids[3], 0, "r3")])
         popped = store.pop_in_any(ids)
         assert popped == [(ids[1], "r1"), (ids[3], "r3")]
         assert store.pop_in_any(ids) == []
@@ -147,7 +147,7 @@ class TestReportAndPopIn:
         ids = submit(store, 5)
         store.pop_out(0, 5)
         for tid in ids:
-            store.report(tid, 0, f"r{tid}")
+            store.report_batch([(tid, 0, f"r{tid}")])
         first = store.pop_in_any(ids, limit=2)
         assert [t for t, _ in first] == ids[:2]
         # The rest stay queued for a later pop.
@@ -157,7 +157,7 @@ class TestReportAndPopIn:
     def test_pop_in_any_limit_zero(self, store):
         ids = submit(store, 1)
         store.pop_out(0, 1)
-        store.report(ids[0], 0, "r")
+        store.report_batch([(ids[0], 0, "r")])
         assert store.pop_in_any(ids, limit=0) == []
         assert store.queue_in_length() == 1
 
@@ -165,9 +165,9 @@ class TestReportAndPopIn:
         ids = submit(store, 3)
         store.pop_out(0, 3)
         for tid in ids:
-            store.report(tid, 0, "r")
+            store.report_batch([(tid, 0, "r")])
         assert store.queue_in_length() == 3
-        store.pop_in(ids[0])
+        store.pop_in_any([ids[0]])
         assert store.queue_in_length() == 2
 
 
@@ -197,7 +197,7 @@ class TestReportBatch:
     def test_already_complete_task_is_skipped(self, store):
         (tid,) = submit(store, 1)
         store.pop_out(0, 1)
-        store.report(tid, 0, "original", now=1.0)
+        store.report_batch([(tid, 0, "original")], now=1.0)
         store.report_batch([(tid, 0, "duplicate")], now=2.0)
         row = store.get_task(tid)
         assert row.json_in == "original"
@@ -308,22 +308,22 @@ class TestStatusPriorityCancel:
 
 class TestExperimentsAndTags:
     def test_tasks_for_experiment(self, store):
-        a = store.create_task("exp-a", 0, "p")
-        b = store.create_task("exp-b", 0, "p")
-        c = store.create_task("exp-a", 0, "p")
+        a = store.create_tasks("exp-a", 0, ["p"])[0]
+        b = store.create_tasks("exp-b", 0, ["p"])[0]
+        c = store.create_tasks("exp-a", 0, ["p"])[0]
         assert store.tasks_for_experiment("exp-a") == [a, c]
         assert store.tasks_for_experiment("exp-b") == [b]
         assert store.tasks_for_experiment("missing") == []
 
     def test_tasks_for_tag(self, store):
-        a = store.create_task("e", 0, "p", tag="round-1")
-        store.create_task("e", 0, "p")
-        b = store.create_task("e", 0, "p", tag="round-1")
+        a = store.create_tasks("e", 0, ["p"], tag="round-1")[0]
+        store.create_tasks("e", 0, ["p"])
+        b = store.create_tasks("e", 0, ["p"], tag="round-1")[0]
         assert store.tasks_for_tag("round-1") == [a, b]
         assert store.tasks_for_tag("round-2") == []
 
     def test_tag_recorded_on_row(self, store):
-        tid = store.create_task("e", 0, "p", tag="t")
+        tid = store.create_tasks("e", 0, ["p"], tag="t")[0]
         assert store.get_task(tid).tags == ["t"]
 
 
@@ -336,7 +336,7 @@ class TestMaintenance:
     def test_clear(self, store):
         ids = submit(store, 3)
         store.pop_out(0, 1)
-        store.report(ids[0], 0, "r")
+        store.report_batch([(ids[0], 0, "r")])
         store.clear()
         assert store.max_task_id() == 0
         assert store.queue_out_length() == 0
@@ -347,4 +347,4 @@ class TestMaintenance:
     def test_use_after_close_raises(self, store):
         store.close()
         with pytest.raises(RuntimeError):
-            store.create_task("e", 0, "p")
+            store.create_tasks("e", 0, ["p"])

@@ -43,7 +43,7 @@ class TestLifecycleEmits:
         )
         assert popped == tid
         store.renew_leases([tid], now=10.0, lease=30.0)
-        store.report(tid, 0, "{}", now=20.0)
+        store.report_batch([(tid, 0, "{}")], now=20.0)
         assert events_for(journal, tid) == [
             EV_ENQUEUE, EV_POP, EV_LEASE_RENEW, EV_REPORT,
         ]
@@ -59,7 +59,7 @@ class TestLifecycleEmits:
 
     def test_single_create_task_emits_enqueue(self, journaled_store):
         store, journal = journaled_store
-        tid = store.create_task("exp", 2, "{}", priority=5, time_created=3.0)
+        tid = store.create_tasks("exp", 2, ["{}"], priority=5, time_created=3.0)[0]
         (record,) = journal.records(task_id=tid)
         assert record.event == EV_ENQUEUE
         assert record.work_type == 2
@@ -83,7 +83,7 @@ class TestLifecycleEmits:
         store.requeue_expired(now=5.0)
         # The original (slow, not dead) pool reports after the requeue:
         # the queued duplicate must be withdrawn.
-        store.report(tid, 0, "{}", now=6.0)
+        store.report_batch([(tid, 0, "{}")], now=6.0)
         events = events_for(journal, tid)
         assert events == [EV_ENQUEUE, EV_POP, EV_REQUEUE, EV_WITHDRAW, EV_REPORT]
 
@@ -91,16 +91,16 @@ class TestLifecycleEmits:
         store, journal = journaled_store
         (tid,) = store.create_tasks("exp", 0, ["{}"])
         store.pop_out(0, n=1, now=0.0)
-        store.report(tid, 0, "{}", now=1.0)
+        store.report_batch([(tid, 0, "{}")], now=1.0)
         n_before = len(journal.records(task_id=tid))
-        store.report(tid, 0, "{}", now=2.0)  # idempotent no-op
+        store.report_batch([(tid, 0, "{}")], now=2.0)  # idempotent no-op
         assert len(journal.records(task_id=tid)) == n_before
 
     def test_report_batch_emits_per_fresh_item(self, journaled_store):
         store, journal = journaled_store
         ids = store.create_tasks("exp", 0, ["{}"] * 3)
         store.pop_out(0, n=3, now=0.0)
-        store.report(ids[0], 0, "{}", now=1.0)  # already complete
+        store.report_batch([(ids[0], 0, "{}")], now=1.0)  # already complete
         store.report_batch([(tid, 0, "{}") for tid in ids], now=2.0)
         # ids[0] deduped; the other two got exactly one report record.
         assert events_for(journal, ids[0]).count(EV_REPORT) == 1
@@ -137,7 +137,7 @@ class TestDisabledJournal:
             store.pop_out(0, n=1, now=0.0, lease=5.0)
             store.requeue_expired(now=10.0)
             store.pop_out(0, n=1, now=11.0)
-            store.report(tid, 0, "{}", now=12.0)
+            store.report_batch([(tid, 0, "{}")], now=12.0)
             assert len(journal) == 0
         finally:
             store.close()

@@ -60,7 +60,7 @@ def test_memory_sqlite_parity_on_order_and_limit(n_watch, limit):
 def test_repeated_id_in_watch_list_pops_once(store):
     (tid,) = store.create_tasks("exp", 0, ["{}"])
     store.pop_out(0, 1)
-    store.report(tid, 0, "r")
+    store.report_batch([(tid, 0, "r")])
     assert store.pop_in_any([tid, tid, tid], limit=2) == [(tid, "r")]
 
 

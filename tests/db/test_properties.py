@@ -89,7 +89,7 @@ def test_input_queue_delivers_every_result_once(n, report_order, backend_idx):
         store.pop_out(0, n)
         order = [i for i in report_order if i < n]
         for i in order:
-            store.report(ids[i], 0, f"r{i}")
+            store.report_batch([(ids[i], 0, f"r{i}")])
         got = dict(store.pop_in_any(ids))
         assert got == {ids[i]: f"r{i}" for i in range(n)}
         assert store.pop_in_any(ids) == []

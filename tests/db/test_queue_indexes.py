@@ -33,7 +33,7 @@ def _by_id_statements(path: str) -> list[str]:
         store.update_priorities(ids[:4], [5, 6, 7, 8])
         store.get_priorities(ids)
         popped = [tid for tid, _ in store.pop_out(0, 4, worker_pool="p", now=1.0, lease=1.0)]
-        store.report(popped[0], 0, "r", now=2.0)
+        store.report_batch([(popped[0], 0, "r")], now=2.0)
         store.report_batch([(popped[1], 0, "r")], now=2.0)
         store.report_pop([(popped[2], 0, "r")], 0, 1, worker_pool="p", now=2.0)
         store.requeue(popped[3])

@@ -46,12 +46,12 @@ class TestWalTuning:
         store = SqliteTaskStore(path)
         ids = store.create_tasks("exp", 0, ["a", "b", "c"])
         store.pop_out(0, 1)
-        store.report(ids[0], 0, "r")
+        store.report_batch([(ids[0], 0, "r")])
         store.close()
         reopened = SqliteTaskStore(path)
         try:
             assert reopened.max_task_id() == ids[-1]
             assert reopened.queue_out_length(0) == 2
-            assert reopened.pop_in(ids[0]) == "r"
+            assert reopened.pop_in_any([ids[0]]) == [(ids[0], "r")]
         finally:
             reopened.close()

@@ -27,7 +27,7 @@ class TestStatsConformance:
         store.create_tasks("exp", 0, ["{}"] * 3)
         store.create_tasks("exp", 5, ["{}"] * 2)
         popped = store.pop_out(0, n=2, now=1.0)
-        store.report(popped[0][0], 0, "{}")
+        store.report_batch([(popped[0][0], 0, "{}")])
         stats = store.stats(now=1.0)
         assert stats["tasks"] == {
             "queued": 3, "running": 1, "complete": 1, "canceled": 0, "total": 5,
@@ -59,7 +59,7 @@ class TestStatsConformance:
     def test_reported_task_leaves_lease_counts(self, store):
         store.create_tasks("exp", 0, ["{}"])
         popped = store.pop_out(0, n=1, now=0.0, lease=10.0)
-        store.report(popped[0][0], 0, "{}")
+        store.report_batch([(popped[0][0], 0, "{}")])
         stats = store.stats(now=5.0)
         assert stats["leases"] == {
             "active": 0, "expired": 0, "unleased_running": 0,
@@ -73,7 +73,7 @@ class TestStatsConformance:
             store.create_tasks("exp", 1, ["{}"] * 4)
             store.create_tasks("exp", 2, ["{}"] * 2)
             popped = store.pop_out(1, n=2, now=0.0, lease=20.0)
-            store.report(popped[0][0], 1, "{}")
+            store.report_batch([(popped[0][0], 1, "{}")])
             store.pop_out(2, n=1, now=1.0)
             return store.stats(now=30.0)
 
@@ -156,7 +156,7 @@ class TestLeaseCounters:
             popped = s.pop_out(0, n=1, now=0.0, lease=5.0)
             task_id = popped[0][0]
             s.requeue_expired(now=100.0)  # back on the queue
-            s.report(task_id, 0, "{}")   # original worker reports anyway
+            s.report_batch([(task_id, 0, "{}")])   # original worker reports anyway
             assert reg.get("db.report_withdrawals").value == 1, kind
             # And the withdrawn copy is really gone.
             assert s.stats()["queue_out_total"] == 0, kind
@@ -168,6 +168,6 @@ class TestLeaseCounters:
             s = self.make(kind, reg)
             s.create_tasks("exp", 0, ["{}"])
             popped = s.pop_out(0, n=1, now=0.0)
-            s.report(popped[0][0], 0, "{}")
+            s.report_batch([(popped[0][0], 0, "{}")])
             assert reg.get("db.report_withdrawals").value == 0, kind
             s.close()

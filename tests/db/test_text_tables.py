@@ -118,7 +118,7 @@ def test_old_layout_file_reopens_with_everything(tmp_path, durable):
         # New work continues the id sequence and writes the side tables.
         (new,) = store.create_tasks("exp", 0, ["fresh"])
         assert new == 8
-        store.report(2, 0, "r2")
+        store.report_batch([(2, 0, "r2")])
         assert store.get_task(2).json_in == "r2"
     finally:
         store.close()
@@ -137,7 +137,7 @@ def test_clear_empties_the_text_tables(tmp_path):
     try:
         ids = store.create_tasks("exp", 0, ["a", BIG])
         store.pop_out(0, 2)
-        store.report(ids[1], 0, BIG)
+        store.report_batch([(ids[1], 0, BIG)])
         store.clear()
         for table in ("eq_task_out", "eq_task_in"):
             assert store._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
@@ -179,7 +179,7 @@ class TestWriteAmplification:
 
     def test_report_writes_the_result_once(self, store):
         (tid, _), = store.pop_out(0, 1)
-        assert self.frames(store, lambda: store.report(tid, 0, self.PAYLOAD)) <= 24
+        assert self.frames(store, lambda: store.report_batch([(tid, 0, self.PAYLOAD)])) <= 24
 
     def test_requeue_does_not_rewrite_the_payload(self, store):
         (tid, _), = store.pop_out(0, 1, lease=5.0)

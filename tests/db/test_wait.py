@@ -160,7 +160,7 @@ class TestPopInAnyWait:
 
     def test_returns_immediately_when_result_is_in(self, running):
         store, tid = running
-        store.report(tid, 0, "r", now=2.0)
+        store.report_batch([(tid, 0, "r")], now=2.0)
         t0 = time.monotonic()
         assert store.pop_in_any([tid], wait=WAIT) == [(tid, "r")]
         assert time.monotonic() - t0 < PROMPT
@@ -175,7 +175,7 @@ class TestPopInAnyWait:
         store, tid = running
         blocked = _BlockedCall(lambda: store.pop_in_any([tid], wait=WAIT))
         time.sleep(0.05)
-        store.report(tid, 0, "r", now=2.0)
+        store.report_batch([(tid, 0, "r")], now=2.0)
         assert blocked.join() == [(tid, "r")]
         assert blocked.elapsed < PROMPT
 
@@ -194,7 +194,7 @@ class TestPopInAnyWait:
             lambda: store.pop_in_any([ids[0]], wait=NO_WAKE_WAIT)
         )
         time.sleep(0.05)
-        store.report(ids[1], 0, "other", now=2.0)
+        store.report_batch([(ids[1], 0, "other")], now=2.0)
         assert blocked.join() == []
         assert blocked.elapsed >= NO_WAKE_FLOOR
 
@@ -236,7 +236,7 @@ class TestCrossProcessDegradedMode:
                 lambda: reader.pop_in_any([tid], wait=WAIT)
             )
             time.sleep(0.05)
-            writer.report(tid, 0, "r", now=2.0)
+            writer.report_batch([(tid, 0, "r")], now=2.0)
             assert blocked.join() == [(tid, "r")]
             assert blocked.elapsed < PROMPT
         finally:

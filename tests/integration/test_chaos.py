@@ -205,7 +205,7 @@ class TestFlakyStoreChaos:
             inner,
             failure_rate=0.25,
             lost_response_rate=0.5,
-            methods={"pop_out", "report", "renew_leases"},
+            methods={"pop_out", "report_batch", "renew_leases"},
             rng=random.Random(99),
         )
         me = EQSQL(inner)  # the ME talks to the healthy store

@@ -160,9 +160,10 @@ class TestServicePipeline:
             service.stop()
 
         spans = tracer.spans()
-        rpc = next(s for s in spans if s.name == "rpc.create_task")
-        server = next(s for s in spans if s.name == "service.create_task")
-        db = next(s for s in spans if s.name == "db.create_task")
+        # submit_task is a one-element create_tasks on the wire.
+        rpc = next(s for s in spans if s.name == "rpc.create_tasks")
+        server = next(s for s in spans if s.name == "service.create_tasks")
+        db = next(s for s in spans if s.name == "db.create_tasks")
         # Client RTT strictly contains server handling, which strictly
         # contains DB time (all on one wall clock on loopback).
         assert rpc.duration() >= server.duration() >= db.duration()

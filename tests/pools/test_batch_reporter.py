@@ -2,8 +2,8 @@
 
 A worker that finishes a task appends the result to a pending buffer
 and flushes the buffer itself unless a flush is already in flight: a
-lone result leaves at once as a plain ``report``, results that finish
-during a round trip share the next ``report_batch``.  The choreographed
+lone result leaves at once as a one-element ``report_batch``, results
+that finish during a round trip share the next one.  The choreographed
 tests below hold the store's report calls and one handler on
 ``threading`` gates, so what coalesces with what is decided by the
 test, never by timing.
@@ -65,23 +65,19 @@ class GatedStore(MemoryTaskStore):
         self.entered.release()
         assert self.gate.wait(WAIT), "report gate never opened"
 
-    def report(self, eq_task_id, eq_type, result, *, now=0.0, profile=None):
-        self._arrive("report", [eq_task_id])
-        super().report(eq_task_id, eq_type, result, now=now, profile=profile)
-
     def report_batch(self, reports, *, now=0.0, profiles=None):
         self._arrive("report_batch", [r[0] for r in reports])
-        self.batch_hook()
+        self.batch_hook(reports)
         super().report_batch(reports, now=now, profiles=profiles)
 
     def report_pop(self, reports, eq_type, n, *, now=0.0, profiles=None, **pop):
         # Recorded as itself: its halves bypass the recording overrides.
         self._arrive("report_pop", [r[0] for r in reports])
-        self.batch_hook()
+        self.batch_hook(reports)
         MemoryTaskStore.report_batch(self, reports, now=now, profiles=profiles)
         return MemoryTaskStore.pop_out(self, eq_type, n, now=now, **pop)
 
-    def batch_hook(self) -> None:
+    def batch_hook(self, reports) -> None:
         """Fault point for subclasses: runs before a batch is applied."""
 
     def wake_waiters(self) -> None:
@@ -95,13 +91,13 @@ class GatedStore(MemoryTaskStore):
 class Choreography:
     """Two workers, driven to a known point.
 
-    ``hold()`` returns with: worker 1 inside the ``report`` of ``first``
+    ``hold()`` returns with: worker 1 inside the report of ``first``
     (held at the store gate), worker 2 inside the handler of ``last``
     (held at the handler gate), and everything worker 2 ran before
     ``last`` — the ``middle`` tasks — sitting in the pending buffer,
     because a worker only takes its next task after ``_report`` returned.
     Throughout, the fetcher holds the fetch role in a long-poll for the
-    pool's spare slot, so every flush is a plain report.
+    pool's spare slot, so every flush is a plain ``report_batch``.
     """
 
     HELD = "held"
@@ -180,11 +176,11 @@ def ids(futures) -> list[int]:
 class TestCombiningReporter:
     def test_lone_result_is_one_plain_report_sent_at_once(self):
         # Nothing else is in flight, so nothing may hold the result back
-        # (no linger) and the wire sees today's single-item ``report``.
+        # (no linger): the wire sees a one-element ``report_batch``.
         c = Choreography(GatedStore(), ["a", "b"])
         c.hold()
         try:
-            assert c.store.sent() == [("report", [c.first.eq_task_id])]
+            assert c.store.sent() == [("report_batch", [c.first.eq_task_id])]
         finally:
             c.close()
 
@@ -195,14 +191,14 @@ class TestCombiningReporter:
         try:
             c.flush_pending(1)
             assert store.sent() == [
-                ("report", [c.first.eq_task_id]),
+                ("report_batch", [c.first.eq_task_id]),
                 ("report_batch", ids(c.middle)),
             ]
             # Both flushes ran on the worker that held the flusher role.
             assert store.calls[0][2] == store.calls[1][2]
         finally:
             c.finish()
-        assert store.sent()[2:] == [("report", [c.last.eq_task_id])]
+        assert store.sent()[2:] == [("report_batch", [c.last.eq_task_id])]
         assert c.pool.tasks_completed == 5
         assert c.pool.reports_lost == 0
 
@@ -250,8 +246,9 @@ class TestCombiningReporter:
         # result would queue forever behind a dead flusher and the drain
         # would never end.
         class BatchPathBroken(GatedStore):
-            def batch_hook(self):
-                raise RuntimeError("bug in the store")
+            def batch_hook(self, reports):
+                if len(reports) > 1:
+                    raise RuntimeError("bug in the store")
 
         c = Choreography(BatchPathBroken(), ["a", "b"])
         c.hold()
@@ -260,7 +257,7 @@ class TestCombiningReporter:
         status, result = c.last.result(timeout=WAIT, delay=0.001)
         assert (status.value, result) == ("success", Choreography.HELD)
         c.close()  # the drain ends although two results were never sent
-        assert c.store.sent()[-1] == ("report", [c.last.eq_task_id])
+        assert c.store.sent()[-1] == ("report_batch", [c.last.eq_task_id])
         assert c.pool.reports_lost == 2
         assert c.pool.tasks_completed == 2
         assert c.pool.owned() == 0
@@ -275,14 +272,14 @@ class TestCombiningReporter:
         c.finish()
         a, b, cc, d, e = ids(c.middle)
         assert c.store.sent()[1:5] == [
-            ("report", [a]),  # the next result would overflow
-            ("report", [b]),  # over budget on its own: goes alone
+            ("report_batch", [a]),  # the next result would overflow
+            ("report_batch", [b]),  # over budget on its own: goes alone
             ("report_batch", [cc, d]),
-            ("report", [e]),
+            ("report_batch", [e]),
         ]
         size = {f.eq_task_id: len(p) for f, p in zip(c.middle, middle)}
-        for method, batch in c.store.sent():
-            if method == "report_batch":
+        for method, batch in c.store.sent()[1:5]:
+            if len(batch) > 1:
                 assert sum(size[tid] for tid in batch) <= 100
 
     def test_eq_stop_drains_the_buffer(self):
@@ -313,7 +310,7 @@ class TestCombiningReporter:
             stopper.join(WAIT)
             assert not stopper.is_alive() and not c.pool.is_alive()
             # Only the flush that was already on the wire landed.
-            assert store.sent() == [("report", [c.first.eq_task_id])]
+            assert store.sent() == [("report_batch", [c.first.eq_task_id])]
             for future in (*c.middle, c.last):
                 status = store.get_task(future.eq_task_id).eq_status
                 assert status == TaskStatus.RUNNING
@@ -325,8 +322,9 @@ class TestCombiningReporter:
 class TestBatchedReporting:
     def test_failed_batch_falls_back_to_single_reports(self):
         class BatchPathDown(GatedStore):
-            def batch_hook(self):
-                raise ConnectionError("batch path down")
+            def batch_hook(self, reports):
+                if len(reports) > 1:
+                    raise ConnectionError("batch path down")
 
         c = Choreography(BatchPathDown(), ["a", "b"])
         c.hold()
@@ -334,10 +332,10 @@ class TestBatchedReporting:
         c.finish()
         a, b = ids(c.middle)
         assert c.store.sent()[:4] == [
-            ("report", [c.first.eq_task_id]),
+            ("report_batch", [c.first.eq_task_id]),
             ("report_batch", [a, b]),
-            ("report", [a]),
-            ("report", [b]),
+            ("report_batch", [a]),
+            ("report_batch", [b]),
         ]
         assert c.pool.tasks_completed == 4
         assert c.pool.reports_lost == 0
@@ -424,13 +422,13 @@ class TestFusedRefill:
         assert work.result(timeout=WAIT, delay=0.001)[1] == "work"
         assert store.sent() == [
             ("report_pop", [work.eq_task_id]),  # the refill was EQ_STOP
-            ("report", [stop.eq_task_id]),  # the sentinel, reported back
+            ("report_batch", [stop.eq_task_id]),  # the sentinel, reported back
         ]
         assert pool.tasks_completed == 1 and pool.owned() == 0
 
     def test_failed_report_pop_falls_back_and_loses_only_the_refill(self):
         class FusedPathDown(GatedStore):
-            def batch_hook(self):
+            def batch_hook(self, reports):
                 if self.calls[-1][0] == "report_pop":
                     raise ConnectionError("fused path down")
 
@@ -446,7 +444,7 @@ class TestFusedRefill:
             pool.stop(timeout=WAIT)
         assert store.sent()[:2] == [
             ("report_pop", [first.eq_task_id]),
-            ("report", [first.eq_task_id]),
+            ("report_batch", [first.eq_task_id]),
         ]
         assert (pool.tasks_completed, pool.reports_lost, pool.owned()) == (2, 0, 0)
 
@@ -501,7 +499,7 @@ class TestConfigValidation:
         # A stock pool reports a lone result from the worker thread that
         # ran it: no reporter thread, no hand-off.  The handler waits
         # for the fetcher's next long-poll, so the fetch role is taken
-        # and the flush is the plain report.
+        # and the flush is a plain one-element ``report_batch``.
         store = GatedStore()
         eq = EQSQL(store)
 
@@ -519,5 +517,5 @@ class TestConfigValidation:
             pool.stop()
             eq.close()
         ((method, task_ids, thread),) = store.calls
-        assert (method, task_ids) == ("report", [future.eq_task_id])
+        assert (method, task_ids) == ("report_batch", [future.eq_task_id])
         assert thread.startswith("p-worker-")

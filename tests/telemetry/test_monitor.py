@@ -134,7 +134,7 @@ class TestStoreSampler:
         assert reg.get("leases.expired").value == 1
 
         # Complete the task: running -> complete, queue_in grows.
-        store.report(popped[0][0], 0, "{}")
+        store.report_batch([(popped[0][0], 0, "{}")])
         sampler.sample_once()
         assert reg.get("store.tasks.complete").value == 1
         assert reg.get("store.queue_in_depth").value == 1

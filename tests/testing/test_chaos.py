@@ -158,10 +158,10 @@ def flaky_pair():
 class TestFlakyTaskStore:
     def test_passthrough_at_rate_zero(self, flaky_pair):
         flaky = FlakyTaskStore(flaky_pair, failure_rate=0.0)
-        tid = flaky.create_task("exp", 0, "p")
+        tid = flaky.create_tasks("exp", 0, ["p"])[0]
         assert flaky.pop_out(0) == [(tid, "p")]
-        flaky.report(tid, 0, "r")
-        assert flaky.pop_in(tid) == "r"
+        flaky.report_batch([(tid, 0, "r")])
+        assert flaky.pop_in_any([tid]) == [(tid, "r")]
         assert flaky.faults_injected == {}
 
     def test_fault_before_operation_leaves_inner_untouched(self, flaky_pair):
@@ -170,9 +170,9 @@ class TestFlakyTaskStore:
             rng=random.Random(3),
         )
         with pytest.raises(ConnectionError, match="before"):
-            flaky.create_task("exp", 0, "p")
+            flaky.create_tasks("exp", 0, ["p"])
         assert flaky_pair.max_task_id() == 0
-        assert flaky.faults_injected["create_task"] == 1
+        assert flaky.faults_injected["create_tasks"] == 1
 
     def test_fault_after_operation_applies_then_raises(self, flaky_pair):
         # The applied-but-unacknowledged case: the store state advanced
@@ -182,19 +182,19 @@ class TestFlakyTaskStore:
             rng=random.Random(3),
         )
         with pytest.raises(ConnectionError, match="response lost"):
-            flaky.create_task("exp", 0, "p")
+            flaky.create_tasks("exp", 0, ["p"])
         assert flaky_pair.max_task_id() == 1
 
     def test_method_restriction(self, flaky_pair):
         flaky = FlakyTaskStore(
             flaky_pair, failure_rate=1.0, lost_response_rate=0.0,
-            methods={"report"}, rng=random.Random(3),
+            methods={"report_batch"}, rng=random.Random(3),
         )
-        tid = flaky.create_task("exp", 0, "p")  # not in methods: clean
+        tid = flaky.create_tasks("exp", 0, ["p"])[0]  # not in methods: clean
         flaky.pop_out(0)
         with pytest.raises(ConnectionError):
-            flaky.report(tid, 0, "r")
-        assert set(flaky.faults_injected) == {"report"}
+            flaky.report_batch([(tid, 0, "r")])
+        assert set(flaky.faults_injected) == {"report_batch"}
 
     def test_close_never_faults(self, flaky_pair):
         flaky = FlakyTaskStore(flaky_pair, failure_rate=1.0)
@@ -246,7 +246,7 @@ class TestFlakyTaskStore:
             outcomes = []
             for i in range(20):
                 try:
-                    flaky.create_task("exp", 0, f"p{i}")
+                    flaky.create_tasks("exp", 0, [f"p{i}"])
                     outcomes.append("ok")
                 except ConnectionError as exc:
                     outcomes.append("before" if "before" in str(exc) else "after")

@@ -235,7 +235,7 @@ def test_pop_in_any_order_parity(path):
         )
         store.pop_out(0, 4, worker_pool="p", now=0.0)
         for tid in ids:
-            store.report(tid, 0, f"r{tid}", now=1.0)
+            store.report_batch([(tid, 0, f"r{tid}")], now=1.0)
         probe = [ids[2], ids[0], ids[3], ids[1]]
         first = store.pop_in_any(probe, limit=2)
         assert first == [(ids[2], f"r{ids[2]}"), (ids[0], f"r{ids[0]}")]
