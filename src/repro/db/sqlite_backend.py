@@ -80,6 +80,31 @@ _DELETE_IN_SQL = (
 )
 
 
+def _to_db(text: str) -> str | bytes:
+    """``text`` as sqlite3 can bind it.
+
+    sqlite3 binds a ``str`` by strict UTF-8 encoding, which refuses a
+    lone surrogate — text that JSON and the wire carry fine.  Such text
+    is stored as its ``"utf-8", "surrogatepass"`` bytes (a BLOB, which a
+    TEXT column keeps as is) and :func:`_from_db` turns it back.  ASCII
+    text, the common case, is returned after one C-level scan.
+    """
+    if not isinstance(text, str) or text.isascii():
+        return text
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return text.encode("utf-8", "surrogatepass")
+    return text
+
+
+def _from_db(value: str | bytes | None) -> str | None:
+    """A payload or result column read back (see :func:`_to_db`)."""
+    if type(value) is bytes:
+        return value.decode("utf-8", "surrogatepass")
+    return value
+
+
 class SqliteTaskStore(TaskStore):
     """EMEWS DB on SQLite (file-backed or ``:memory:``).
 
@@ -295,7 +320,7 @@ class SqliteTaskStore(TaskStore):
             )
             cur.executemany(
                 "INSERT INTO eq_task_out (eq_task_id, json_out) VALUES (?, ?)",
-                zip(ids, payloads),
+                zip(ids, map(_to_db, payloads)),
             )
             cur.executemany(
                 "INSERT INTO eq_exp_id_tasks (exp_id, eq_task_id) VALUES (?, ?)",
@@ -391,7 +416,7 @@ class SqliteTaskStore(TaskStore):
                         extra=None if lease is None else {"lease": lease},
                     )
             # Preserve priority pop order, not id order.
-            return [(tid, by_id[tid]) for tid in ids]
+            return [(tid, _from_db(by_id[tid])) for tid in ids]
 
     def queue_out_length(self, eq_type: int | None = None) -> int:
         with self._read() as cur:
@@ -468,7 +493,7 @@ class SqliteTaskStore(TaskStore):
                 )
                 cur.executemany(
                     "INSERT INTO eq_task_in (eq_task_id, json_in) VALUES (?, ?)",
-                    [(tid, result) for tid, _, result in fresh],
+                    [(tid, _to_db(result)) for tid, _, result in fresh],
                 )
                 # If a task was requeued (lease expiry racing a slow
                 # pool's report), withdraw the queued copy — the output
@@ -552,7 +577,9 @@ class SqliteTaskStore(TaskStore):
                 cur.execute(_CLAIM_IN_SQL, (chosen,))
                 claimed = cur.fetchall()
                 cur.execute(_DELETE_IN_SQL, (chosen,))
-            return [(tid, res if res is not None else "") for tid, res in claimed]
+            return [
+                (tid, _from_db(res) if res is not None else "") for tid, res in claimed
+            ]
 
     def queue_in_length(self) -> int:
         with self._read() as cur:
@@ -585,8 +612,8 @@ class SqliteTaskStore(TaskStore):
             eq_task_type=row[1],
             eq_status=TaskStatus(row[2]),
             worker_pool=row[3],
-            json_out=row[4],
-            json_in=row[5],
+            json_out=_from_db(row[4]),
+            json_in=_from_db(row[5]),
             time_created=row[6],
             time_start=row[7],
             time_stop=row[8],
@@ -864,7 +891,7 @@ class SqliteTaskStore(TaskStore):
             )
             self._cache_hits += 1
             self._m_cache_hit.inc()
-            return row[0]
+            return _from_db(row[0])
 
     def cache_put(
         self,
@@ -883,7 +910,7 @@ class SqliteTaskStore(TaskStore):
                 "INSERT OR REPLACE INTO eq_task_cache"
                 " (cache_key, eq_task_type, result, time_created, expiry,"
                 " last_used) VALUES (?, ?, ?, ?, ?, ?)",
-                (cache_key, eq_type, result, now, expiry, self._cache_use),
+                (cache_key, eq_type, _to_db(result), now, expiry, self._cache_use),
             )
             self._cache_inserts += 1
             self._m_cache_insert.inc()

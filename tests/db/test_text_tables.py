@@ -4,7 +4,8 @@ Task payloads (``json_out``) and results (``json_in``) live in
 ``eq_task_out`` / ``eq_task_in`` beside ``eq_tasks``, each written once.
 Pinned here: files in the old layout (text inside ``eq_tasks``) reopen
 with every row, result, queue and priority intact; ``clear()`` empties
-the side tables; and the point of the split — a state change no longer
+the side tables; any text the wire carries, lone surrogates included,
+is stored and read back; and the point of the split — a state change no longer
 rewrites the payload — as a deterministic count of WAL frames per op.
 """
 
@@ -147,6 +148,61 @@ def test_clear_empties_the_text_tables(tmp_path):
         assert store.get_task(1).json_in is None
     finally:
         store.close()
+
+
+class TestLoneSurrogates:
+    """Text that survives JSON and the wire survives the store.
+
+    sqlite3 binds ``str`` by strict UTF-8 encoding, which refuses a lone
+    surrogate; the memory store keeps such text and the protocol codec
+    round-trips it (``"surrogatepass"``), so the durable store must too.
+    """
+
+    PAYLOAD = "a\ud800b"
+    RESULT = "r\udfffx" + BIG  # large and non-ASCII: an attachment on the wire
+
+    def test_file_store_round_trips_every_read_path(self, tmp_path):
+        store = SqliteTaskStore(str(tmp_path / "emews.db"))
+        try:
+            ids = store.create_tasks("e", 0, [self.PAYLOAD, "plain é"])
+            assert store.get_task(ids[0]).json_out == self.PAYLOAD
+            assert store.pop_out(0, 2) == [(ids[0], self.PAYLOAD), (ids[1], "plain é")]
+            store.report_batch([(ids[0], 0, self.RESULT), (ids[1], 0, "ok")])
+            row = store.get_task(ids[0])
+            assert (row.json_out, row.json_in) == (self.PAYLOAD, self.RESULT)
+            assert store.pop_in_any(ids) == [(ids[0], self.RESULT), (ids[1], "ok")]
+            store.cache_put("k", 0, self.RESULT)
+            assert store.cache_get("k") == self.RESULT
+        finally:
+            store.close()
+
+    def test_valid_text_is_stored_as_text(self, tmp_path):
+        store = SqliteTaskStore(str(tmp_path / "emews.db"))
+        try:
+            store.create_tasks("e", 0, ["ascii", "résumé 😀", self.PAYLOAD])
+            kinds = store._conn.execute(
+                "SELECT typeof(json_out) FROM eq_task_out ORDER BY eq_task_id"
+            ).fetchall()
+            assert kinds == [("text",), ("text",), ("blob",)]
+        finally:
+            store.close()
+
+    def test_live_service_over_sqlite(self, tmp_path):
+        from repro.core import RemoteTaskStore, TaskService
+
+        backing = SqliteTaskStore(str(tmp_path / "emews.db"))
+        service = TaskService(backing).start()
+        remote = RemoteTaskStore(*service.address)
+        try:
+            ids = remote.create_tasks("e", 0, [self.PAYLOAD])
+            assert remote.pop_out(0, 1) == [(ids[0], self.PAYLOAD)]
+            remote.report_batch([(ids[0], 0, self.RESULT)])
+            assert remote.get_task(ids[0]).json_in == self.RESULT
+            assert remote.pop_in_any(ids) == [(ids[0], self.RESULT)]
+        finally:
+            remote.close()
+            service.stop()
+            backing.close()
 
 
 class TestWriteAmplification:
