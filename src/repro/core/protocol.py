@@ -19,10 +19,18 @@ string is ever interpreted, so nothing can collide with a marker.
 Attachment text is encoded ``"utf-8", "surrogatepass"``, so every string
 that survives a JSON round trip (NUL, newlines, non-BMP characters, lone
 surrogates) survives this one.  Nobody JSON-escapes, parses or scans a
-large string: the sender copies its bytes once, the receiver reads
-exactly ``sum(nbytes)`` bytes after the header and decodes each slice
-once.  A message without such a string has no ``att`` key, and its
-frame is exactly the compact ``json.dumps`` line plus ``"\\n"``.
+large string.  A message without such a string has no ``att`` key, and
+its frame is exactly the compact ``json.dumps`` line plus ``"\\n"``.
+
+Frames stream: no process holds one whole.  The writer
+(:func:`frame_chunks`, :func:`write_frame`) sizes every attachment first
+— ``len`` for ASCII text, else a measuring encode — sends the header
+line, then encodes and sends the bodies in chunks of at most
+:data:`SEND_BYTES`.  The readers (:func:`read_frame` on a stream,
+:class:`FrameDecoder` on fed bytes) check the declared frame size from
+the header before reading a body byte, then decode each attachment as
+soon as its bytes are in and drop them.  So per connection a frame costs
+its decoded strings plus about one chunk, however large it is.
 
 The method set maps one-to-one onto :class:`repro.db.TaskStore`, so a
 remote client is just another store implementation — the paper's remote
@@ -33,6 +41,7 @@ transport detail beneath the unchanged EQSQL API.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator
 from typing import Any, BinaryIO
 
 from repro.db.schema import TaskRow, TaskStatus
@@ -65,6 +74,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: frame (ids, priorities, small payloads) stays under it, so its bytes
 #: are unchanged from version 1.
 ATTACH_MIN = 4096
+
+#: Most attachment bytes a writer encodes ahead of one send.  A frame is
+#: built and sent in chunks of this size, not whole, so the sender's
+#: transient copies stay this small however large the frame (compare
+#: ``pool.FLUSH_BYTES``, the result text one flush carries).
+SEND_BYTES = 1 << 20
 
 #: The header key listing a frame's attachments.
 _ATT = "att"
@@ -173,9 +188,36 @@ def _path(parent: Any, key: Any) -> list[Any]:
     return steps
 
 
-def encode_message(message: dict[str, Any]) -> bytes:
-    """Serialize one message to its whole wire frame: the header line
-    (newline included) followed by its attachments."""
+def _pieces(text: str) -> Iterator[bytes]:
+    """``text`` encoded in consecutive pieces of at most
+    :data:`SEND_BYTES`; their concatenation is its whole encoding.
+
+    A ``str`` slice never splits a character, and ``surrogatepass``
+    encodes each surrogate on its own, so slicing first changes no byte.
+    """
+    step = SEND_BYTES if text.isascii() else SEND_BYTES // 4
+    for start in range(0, len(text), step):
+        yield text[start : start + step].encode("utf-8", "surrogatepass")
+
+
+def _utf8_len(text: str) -> int:
+    """The encoded size of ``text``: ``len`` for ASCII (no encode),
+    else a measuring encode whose bytes are dropped piece by piece."""
+    if text.isascii():
+        return len(text)
+    return sum(map(len, _pieces(text)))
+
+
+def frame_chunks(message: dict[str, Any]) -> Iterator[bytes]:
+    """Yield one message's wire frame as consecutive chunks.
+
+    The header line (newline included) leads the first chunk; the
+    attachments follow, each encoded only when its chunk is built, in
+    chunks of at most :data:`SEND_BYTES` (a header or a piece of a
+    larger attachment may fill one alone).  A frame without
+    attachments is one chunk.  Every encoding error is raised before
+    the first chunk is yielded, so a sender that fails sends nothing.
+    """
     if _ATT in message:
         raise SerializationError(f"{_ATT!r} is a reserved frame key")
     # json.dumps (ensure_ascii) never emits a raw newline, so the header
@@ -183,26 +225,46 @@ def encode_message(message: dict[str, Any]) -> bytes:
     found: list[tuple[Any, Any, str]] = []
     header = _lift(message, None, found)
     if not found:
-        return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
-    bodies = [text.encode("utf-8", "surrogatepass") for _, _, text in found]
+        yield json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+        return
+    sizes = [_utf8_len(text) for _, _, text in found]
     header[_ATT] = [
-        [_path(parent, key), len(body)]
-        for (parent, key, _), body in zip(found, bodies)
+        [_path(parent, key), nbytes] for (parent, key, _), nbytes in zip(found, sizes)
     ]
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return b"".join([head, b"\n", *bodies])
+    group = [json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n"]
+    held = len(group[0]) + 1
+    for (_, _, text), nbytes in zip(found, sizes):
+        if group and held + nbytes > SEND_BYTES:
+            yield b"".join(group)
+            group, held = [], 0
+        if nbytes > SEND_BYTES:
+            yield from _pieces(text)
+        else:
+            group.append(text.encode("utf-8", "surrogatepass"))
+            held += nbytes
+    if group:
+        yield b"".join(group)
 
 
-def write_message(stream: BinaryIO, message: dict[str, Any]) -> int:
-    """Write one message's frame and flush.
+def encode_message(message: dict[str, Any]) -> bytes:
+    """Serialize one message to its whole wire frame: the header line
+    (newline included) followed by its attachments."""
+    return b"".join(frame_chunks(message))
+
+
+def write_frame(send: Callable[[bytes], Any], message: dict[str, Any]) -> int:
+    """Send one message's frame through ``send`` (a socket's
+    ``sendall``), chunk by chunk as :func:`frame_chunks` builds it.
 
     Returns the frame size in bytes (header and attachments) so callers
     can keep wire-traffic counters without re-serializing.
     """
-    frame = encode_message(message)
-    stream.write(frame)
-    stream.flush()
-    return len(frame)
+    total = 0
+    for chunk in frame_chunks(message):
+        send(chunk)
+        total += len(chunk)
+        del chunk  # sent: not held while the next chunk is built
+    return total
 
 
 #: One attachment slot of a parsed header: (container, key, nbytes).
@@ -261,26 +323,20 @@ def parse_header(line: bytes | bytearray) -> tuple[dict[str, Any], list[Slot], i
     return message, slots, size
 
 
-def fill_attachments(slots: list[Slot], body: Any) -> None:
-    """Decode ``body`` (exactly the frame's attachment bytes, any
-    buffer) into the slots :func:`parse_header` returned."""
-    offset = 0
-    with memoryview(body) as view:
-        for node, key, nbytes in slots:
-            end = offset + nbytes
-            try:
-                node[key] = str(view[offset:end], "utf-8", "surrogatepass")
-            except UnicodeDecodeError as exc:
-                raise SerializationError(f"malformed attachment: {exc}") from exc
-            offset = end
+def _decode(body: Any) -> str:
+    """One attachment's text from exactly its bytes (any buffer)."""
+    try:
+        return str(body, "utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"malformed attachment: {exc}") from exc
 
 
 def parse_frame(frame: bytes) -> dict[str, Any]:
     """Decode one whole frame: header line plus attachments.
 
-    The stream reader and the service's byte-buffer loop run the same
-    two steps (:func:`parse_header`, :func:`fill_attachments`), so
-    framing errors are classified identically everywhere.
+    Every reader runs the same two steps (:func:`parse_header`, then one
+    decode per slot), so framing errors are classified identically
+    everywhere.
     """
     newline = frame.find(b"\n")
     head = len(frame) if newline < 0 else newline + 1
@@ -290,9 +346,88 @@ def parse_frame(frame: bytes) -> dict[str, Any]:
             f"frame carries {len(frame) - head} attachment bytes,"
             f" header declares {size}"
         )
-    if slots:
-        fill_attachments(slots, memoryview(frame)[head:])
+    with memoryview(frame) as view:
+        for node, key, nbytes in slots:
+            node[key] = _decode(view[head : head + nbytes])
+            head += nbytes
     return message
+
+
+class FrameDecoder:
+    """Frames out of a byte stream fed in arbitrary pieces (a socket's
+    ``recv`` chunks).
+
+    :meth:`feed` returns every frame the new bytes complete.  The header
+    newline is searched for only in bytes not searched before; once the
+    header is parsed the whole frame size is known and checked against
+    :data:`MAX_FRAME_BYTES` before another byte is taken, and each
+    attachment is decoded as soon as its last byte is in, then its bytes
+    are dropped.  So the buffer holds at most a header line or one
+    attachment, plus the chunk just fed — never a whole frame.  A
+    framing error raises :class:`SerializationError`; the stream is then
+    unusable.
+    """
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._scanned = 0  # bytes of the pending header searched for "\n"
+        # The frame in progress once its header is parsed: the message,
+        # its unfilled slots (last first) and its wire size.
+        self._message: dict[str, Any] | None = None
+        self._slots: list[Slot] = []
+        self._size = 0
+
+    def feed(self, data: bytes) -> list[tuple[dict[str, Any], int]]:
+        """Take ``data``; return the ``(message, wire size)`` of every
+        frame it completes, in stream order."""
+        buf = self._buf
+        buf += data
+        frames: list[tuple[dict[str, Any], int]] = []
+        pos = 0  # start of the bytes not yet consumed
+        while True:
+            if self._message is None:
+                newline = buf.find(b"\n", pos + self._scanned)
+                if newline < 0:
+                    self._scanned = len(buf) - pos
+                    # The header alone will be at least this long.
+                    check_frame_size(self._scanned + 1, MAX_FRAME_BYTES)
+                    break
+                line = buf[pos : newline + 1]
+                self._message, slots, size = parse_header(line)
+                self._size = len(line) + size
+                check_frame_size(self._size, MAX_FRAME_BYTES)
+                slots.reverse()
+                self._slots, self._scanned = slots, 0
+                pos = newline + 1
+            slots = self._slots
+            while slots and len(buf) - pos >= slots[-1][2]:
+                node, key, nbytes = slots.pop()
+                with memoryview(buf) as view:
+                    node[key] = _decode(view[pos : pos + nbytes])
+                pos += nbytes
+            if slots:
+                break
+            frames.append((self._message, self._size))
+            self._message = None
+        del buf[:pos]
+        return frames
+
+
+def _read_exact(stream: BinaryIO, nbytes: int) -> bytes | bytearray:
+    """Exactly ``nbytes`` from ``stream``, across short reads; EOF
+    first raises :class:`SerializationError`."""
+    data = stream.read(nbytes)
+    if len(data) == nbytes:
+        return data
+    buf = bytearray(data)
+    while len(buf) < nbytes:
+        more = stream.read(nbytes - len(buf))
+        if not more:
+            raise SerializationError(
+                f"truncated protocol frame ({len(buf)} of {nbytes} attachment bytes)"
+            )
+        buf += more
+    return buf
 
 
 def read_frame(
@@ -300,11 +435,12 @@ def read_frame(
 ) -> tuple[dict[str, Any] | None, int]:
     """Read one message plus its wire size; ``(None, 0)`` on clean EOF.
 
-    Reads the header line, then exactly the attachment bytes it
-    declares.  ``max_frame`` bounds the whole frame: an overlong header
-    line, or a header declaring more bytes than fit, raises
-    :class:`SerializationError` before anything further is read, as
-    does EOF inside a frame.
+    Reads the header line, then each attachment it declares in turn,
+    decoding one before reading the next, so no more than one
+    attachment's bytes are held.  ``max_frame`` bounds the whole frame:
+    an overlong header line, or a header declaring more bytes than fit,
+    raises :class:`SerializationError` before anything further is read,
+    as does EOF inside a frame.
     """
     line = stream.readline(max_frame + 1)
     if not line:
@@ -315,13 +451,8 @@ def read_frame(
     message, slots, size = parse_header(line)
     total = len(line) + size
     check_frame_size(total, max_frame)
-    if slots:
-        body = stream.read(size)
-        if len(body) != size:
-            raise SerializationError(
-                f"truncated protocol frame ({len(body)} of {size} attachment bytes)"
-            )
-        fill_attachments(slots, body)
+    for node, key, nbytes in slots:
+        node[key] = _decode(_read_exact(stream, nbytes))
     return message, total
 
 

@@ -38,25 +38,19 @@ _log = get_logger(__name__)
 _RECV_CHUNK = 256 * 1024
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
     """One connected client; dispatches requests to the store.
 
-    The loop reads raw ``recv`` chunks into one buffer rather than
-    calling :func:`repro.core.protocol.read_frame` on ``rfile``: on the
-    32 MB ``create_tasks`` frames of a 500 x 64 KiB sweep, a
-    ``read_frame`` loop measured about +60 MB of service peak RSS.  It
-    is also batch-per-recv: every complete frame already buffered is
-    dispatched before any response is sent, and their responses go out
-    in a single ``sendall``, so a peer that sends frames back to back
-    is still served.  A lockstep client sees one frame per recv.
-
-    A frame is parsed in two steps (see :mod:`repro.core.protocol`).
-    The header newline is searched for only in bytes not searched
-    before; once the header is parsed, the whole frame size is known
-    and checked against ``MAX_FRAME_BYTES`` before another byte is
-    read, and the attachments are decoded straight out of the buffer
-    when the last of them arrives — never scanned, never parsed.  Any
-    framing error drops the connection.
+    The loop is recv → feed → dispatch → write.  Raw ``recv`` chunks go
+    into a :class:`repro.core.protocol.FrameDecoder`, which checks each
+    header's declared size against ``MAX_FRAME_BYTES`` before taking
+    another byte and decodes every attachment as soon as its bytes are
+    in; each frame it completes is dispatched and its response streamed
+    back with :func:`repro.core.protocol.write_frame`, in order, so a
+    peer that sends frames back to back is still served.  The service
+    never holds a whole request or response frame, and drops each
+    request before it waits for the next.  Any framing error drops the
+    connection.
     """
 
     def handle(self) -> None:
@@ -73,47 +67,21 @@ class _Handler(socketserver.StreamRequestHandler):
             service.g_connections.dec()
 
     def _serve(self, service: "TaskService") -> None:
-        conn = self.connection
-        buf = bytearray()
-        out = bytearray()
-        scanned = 0  # bytes of buf already searched for the header newline
-        header: tuple[dict[str, Any], list[protocol.Slot], int] | None = None
-        head = end = 0  # header length and frame length, once parsed
-        while True:
-            while True:  # dispatch every complete frame in buf
-                if header is None:
-                    newline = buf.find(b"\n", scanned)
-                    if newline < 0:
-                        scanned = len(buf)
-                        # The header alone will be at least this long.
-                        protocol.check_frame_size(scanned + 1)
-                        break
-                    head = newline + 1
-                    header = protocol.parse_header(buf[:head])
-                    end = head + header[2]
-                    protocol.check_frame_size(end)
-                if len(buf) < end:
-                    break
-                message, slots, _ = header
-                if slots:
-                    with memoryview(buf) as view:
-                        protocol.fill_attachments(slots, view[head:end])
-                del buf[:end]
-                header, scanned = None, 0
-                service.m_bytes_received.inc(end)
+        conn = self.request
+        decoder = protocol.FrameDecoder()
+        while chunk := conn.recv(_RECV_CHUNK):  # b"": clean EOF
+            for message, nbytes in decoder.feed(chunk):
+                service.m_bytes_received.inc(nbytes)
                 response = self._dispatch(service, message)
+                # Unbound before the next recv blocks: a request's
+                # payloads must not live on until the next frame.
+                del message
                 try:
-                    out += protocol.encode_message(response)
+                    sent = protocol.write_frame(conn.sendall, response)
                 except ValueError:
                     return
-            if out:
-                conn.sendall(out)
-                service.m_bytes_sent.inc(len(out))
-                out = bytearray()
-            chunk = conn.recv(_RECV_CHUNK)
-            if not chunk:
-                return  # clean EOF
-            buf += chunk
+                del response
+                service.m_bytes_sent.inc(sent)
 
     def _dispatch(
         self, service: "TaskService", message: dict[str, Any]

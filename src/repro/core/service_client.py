@@ -112,15 +112,14 @@ class _Conn:
     """One handshaken connection: the shared lockstep channel, or a wait
     channel checked out of the pool for one long-poll's exclusive use."""
 
-    __slots__ = ("sock", "rfile", "wfile")
+    __slots__ = ("sock", "rfile")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.rfile = sock.makefile("rb")
-        self.wfile = sock.makefile("wb")
 
     def close(self) -> None:
-        for f in (self.rfile, self.wfile, self.sock):
+        for f in (self.rfile, self.sock):
             try:
                 f.close()
             except OSError:
@@ -249,11 +248,11 @@ class RemoteTaskStore(TaskStore):
             if span is not None:
                 tracer = self.tracer
                 with tracer.span("rpc.send", component="service_client"):
-                    protocol.write_message(conn.wfile, request)
+                    protocol.write_frame(conn.sock.sendall, request)
                 with tracer.span("rpc.recv", component="service_client"):
                     response = protocol.read_message(conn.rfile)
             else:
-                protocol.write_message(conn.wfile, request)
+                protocol.write_frame(conn.sock.sendall, request)
                 response = protocol.read_message(conn.rfile)
             if response is None:
                 raise ConnectionError("service closed the connection")

@@ -71,10 +71,11 @@ _log = get_logger(__name__)
 #: Most result text (summed ``len``) one flush carries; it always takes
 #: one result, so a larger one goes alone, as it always did.  The count
 #: needs no bound (``pending <= owned <= batch_size``) but the bytes do:
-#: big results would build a frame, and transient copies of it in pool
-#: and service, that grow with ``batch_size`` — and that the service
-#: refuses whole past ``MAX_FRAME_BYTES`` (64 MiB).  1 MiB stays under
-#: that even at JSON's worst escape expansion (12 bytes per character).
+#: big results would build a frame that grows with ``batch_size``, and
+#: the service refuses a frame whole past ``MAX_FRAME_BYTES`` (64 MiB).
+#: Frames stream (``protocol.SEND_BYTES`` at a time), so the bound is no
+#: longer about transient copies.  1 MiB stays under the frame cap even
+#: at JSON's worst escape expansion (12 bytes per character).
 FLUSH_BYTES = 1 << 20
 
 

@@ -8,6 +8,12 @@ back, the stream reader consumes exactly one frame, no string of
 message without such a string keeps today's plain-JSON bytes.  The
 reference is Python's own JSON round trip: every message that survives
 ``json.loads(json.dumps(m))`` must survive this codec unchanged.
+
+The codec streams, so the same properties are checked at any chunk
+boundary: the writer's chunks (under a drawn chunk size) concatenate to
+the one frame, the byte-fed decoder rebuilds the message from any split
+of it (inside the header line and inside a multi-byte character
+included), and the stream reader survives short reads.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import copy
 import io
 import json
+import re
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -85,9 +93,49 @@ def _strings_in(node: object):
             yield from _strings_in(value)
 
 
+class _ShortReads(io.BytesIO):
+    """A stream whose ``read`` returns at most ``step`` bytes, as a
+    socket's may."""
+
+    def __init__(self, data: bytes, step: int) -> None:
+        super().__init__(data)
+        self.step = step
+
+    def read(self, size: int | None = -1) -> bytes:
+        if size is None or size < 0:
+            size = self.step
+        return super().read(min(size, self.step))
+
+
+#: The first byte of a multi-byte UTF-8 sequence.
+_UTF8_LEAD = re.compile(rb"[\xc0-\xff]")
+
+
+def _splits(frame: bytes, sizes: list[int]) -> list[bytes]:
+    """``frame`` cut into pieces of the drawn ``sizes`` (cycled), with
+    extra cuts inside the header line and inside the first multi-byte
+    character after it."""
+    head = frame.index(b"\n") + 1
+    cuts = {head // 2, head}
+    lead = _UTF8_LEAD.search(frame, head)
+    if lead is not None:
+        cuts.add(lead.start() + 1)
+    at, turn = 0, 0
+    while at < len(frame):
+        at += sizes[turn % len(sizes)]
+        turn += 1
+        cuts.add(at)
+    bounds = [0, *sorted(c for c in cuts if 0 < c < len(frame)), len(frame)]
+    return [frame[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @settings(max_examples=150, deadline=None)
-@given(_any_messages)
-def test_round_trip_is_exact(message):
+@given(
+    _any_messages,
+    st.lists(st.integers(1, 3 * protocol.ATTACH_MIN), min_size=1, max_size=6),
+    st.integers(8, 3 * protocol.ATTACH_MIN),
+)
+def test_round_trip_is_exact(message, sizes, send_bytes):
     assume(_survives_json(message))
     before = copy.deepcopy(message)
     frame = protocol.encode_message(message)
@@ -95,6 +143,21 @@ def test_round_trip_is_exact(message):
     assert protocol.parse_frame(frame) == message
     decoded, size = protocol.read_frame(io.BytesIO(frame + frame))
     assert decoded == message and size == len(frame)
+    # Streamed under a drawn chunk size, attachments are cut into
+    # pieces; the bytes on the wire do not change.
+    chunks: list[bytes] = []
+    with mock.patch.object(protocol, "SEND_BYTES", send_bytes):
+        assert protocol.write_frame(chunks.append, message) == len(frame)
+    assert b"".join(chunks) == frame
+    assert all(len(chunk) <= send_bytes for chunk in chunks[1:])
+    # Fed in any split, two frames back to back come out whole, in order.
+    decoder = protocol.FrameDecoder()
+    fed = [got for piece in _splits(frame + frame, sizes) for got in decoder.feed(piece)]
+    assert fed == [(message, len(frame))] * 2
+    short = _ShortReads(frame + frame, sizes[0])
+    assert protocol.read_frame(short) == (message, len(frame))
+    assert protocol.read_frame(short) == (message, len(frame))
+    assert protocol.read_frame(short) == (None, 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,12 +6,14 @@ paper's ME algorithm uses through its SSH tunnel to the remote service.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.core import EQSQL, ResultStatus, TaskService, RemoteTaskStore, as_completed
+from repro.core import protocol
 from repro.core.protocol import task_row_from_dict, task_row_to_dict
 from repro.db import MemoryTaskStore
 from repro.db.schema import TaskRow, TaskStatus
@@ -263,3 +265,35 @@ class TestProtocol:
 
     def test_ping(self, remote):
         assert remote._call("ping", {})["version"] == 2
+
+    def test_traffic_counters_count_whole_frames(self):
+        # Frames stream in and out in pieces; the byte counters still
+        # add up whole frames, attachments included.
+        big = "é" * 70_000  # an attachment of several send chunks' worth
+        requests = [
+            protocol.encode_message({
+                "id": 1, "method": "create_tasks",
+                "params": {"exp_id": "e", "eq_type": 0, "payloads": [big, big]},
+            }),
+            protocol.encode_message(
+                {"id": 2, "method": "pop_out", "params": {"eq_type": 0, "n": 2}}
+            ),
+        ]
+        backing = MemoryTaskStore()
+        service = TaskService(backing, metrics=MetricsRegistry()).start()
+        try:
+            with socket.create_connection(service.address, timeout=5) as sock:
+                sock.sendall(b"".join(requests))
+                rfile = sock.makefile("rb")
+                answers = [protocol.read_frame(rfile) for _ in requests]
+                rfile.close()
+            # A response is counted once sent: wait for the handler to end.
+            deadline = time.monotonic() + 5
+            while service.g_connections.value and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert answers[1][0]["result"] == [[1, big], [2, big]]
+            assert service.m_bytes_received.value == sum(map(len, requests))
+            assert service.m_bytes_sent.value == sum(size for _, size in answers)
+        finally:
+            service.stop()
+            backing.close()

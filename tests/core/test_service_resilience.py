@@ -264,7 +264,6 @@ class _MisbehavingServer:
 
     def _handle(self, conn):
         rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
         try:
             first = True
             while True:
@@ -275,13 +274,13 @@ class _MisbehavingServer:
                     answer_id = request["id"]
                     if self._handshake_id is not None:
                         answer_id = self._handshake_id
-                    protocol.write_message(wfile, {
+                    protocol.write_frame(conn.sendall, {
                         "id": answer_id, "ok": True,
                         "result": {"version": protocol.PROTOCOL_VERSION},
                     })
                     first = False
                 else:
-                    protocol.write_message(wfile, {
+                    protocol.write_frame(conn.sendall, {
                         "id": request["id"] + 1000, "ok": True, "result": None,
                     })
         except (OSError, ValueError):

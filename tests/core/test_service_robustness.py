@@ -12,7 +12,7 @@ import socket
 import pytest
 
 from repro.core import EQSQL, RemoteTaskStore, TaskService
-from repro.core.protocol import read_message, write_message
+from repro.core.protocol import read_message, write_frame
 from repro.db import MemoryTaskStore
 
 
@@ -53,7 +53,7 @@ class TestMalformedTraffic:
 
     def test_unknown_method_clean_error(self, service):
         sock, rfile, wfile = raw_connection(service)
-        write_message(wfile, {"id": 1, "method": "drop_all_tables", "params": {}})
+        write_frame(sock.sendall, {"id": 1, "method": "drop_all_tables", "params": {}})
         response = read_message(rfile)
         assert response is not None
         assert response["ok"] is False
@@ -62,22 +62,22 @@ class TestMalformedTraffic:
 
     def test_missing_method_clean_error(self, service):
         sock, rfile, wfile = raw_connection(service)
-        write_message(wfile, {"id": 2, "params": {}})
+        write_frame(sock.sendall, {"id": 2, "params": {}})
         response = read_message(rfile)
         assert response["ok"] is False
         sock.close()
 
     def test_bad_params_type(self, service):
         sock, rfile, wfile = raw_connection(service)
-        write_message(wfile, {"id": 3, "method": "pop_in_any", "params": [[1]]})
+        write_frame(sock.sendall, {"id": 3, "method": "pop_in_any", "params": [[1]]})
         response = read_message(rfile)
         assert response["ok"] is False
         sock.close()
 
     def test_wrong_param_names_reported(self, service):
         sock, rfile, wfile = raw_connection(service)
-        write_message(
-            wfile, {"id": 4, "method": "pop_in_any", "params": {"wrong": 1}}
+        write_frame(
+            sock.sendall, {"id": 4, "method": "pop_in_any", "params": {"wrong": 1}}
         )
         response = read_message(rfile)
         assert response["ok"] is False
