@@ -26,11 +26,11 @@ Frames stream: no process holds one whole.  The writer
 (:func:`frame_chunks`, :func:`write_frame`) sizes every attachment first
 — ``len`` for ASCII text, else a measuring encode — sends the header
 line, then encodes and sends the bodies in chunks of at most
-:data:`SEND_BYTES`.  The readers (:func:`read_frame` on a stream,
-:class:`FrameDecoder` on fed bytes) check the declared frame size from
-the header before reading a body byte, then decode each attachment as
-soon as its bytes are in and drop them.  So per connection a frame costs
-its decoded strings plus about one chunk, however large it is.
+:data:`SEND_BYTES`.  The one reader, :func:`read_frame` (client and
+service alike), checks the declared frame size from the header before
+reading a body byte, then reads and decodes one attachment at a time.
+So per connection a frame costs its decoded strings plus about one
+chunk, however large it is.
 
 The method set maps one-to-one onto :class:`repro.db.TaskStore`, so a
 remote client is just another store implementation — the paper's remote
@@ -353,83 +353,6 @@ def parse_frame(frame: bytes) -> dict[str, Any]:
     return message
 
 
-class FrameDecoder:
-    """Frames out of a byte stream fed in arbitrary pieces (a socket's
-    ``recv`` chunks).
-
-    :meth:`feed` returns every frame the new bytes complete.  The header
-    newline is searched for only in bytes not searched before; once the
-    header is parsed the whole frame size is known and checked against
-    :data:`MAX_FRAME_BYTES` before another byte is taken, and each
-    attachment is decoded as soon as its last byte is in, then its bytes
-    are dropped.  So the buffer holds at most a header line or one
-    attachment, plus the chunk just fed — never a whole frame.  A
-    framing error raises :class:`SerializationError`; the stream is then
-    unusable.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._scanned = 0  # bytes of the pending header searched for "\n"
-        # The frame in progress once its header is parsed: the message,
-        # its unfilled slots (last first) and its wire size.
-        self._message: dict[str, Any] | None = None
-        self._slots: list[Slot] = []
-        self._size = 0
-
-    def feed(self, data: bytes) -> list[tuple[dict[str, Any], int]]:
-        """Take ``data``; return the ``(message, wire size)`` of every
-        frame it completes, in stream order."""
-        buf = self._buf
-        buf += data
-        frames: list[tuple[dict[str, Any], int]] = []
-        pos = 0  # start of the bytes not yet consumed
-        while True:
-            if self._message is None:
-                newline = buf.find(b"\n", pos + self._scanned)
-                if newline < 0:
-                    self._scanned = len(buf) - pos
-                    # The header alone will be at least this long.
-                    check_frame_size(self._scanned + 1, MAX_FRAME_BYTES)
-                    break
-                line = buf[pos : newline + 1]
-                self._message, slots, size = parse_header(line)
-                self._size = len(line) + size
-                check_frame_size(self._size, MAX_FRAME_BYTES)
-                slots.reverse()
-                self._slots, self._scanned = slots, 0
-                pos = newline + 1
-            slots = self._slots
-            while slots and len(buf) - pos >= slots[-1][2]:
-                node, key, nbytes = slots.pop()
-                with memoryview(buf) as view:
-                    node[key] = _decode(view[pos : pos + nbytes])
-                pos += nbytes
-            if slots:
-                break
-            frames.append((self._message, self._size))
-            self._message = None
-        del buf[:pos]
-        return frames
-
-
-def _read_exact(stream: BinaryIO, nbytes: int) -> bytes | bytearray:
-    """Exactly ``nbytes`` from ``stream``, across short reads; EOF
-    first raises :class:`SerializationError`."""
-    data = stream.read(nbytes)
-    if len(data) == nbytes:
-        return data
-    buf = bytearray(data)
-    while len(buf) < nbytes:
-        more = stream.read(nbytes - len(buf))
-        if not more:
-            raise SerializationError(
-                f"truncated protocol frame ({len(buf)} of {nbytes} attachment bytes)"
-            )
-        buf += more
-    return buf
-
-
 def read_frame(
     stream: BinaryIO, max_frame: int = MAX_FRAME_BYTES
 ) -> tuple[dict[str, Any] | None, int]:
@@ -437,10 +360,14 @@ def read_frame(
 
     Reads the header line, then each attachment it declares in turn,
     decoding one before reading the next, so no more than one
-    attachment's bytes are held.  ``max_frame`` bounds the whole frame:
-    an overlong header line, or a header declaring more bytes than fit,
-    raises :class:`SerializationError` before anything further is read,
-    as does EOF inside a frame.
+    attachment's bytes are held.  ``stream`` is buffered (a socket's
+    ``makefile("rb")``), so a ``read`` comes back short only at EOF.
+    Frames a peer sends back to back are read one call each.
+
+    ``max_frame`` bounds the whole frame: an overlong header line, or a
+    header declaring more bytes than fit, raises
+    :class:`SerializationError` before anything further is read, as does
+    EOF inside a frame.
     """
     line = stream.readline(max_frame + 1)
     if not line:
@@ -452,7 +379,12 @@ def read_frame(
     total = len(line) + size
     check_frame_size(total, max_frame)
     for node, key, nbytes in slots:
-        node[key] = _decode(_read_exact(stream, nbytes))
+        body = stream.read(nbytes)
+        if len(body) != nbytes:
+            raise SerializationError(
+                f"truncated protocol frame ({len(body)} of {nbytes} attachment bytes)"
+            )
+        node[key] = _decode(body)
     return message, total
 
 

@@ -33,24 +33,18 @@ from repro.util.logging import get_logger, log_event
 
 _log = get_logger(__name__)
 
-#: Bytes per recv in the handler loop: a large frame arrives in few
-#: syscalls, and frames a peer sends back to back share one recv.
-_RECV_CHUNK = 256 * 1024
-
 
 class _Handler(socketserver.BaseRequestHandler):
     """One connected client; dispatches requests to the store.
 
-    The loop is recv → feed → dispatch → write.  Raw ``recv`` chunks go
-    into a :class:`repro.core.protocol.FrameDecoder`, which checks each
-    header's declared size against ``MAX_FRAME_BYTES`` before taking
-    another byte and decodes every attachment as soon as its bytes are
-    in; each frame it completes is dispatched and its response streamed
-    back with :func:`repro.core.protocol.write_frame`, in order, so a
-    peer that sends frames back to back is still served.  The service
-    never holds a whole request or response frame, and drops each
-    request before it waits for the next.  Any framing error drops the
-    connection.
+    The loop is read → dispatch → write, one frame at a time.
+    :func:`repro.core.protocol.read_frame` checks each header's declared
+    size against ``MAX_FRAME_BYTES`` before reading a body byte and
+    decodes the attachments one by one; each response is streamed back
+    with :func:`repro.core.protocol.write_frame`, so a peer that sends
+    frames back to back is answered in order.  The service never holds
+    a whole request or response frame, and drops each request before it
+    waits for the next.  Any framing error drops the connection.
     """
 
     def handle(self) -> None:
@@ -68,12 +62,14 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _serve(self, service: "TaskService") -> None:
         conn = self.request
-        decoder = protocol.FrameDecoder()
-        while chunk := conn.recv(_RECV_CHUNK):  # b"": clean EOF
-            for message, nbytes in decoder.feed(chunk):
+        with conn.makefile("rb") as rfile:
+            while True:
+                message, nbytes = protocol.read_frame(rfile)
+                if message is None:
+                    return  # clean EOF
                 service.m_bytes_received.inc(nbytes)
                 response = self._dispatch(service, message)
-                # Unbound before the next recv blocks: a request's
+                # Unbound before the next read blocks: a request's
                 # payloads must not live on until the next frame.
                 del message
                 try:

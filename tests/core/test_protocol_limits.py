@@ -4,7 +4,7 @@ The reader must bound per-frame memory (a peer streaming an endless
 line, or declaring endless attachments, would otherwise grow a buffer
 without limit), the attachment codec must be exact, and a malformed frame
 must drop the connection on either side and never leave it in use.
-Neither side holds a whole frame: the writer and both readers stay
+Neither side holds a whole frame: the writer and the reader stay
 within about one send chunk of the message's own strings.  The
 generated round-trip properties live in ``test_protocol_properties.py``.
 """
@@ -219,7 +219,7 @@ def _traced_peak(fn) -> tuple[float, object]:
 
 class TestStreamingMemory:
     """64 attachments of 64 KiB (a 4 MiB frame): the writer holds one
-    send chunk of it at a time, and the readers one attachment."""
+    send chunk of it at a time, and the reader one attachment."""
 
     TEXTS = [chr(ord("a") + i % 26) * 65536 for i in range(64)]
     MESSAGE = {"id": 1, "method": "create_tasks", "params": {"payloads": TEXTS}}
@@ -238,56 +238,12 @@ class TestStreamingMemory:
         whole, _ = _traced_peak(lambda: protocol.encode_message(self.MESSAGE))
         assert whole > 7.5
 
-    def test_decoder_holds_one_attachment_not_the_frame(self):
-        frame = protocol.encode_message(self.MESSAGE)
-
-        def decode():
-            decoder = protocol.FrameDecoder()
-            step = 256 * 1024  # the service's recv size
-            return [
-                got
-                for at in range(0, len(frame), step)
-                for got in decoder.feed(frame[at : at + step])
-            ]
-
-        peak, frames = _traced_peak(decode)
-        assert frames == [(self.MESSAGE, len(frame))]
-        assert peak < self.STRINGS + 1.5
-
     def test_stream_reader_holds_one_attachment_not_the_frame(self):
         frame = protocol.encode_message(self.MESSAGE)
         stream = io.BufferedReader(io.BytesIO(frame))
         peak, (message, size) = _traced_peak(lambda: protocol.read_frame(stream))
         assert message == self.MESSAGE and size == len(frame)
         assert peak < self.STRINGS + 1.5
-
-
-class TestFrameDecoder:
-    @pytest.mark.parametrize("name", sorted(HOSTILE_HEADERS))
-    def test_malformed_attachment_list_is_refused(self, name):
-        with pytest.raises(SerializationError):
-            protocol.FrameDecoder().feed(_frame(HOSTILE_HEADERS[name], b"abc"))
-
-    def test_oversize_declared_total_is_refused_from_the_header(self):
-        header = {"id": 1, "r": None, "att": [[["r"], protocol.MAX_FRAME_BYTES]]}
-        with pytest.raises(SerializationError, match="max frame size"):
-            protocol.FrameDecoder().feed(_frame(header))
-
-    def test_endless_header_is_refused_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 50)
-        decoder = protocol.FrameDecoder()
-        decoder.feed(b"x" * 40)
-        with pytest.raises(SerializationError, match="max frame size"):
-            decoder.feed(b"x" * 40)
-
-    def test_partial_frames_wait_for_their_bytes(self):
-        frame = protocol.encode_message({"id": 1, "r": BIG, "s": BIG})
-        decoder = protocol.FrameDecoder()
-        assert decoder.feed(frame[:-1]) == []
-        assert decoder.feed(frame[-1:] + frame[:5]) == [
-            ({"id": 1, "r": BIG, "s": BIG}, len(frame))
-        ]
-        assert decoder.feed(frame[5:]) == [({"id": 1, "r": BIG, "s": BIG}, len(frame))]
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ reference is Python's own JSON round trip: every message that survives
 
 The codec streams, so the same properties are checked at any chunk
 boundary: the writer's chunks (under a drawn chunk size) concatenate to
-the one frame, the byte-fed decoder rebuilds the message from any split
-of it (inside the header line and inside a multi-byte character
-included), and the stream reader survives short reads.
+the one frame, and the stream reader rebuilds the message from a socket
+that hands it out in any split (inside the header line and inside a
+multi-byte character included).
 """
 
 from __future__ import annotations
@@ -93,18 +93,25 @@ def _strings_in(node: object):
             yield from _strings_in(value)
 
 
-class _ShortReads(io.BytesIO):
-    """A stream whose ``read`` returns at most ``step`` bytes, as a
-    socket's may."""
+class _Pieces(io.RawIOBase):
+    """A raw stream that hands out ``pieces`` one ``recv`` at a time, as
+    a socket hands out what has arrived (a read may stop short)."""
 
-    def __init__(self, data: bytes, step: int) -> None:
-        super().__init__(data)
-        self.step = step
+    def __init__(self, pieces: list[bytes]) -> None:
+        self._pieces = pieces[::-1]
 
-    def read(self, size: int | None = -1) -> bytes:
-        if size is None or size < 0:
-            size = self.step
-        return super().read(min(size, self.step))
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if not self._pieces:
+            return 0
+        piece = self._pieces.pop()
+        n = min(len(buffer), len(piece))
+        buffer[:n] = piece[:n]
+        if n < len(piece):
+            self._pieces.append(piece[n:])
+        return n
 
 
 #: The first byte of a multi-byte UTF-8 sequence.
@@ -150,14 +157,12 @@ def test_round_trip_is_exact(message, sizes, send_bytes):
         assert protocol.write_frame(chunks.append, message) == len(frame)
     assert b"".join(chunks) == frame
     assert all(len(chunk) <= send_bytes for chunk in chunks[1:])
-    # Fed in any split, two frames back to back come out whole, in order.
-    decoder = protocol.FrameDecoder()
-    fed = [got for piece in _splits(frame + frame, sizes) for got in decoder.feed(piece)]
-    assert fed == [(message, len(frame))] * 2
-    short = _ShortReads(frame + frame, sizes[0])
-    assert protocol.read_frame(short) == (message, len(frame))
-    assert protocol.read_frame(short) == (message, len(frame))
-    assert protocol.read_frame(short) == (None, 0)
+    # Read through a socket's buffered file, two frames sent back to
+    # back in any split come out whole, in order.
+    stream = io.BufferedReader(_Pieces(_splits(frame + frame, sizes)))
+    assert protocol.read_frame(stream) == (message, len(frame))
+    assert protocol.read_frame(stream) == (message, len(frame))
+    assert protocol.read_frame(stream) == (None, 0)
 
 
 @settings(max_examples=150, deadline=None)

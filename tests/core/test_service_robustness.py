@@ -28,14 +28,13 @@ def service():
 def raw_connection(service):
     host, port = service.address
     sock = socket.create_connection((host, port), timeout=5)
-    return sock, sock.makefile("rb"), sock.makefile("wb")
+    return sock, sock.makefile("rb")
 
 
 class TestMalformedTraffic:
     def test_garbage_line_drops_connection_not_server(self, service):
-        sock, _rfile, wfile = raw_connection(service)
-        wfile.write(b"this is not json\n")
-        wfile.flush()
+        sock, _rfile = raw_connection(service)
+        sock.sendall(b"this is not json\n")
         sock.close()
         # The server still serves a proper client.
         host, port = service.address
@@ -44,15 +43,14 @@ class TestMalformedTraffic:
         store.close()
 
     def test_non_object_frame(self, service):
-        sock, rfile, wfile = raw_connection(service)
-        wfile.write(b"[1, 2, 3]\n")
-        wfile.flush()
+        sock, rfile = raw_connection(service)
+        sock.sendall(b"[1, 2, 3]\n")
         # Connection is dropped (read returns EOF); server survives.
         assert rfile.readline() == b""
         sock.close()
 
     def test_unknown_method_clean_error(self, service):
-        sock, rfile, wfile = raw_connection(service)
+        sock, rfile = raw_connection(service)
         write_frame(sock.sendall, {"id": 1, "method": "drop_all_tables", "params": {}})
         response = read_message(rfile)
         assert response is not None
@@ -61,21 +59,21 @@ class TestMalformedTraffic:
         sock.close()
 
     def test_missing_method_clean_error(self, service):
-        sock, rfile, wfile = raw_connection(service)
+        sock, rfile = raw_connection(service)
         write_frame(sock.sendall, {"id": 2, "params": {}})
         response = read_message(rfile)
         assert response["ok"] is False
         sock.close()
 
     def test_bad_params_type(self, service):
-        sock, rfile, wfile = raw_connection(service)
+        sock, rfile = raw_connection(service)
         write_frame(sock.sendall, {"id": 3, "method": "pop_in_any", "params": [[1]]})
         response = read_message(rfile)
         assert response["ok"] is False
         sock.close()
 
     def test_wrong_param_names_reported(self, service):
-        sock, rfile, wfile = raw_connection(service)
+        sock, rfile = raw_connection(service)
         write_frame(
             sock.sendall, {"id": 4, "method": "pop_in_any", "params": {"wrong": 1}}
         )
