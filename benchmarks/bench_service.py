@@ -4,15 +4,20 @@ The remote hop every federated deployment pays: EQSQL operations through
 the JSON-over-TCP service versus direct in-process store calls.  The gap
 is the per-operation WAN-protocol overhead (serialization + framing +
 dispatch), which bounds how chatty an ME algorithm can afford to be and
-motivates the batch operations of §V-B.
+motivates the batch operations of §V-B.  The wake-path bench times the
+long-poll hop a pool's idle fetch pays on every task: a parked remote
+``pop_out`` ended by another client's create.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core import EQSQL, RemoteTaskStore, TaskService
-from repro.db import MemoryTaskStore
+from repro.db import MemoryTaskStore, SqliteTaskStore
 
 N = 100
 
@@ -101,3 +106,44 @@ def test_remote_report_batched(benchmark, remote_eq):
     benchmark.pedantic(
         run, setup=lambda: _claimed_ids(remote_eq, 4), rounds=3, iterations=1
     )
+
+
+@pytest.fixture
+def sqlite_service(tmp_path):
+    backing = SqliteTaskStore(str(tmp_path / "bench.db"))
+    service = TaskService(backing).start()
+    creator = RemoteTaskStore(*service.address)
+    fetcher = RemoteTaskStore(*service.address)
+    yield service, creator, fetcher
+    fetcher.close()
+    creator.close()
+    service.stop()
+    backing.close()
+
+
+def test_remote_wake_path(benchmark, sqlite_service):
+    """A ``pop_out(wait=...)`` parked on a sqlite-file service, ended by
+    another client's one-task ``create_tasks``: create, wake, claim and
+    the fetcher's answer.  Parking the fetch is set-up, not timed."""
+    service, creator, fetcher = sqlite_service
+
+    def park():
+        got: list = []
+        thread = threading.Thread(
+            target=lambda: got.append(
+                fetcher.pop_out(0, 1, worker_pool="bench", wait=10.0)
+            )
+        )
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while service.g_waiters.value < 1:
+            assert time.monotonic() < deadline, "fetch never parked"
+            time.sleep(0.001)
+        return (thread, got), {}
+
+    def wake(thread, got):
+        [tid] = creator.create_tasks("bench", 0, ["{}"])
+        thread.join(timeout=10.0)
+        assert got == [[(tid, "{}")]]
+
+    benchmark.pedantic(wake, setup=park, rounds=20, iterations=1)

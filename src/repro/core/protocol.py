@@ -26,11 +26,15 @@ Frames stream: no process holds one whole.  The writer
 (:func:`frame_chunks`, :func:`write_frame`) sizes every attachment first
 — ``len`` for ASCII text, else a measuring encode — sends the header
 line, then encodes and sends the bodies in chunks of at most
-:data:`SEND_BYTES`.  The one reader, :func:`read_frame` (client and
-service alike), checks the declared frame size from the header before
-reading a body byte, then reads and decodes one attachment at a time.
-So per connection a frame costs its decoded strings plus about one
-chunk, however large it is.
+:data:`SEND_BYTES`.  There is one decoder, :class:`FrameDecoder`, fed
+bytes as they arrive, and two drivers of it: the service's event loop
+feeds it whatever a non-blocking ``recv`` returns, and the client's
+:func:`read_frame` feeds it from a blocking stream, reading exactly the
+bytes it lacks.  The decoder checks the declared frame size from the
+header before it takes a body byte, and decodes each attachment as soon
+as its bytes are in, then drops them.  So per connection a frame costs
+its decoded strings plus about one attachment or one chunk, however
+large it is.
 
 The method set maps one-to-one onto :class:`repro.db.TaskStore`, so a
 remote client is just another store implementation — the paper's remote
@@ -80,6 +84,10 @@ ATTACH_MIN = 4096
 #: transient copies stay this small however large the frame (compare
 #: ``pool.FLUSH_BYTES``, the result text one flush carries).
 SEND_BYTES = 1 << 20
+
+#: ``json.dumps(obj, separators=(",", ":"))`` without building a new
+#: encoder per call (every frame pays it, on both sides).
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 #: The header key listing a frame's attachments.
 _ATT = "att"
@@ -225,13 +233,13 @@ def frame_chunks(message: dict[str, Any]) -> Iterator[bytes]:
     found: list[tuple[Any, Any, str]] = []
     header = _lift(message, None, found)
     if not found:
-        yield json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+        yield _compact(message).encode("utf-8") + b"\n"
         return
     sizes = [_utf8_len(text) for _, _, text in found]
     header[_ATT] = [
         [_path(parent, key), nbytes] for (parent, key, _), nbytes in zip(found, sizes)
     ]
-    group = [json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n"]
+    group = [_compact(header).encode("utf-8"), b"\n"]
     held = len(group[0]) + 1
     for (_, _, text), nbytes in zip(found, sizes):
         if group and held + nbytes > SEND_BYTES:
@@ -331,26 +339,100 @@ def _decode(body: Any) -> str:
         raise SerializationError(f"malformed attachment: {exc}") from exc
 
 
-def parse_frame(frame: bytes) -> dict[str, Any]:
-    """Decode one whole frame: header line plus attachments.
+class FrameDecoder:
+    """Frames out of a byte stream fed in arbitrary pieces (a socket's
+    ``recv`` chunks, or a buffered stream's reads).
 
-    Every reader runs the same two steps (:func:`parse_header`, then one
-    decode per slot), so framing errors are classified identically
-    everywhere.
+    :meth:`feed` returns every frame the new bytes complete.  The header
+    newline is searched for only in bytes not searched before; once the
+    header is parsed the whole frame size is known and checked against
+    ``max_frame`` before another byte is taken, and each attachment is
+    decoded as soon as its last byte is in, then its bytes are dropped.
+    So the decoder holds at most a header line or one attachment, plus
+    the piece just fed, never a whole frame; a piece that completes an
+    attachment on its own is decoded in place, without a copy.  A
+    framing error raises :class:`SerializationError`; the stream is then
+    unusable.
     """
-    newline = frame.find(b"\n")
-    head = len(frame) if newline < 0 else newline + 1
-    message, slots, size = parse_header(frame if head == len(frame) else frame[:head])
-    if head + size != len(frame):
+
+    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
+        self._max = max_frame
+        self._buf = bytearray()
+        self._scanned = 0  # bytes of the pending header searched for "\n"
+        # The frame in progress once its header is parsed: the message,
+        # its unfilled slots (last first) and its wire size.
+        self._message: dict[str, Any] | None = None
+        self._slots: list[Slot] = []
+        self._size = 0
+
+    @property
+    def wants(self) -> int:
+        """Bytes the attachment being read still lacks; 0 between frames
+        and inside a header, whose length is not known ahead."""
+        if self._message is None:
+            return 0
+        return self._slots[-1][2] - len(self._buf)
+
+    @property
+    def idle(self) -> bool:
+        """Whether no part of a frame is held: end of stream here is clean."""
+        return self._message is None and not self._buf
+
+    def feed(self, data: bytes) -> list[tuple[dict[str, Any], int]]:
+        """Take ``data``; return the ``(message, wire size)`` of every
+        frame it completes, in stream order."""
+        if self._buf:
+            self._buf += data
+            data = self._buf
+        frames: list[tuple[dict[str, Any], int]] = []
+        pos = 0  # start of the bytes not yet consumed
+        end = len(data)
+        while True:
+            if self._message is None:
+                newline = data.find(b"\n", pos + self._scanned)
+                if newline < 0:
+                    self._scanned = end - pos
+                    # The header alone will be at least this long.
+                    check_frame_size(self._scanned + 1, self._max)
+                    break
+                check_frame_size(newline + 1 - pos, self._max)  # before parsing it
+                message, slots, size = parse_header(data[pos : newline + 1])
+                size += newline + 1 - pos
+                check_frame_size(size, self._max)
+                pos, self._scanned = newline + 1, 0
+                if not slots:
+                    frames.append((message, size))
+                    continue
+                slots.reverse()
+                self._message, self._slots, self._size = message, slots, size
+            slots = self._slots
+            while slots and end - pos >= slots[-1][2]:
+                node, key, nbytes = slots.pop()
+                with memoryview(data) as view:
+                    node[key] = _decode(view[pos : pos + nbytes])
+                pos += nbytes
+            if slots:
+                break
+            frames.append((self._message, self._size))  # type: ignore[arg-type]
+            self._message = None
+        if data is self._buf:
+            del self._buf[:pos]
+        elif pos < end:
+            with memoryview(data) as view:
+                self._buf += view[pos:]
+        return frames
+
+
+def parse_frame(frame: bytes) -> dict[str, Any]:
+    """Decode one whole frame: header line plus attachments."""
+    decoder = FrameDecoder()
+    frames = decoder.feed(frame)
+    if len(frames) != 1 or not decoder.idle:
         raise SerializationError(
-            f"frame carries {len(frame) - head} attachment bytes,"
-            f" header declares {size}"
+            f"expected one whole protocol frame, got {len(frames)}"
+            + ("" if decoder.idle else " and a partial one")
         )
-    with memoryview(frame) as view:
-        for node, key, nbytes in slots:
-            node[key] = _decode(view[head : head + nbytes])
-            head += nbytes
-    return message
+    return frames[0][0]
 
 
 def read_frame(
@@ -358,34 +440,30 @@ def read_frame(
 ) -> tuple[dict[str, Any] | None, int]:
     """Read one message plus its wire size; ``(None, 0)`` on clean EOF.
 
-    Reads the header line, then each attachment it declares in turn,
-    decoding one before reading the next, so no more than one
-    attachment's bytes are held.  ``stream`` is buffered (a socket's
+    A blocking driver of :class:`FrameDecoder`: it reads the header
+    line, then exactly the bytes each attachment still lacks, so it
+    never reads past the frame and frames a peer sends back to back are
+    read one call each.  ``stream`` is buffered (a socket's
     ``makefile("rb")``), so a ``read`` comes back short only at EOF.
-    Frames a peer sends back to back are read one call each.
 
     ``max_frame`` bounds the whole frame: an overlong header line, or a
     header declaring more bytes than fit, raises
     :class:`SerializationError` before anything further is read, as does
     EOF inside a frame.
     """
+    decoder = FrameDecoder(max_frame)
     line = stream.readline(max_frame + 1)
     if not line:
         return None, 0
-    check_frame_size(len(line), max_frame)
+    frames = decoder.feed(line)
     if not line.endswith(b"\n"):
         raise SerializationError("truncated protocol frame (EOF in header)")
-    message, slots, size = parse_header(line)
-    total = len(line) + size
-    check_frame_size(total, max_frame)
-    for node, key, nbytes in slots:
-        body = stream.read(nbytes)
-        if len(body) != nbytes:
-            raise SerializationError(
-                f"truncated protocol frame ({len(body)} of {nbytes} attachment bytes)"
-            )
-        node[key] = _decode(body)
-    return message, total
+    while not frames:
+        data = stream.read(decoder.wants)
+        if not data:
+            raise SerializationError("truncated protocol frame (EOF in an attachment)")
+        frames = decoder.feed(data)
+    return frames[0]
 
 
 def read_message(stream: BinaryIO) -> dict[str, Any] | None:

@@ -5,25 +5,44 @@ abstracts task caching and queuing operations ... The Service mediates
 between model exploration algorithms and worker pools and exposes data
 about tasks for queries."
 
-The server is a thread-per-connection JSON-RPC-style endpoint whose
-method set equals the :class:`repro.db.TaskStore` contract; any number
-of ME algorithms and worker pools may connect concurrently.  An optional
-bearer token gates access, standing in for the authenticated channel
-(SSH tunnel / OAuth) of the production deployment.
+One thread serves every connection: a :mod:`selectors` loop that owns
+the listener and all client sockets.  It reads request frames without
+blocking (one :class:`~repro.core.protocol.FrameDecoder` per
+connection), dispatches each to the store inline, and streams the
+response back as the socket drains.  A long-poll (``pop_out`` /
+``pop_in_any`` carrying ``wait_ms``) that finds nothing is *parked*: it
+is kept as a request, not as a thread blocked in the store, and re-tried
+after each write the loop dispatches that can satisfy it, on a fixed
+:data:`RETRY_TICK` for writers the loop does not see, and answered empty
+at its deadline.  The method set equals the :class:`repro.db.TaskStore`
+contract; any number of ME algorithms and worker pools may connect
+concurrently.  An optional bearer token gates access, standing in for
+the authenticated channel (SSH tunnel / OAuth) of the production
+deployment.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
-import socketserver
 import threading
+import time
+from collections import deque
+from collections.abc import Iterator
 from typing import Any
 
 from repro.core import protocol
 from repro.core.leases import LeaseReaper
 from repro.core.ops import OPS, Hop, Op
 from repro.db.backend import TaskStore
-from repro.telemetry.journal import ROLE_SERVICE, Journal, get_journal
+from repro.telemetry.journal import (
+    EV_ENQUEUE,
+    EV_REPORT,
+    EV_REQUEUE,
+    ROLE_SERVICE,
+    Journal,
+    get_journal,
+)
 from repro.telemetry.fleet import FleetRegistry
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.telemetry.tracing import Tracer, get_tracer
@@ -33,116 +52,74 @@ from repro.util.logging import get_logger, log_event
 
 _log = get_logger(__name__)
 
+#: Seconds between re-tries of every parked long-poll.  The loop re-tries
+#: a parked request at once after a write it dispatched that can satisfy
+#: it; this tick covers the writes it cannot see (another store handle or
+#: process on the same database file).  It is the store's own
+#: degraded-mode interval (``SqliteTaskStore(wait_poll_interval=0.05)``),
+#: so such a write ends a remote wait as soon as it would end an
+#: embedded one.
+RETRY_TICK = 0.05
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connected client; dispatches requests to the store.
+#: Most bytes one ``recv`` takes off a connection.
+RECV_BYTES = 1 << 16
 
-    The loop is read → dispatch → write, one frame at a time.
-    :func:`repro.core.protocol.read_frame` checks each header's declared
-    size against ``MAX_FRAME_BYTES`` before reading a body byte and
-    decodes the attachments one by one; each response is streamed back
-    with :func:`repro.core.protocol.write_frame`, so a peer that sends
-    frames back to back is answered in order.  The service never holds
-    a whole request or response frame, and drops each request before it
-    waits for the next.  Any framing error drops the connection.
+#: Seconds :meth:`TaskService.stop` lets the loop send the responses it
+#: has begun (every parked wait's empty answer among them).
+DRAIN_SECONDS = 1.0
+
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
+
+class _Conn:
+    """One client connection's state on the loop.
+
+    ``inbox`` holds requests read but not yet served; ``chunks`` is the
+    response being sent (:func:`~repro.core.protocol.frame_chunks`),
+    ``pending`` the unsent rest of its current chunk; ``events`` is what
+    the selector watches the socket for (0: not registered).
     """
 
-    def handle(self) -> None:
-        service: "TaskService" = self.server.service  # type: ignore[attr-defined]
-        service.m_connections.inc()
-        service.g_connections.inc()
-        try:
-            self._serve(service)
-        except SerializationError as exc:
-            log_event(_log, "service.bad_frame", level=10, error=str(exc))
-        except OSError:
-            pass
-        finally:
-            service.g_connections.dec()
+    __slots__ = ("sock", "decoder", "inbox", "chunks", "pending", "events")
 
-    def _serve(self, service: "TaskService") -> None:
-        conn = self.request
-        with conn.makefile("rb") as rfile:
-            while True:
-                message, nbytes = protocol.read_frame(rfile)
-                if message is None:
-                    return  # clean EOF
-                service.m_bytes_received.inc(nbytes)
-                response = self._dispatch(service, message)
-                # Unbound before the next read blocks: a request's
-                # payloads must not live on until the next frame.
-                del message
-                try:
-                    sent = protocol.write_frame(conn.sendall, response)
-                except ValueError:
-                    return
-                del response
-                service.m_bytes_sent.inc(sent)
-
-    def _dispatch(
-        self, service: "TaskService", message: dict[str, Any]
-    ) -> dict[str, Any]:
-        request_id = message.get("id")
-        try:
-            service.check_token(message.get("token"))
-            method = message.get("method")
-            if not isinstance(method, str):
-                raise ValueError("request missing method name")
-            params = message.get("params") or {}
-            if not isinstance(params, dict):
-                raise ValueError("request params must be an object")
-            op = OPS.get(method)
-            if op is None:
-                raise ValueError(f"unknown method: {method}")
-            # A hop record carries the time the request *began*: the
-            # store write inside the call wakes long-polling peers at
-            # once, so a stamp taken after it could sort this hop behind
-            # the events it caused (a report after the ME's collect).
-            hops = op.hops
-            began = (
-                service.clock.now()
-                if hops and service.journal.enabled
-                else None
-            )
-            tracer = service.tracer
-            if not tracer.enabled:
-                result = service.call(op, params)
-            else:
-                # Parent under the client's RPC span (propagated in the
-                # frame) so the wire hop decomposes: service handling
-                # and DB time nest inside the client-observed RTT.
-                with tracer.span(
-                    f"service.{method}",
-                    component="service",
-                    parent=protocol.extract_trace(message),
-                ):
-                    with tracer.span(f"db.{method}", component="db"):
-                        result = service.call(op, params)
-            if began is not None:
-                service.journal_hops(hops, params, result, message, began)
-            service.m_requests.inc()
-            service.m_method_requests[method].inc()
-            return protocol.ok_response(request_id, result)
-        except Exception as exc:
-            service.m_errors.inc()
-            return protocol.error_response(request_id, exc)
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.decoder = protocol.FrameDecoder()
+        self.inbox: deque[dict[str, Any]] = deque()
+        self.chunks: Iterator[bytes] | None = None
+        self.pending = memoryview(b"")
+        self.events = 0
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    service: "TaskService"
+class _Parked:
+    """A long-poll that found nothing: the request, kept until a re-try
+    finds work, its deadline passes or its client goes.
 
-    def get_request(self) -> tuple[socket.socket, Any]:
-        # Small JSON frames under Nagle wait an ACK-delay per response;
-        # the request/response protocol always wants the frame on the
-        # wire immediately (the client sets the same option).
-        conn, addr = super().get_request()
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass  # non-TCP transports (tests with socketpairs) lack it
-        return conn, addr
+    ``eq_type`` is set for a fetch (``pop_out``), ``watch`` (the id set)
+    for a collect (``pop_in_any``).
+    """
+
+    __slots__ = ("conn", "op", "params", "message", "deadline", "eq_type", "watch")
+
+    def __init__(
+        self, conn: _Conn, op: Op, params: dict[str, Any],
+        message: dict[str, Any], deadline: float,
+    ) -> None:
+        self.conn = conn
+        self.op = op
+        self.params = params
+        self.message = message
+        self.deadline = deadline
+        fetch = op.name == "pop_out"
+        self.eq_type = params.get("eq_type") if fetch else None
+        self.watch = None if fetch else frozenset(params.get("eq_task_ids") or ())
+
+    def woken_by(self, queued: set[int], reported: set[int]) -> bool:
+        """Whether a write that queued work of the ``queued`` types (-1:
+        any type) and reported the ``reported`` ids can satisfy it."""
+        if self.watch is None:
+            return self.eq_type in queued or -1 in queued
+        return not self.watch.isdisjoint(reported)
 
 
 class TaskService:
@@ -165,9 +142,11 @@ class TaskService:
         Metrics registry; defaults to the process-wide registry.
     lease_reaper_interval:
         When set, the service runs a :class:`repro.core.leases.LeaseReaper`
-        for its store's lifetime: every ``lease_reaper_interval`` seconds
-        any RUNNING task whose lease expired is requeued automatically —
-        continuous recovery instead of manual ``recover_pool`` calls.
+        sweep on its loop's timer for its store's lifetime: every
+        ``lease_reaper_interval`` seconds any RUNNING task whose lease
+        expired is requeued automatically — continuous recovery instead
+        of manual ``recover_pool`` calls — and a parked fetch is handed
+        the requeued work at once.
     clock:
         Time source for the lease reaper's ``now``; defaults to a
         :class:`~repro.util.clock.SystemClock`.  Must agree with the
@@ -207,13 +186,14 @@ class TaskService:
         every ``fleet_default_interval`` seconds.
     max_wait_ms:
         Server-side cap on the ``wait_ms`` long-poll bound a ``pop_out``
-        / ``pop_in_any`` request may ask for.  Thread-per-connection
-        makes a blocked handler safe (it delays only its own client),
-        but an unbounded block would pin handler threads across
-        shutdown; clients re-issue wait RPCs until their own timeout, so
-        capping costs only an extra round trip per ``max_wait_ms``.
-        Open waiters are counted in the ``service.waiters`` gauge and
-        surfaced in ``/status``; :meth:`stop` wakes them all.
+        / ``pop_in_any`` request may ask for.  A parked request costs
+        the loop one store call per re-try, and it pins a connection
+        whose peer may have silently gone (a dead peer that sends no
+        FIN is noticed only when a write to it fails); clients re-issue
+        wait RPCs until their own timeout, so capping costs only an
+        extra round trip per ``max_wait_ms``.  Parked requests are
+        counted in the ``service.waiters`` gauge and surfaced in
+        ``/status``; :meth:`stop` answers them all empty.
     """
 
     def __init__(
@@ -266,7 +246,7 @@ class TaskService:
             "service.bytes_sent", "response bytes written to the wire"
         )
         self.g_waiters = registry.gauge(
-            "service.waiters", "handler threads blocked in a long-poll wait"
+            "service.waiters", "long-poll requests parked until work arrives"
         )
         #: Per-method request counters, pre-registered so the dispatch
         #: hot path is a dict lookup, not a registry get-or-create.
@@ -276,11 +256,25 @@ class TaskService:
             )
             for method in OPS
         }
-        self._server = _Server((host, port), _Handler)
-        self._server.service = self
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self._address = self._listener.getsockname()[:2]
+        # stop() writes a byte here so a loop blocked in select() sees
+        # the stopping flag at once.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._conns: set[_Conn] = set()
+        # One long-poll at most per connection (the client is lockstep);
+        # insertion order is park order, so re-tries are first come,
+        # first served.
+        self._parked: dict[_Conn, _Parked] = {}
+        self._tick_at = 0.0
         self._thread: threading.Thread | None = None
         self._started_at: float | None = None
         self._reaper: LeaseReaper | None = None
+        self._reap_every = lease_reaper_interval
         if lease_reaper_interval is not None:
             self._reaper = LeaseReaper(
                 store,
@@ -391,7 +385,7 @@ class TaskService:
     @property
     def address(self) -> tuple[str, int]:
         """(host, port) the service is bound to."""
-        host, port = self._server.server_address[:2]
+        host, port = self._address
         return (str(host), int(port))
 
     def check_token(self, token: str | None) -> None:
@@ -403,7 +397,7 @@ class TaskService:
         """Pop ``wait_ms`` off ``params``; return the granted wait seconds.
 
         The grant is clamped to ``max_wait_ms`` and zeroed while stopping
-        (late wait RPCs must not re-block a draining service).
+        (late wait RPCs must not park on a draining service).
         """
         wait_ms = params.pop("wait_ms", None)
         if not wait_ms or wait_ms < 0:
@@ -426,18 +420,7 @@ class TaskService:
             return getattr(self, f"_rpc_{op.name}")(params)
         # By keyword on whatever object we were given: the store may be
         # a duck-typed wrapper (fault injector, timing proxy).
-        method = getattr(self._store, op.name)
-        wait = self._resolve_wait(params) if op.waitable and "wait_ms" in params else 0.0
-        if wait > 0:
-            # The handler thread blocks in the store; count it so
-            # /status shows how many clients are parked in waits.
-            self.g_waiters.inc()
-            try:
-                result = method(**params, wait=wait)
-            finally:
-                self.g_waiters.dec()
-        else:
-            result = method(**params)
+        result = getattr(self._store, op.name)(**params)
         if op.encode_result is not None:
             result = op.encode_result(result)
         if op.profiles is not None:
@@ -486,12 +469,16 @@ class TaskService:
             return False, f"store unreachable: {exc}"
         return True, f"store ok (queue_in={depth})"
 
+    def _serving(self) -> bool:
+        thread = self._thread
+        return thread is not None and thread.is_alive()
+
     def _check_reaper_ready(self) -> tuple[bool, str]:
-        """Readiness probe: the lease reaper thread, if configured."""
+        """Readiness probe: the lease reaper (the loop's timer), if configured."""
         if self._reaper is None:
             return True, "no reaper configured"
-        if self._started_at is not None and not self._reaper.is_alive():
-            return False, "lease reaper thread is not running"
+        if self._started_at is not None and not self._serving():
+            return False, "service loop (and its lease reaper) is not running"
         return True, "reaper alive"
 
     def status_snapshot(self) -> dict[str, Any]:
@@ -516,8 +503,7 @@ class TaskService:
                 "waiters": int(self.g_waiters.value),
                 "reaper": {
                     "configured": self._reaper is not None,
-                    "running": self._reaper is not None
-                    and self._reaper.is_alive(),
+                    "running": self._reaper is not None and self._serving(),
                 },
             },
             "store": self._store.stats(now=now),
@@ -566,19 +552,19 @@ class TaskService:
             snapshot["stragglers"] = self._detector.summary(self._clock.now())
         return snapshot
 
+    # -- the loop ---------------------------------------------------------------
+
     def start(self) -> "TaskService":
         """Begin serving on a daemon thread; returns self for chaining."""
-        if self._thread is not None:
+        if self._thread is not None or self._stopping.is_set():
             raise RuntimeError("service already started")
+        self._selector.register(self._listener, _READ, self._accept)
+        self._selector.register(self._wake_r, _READ, self._drain_wake)
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="emews-service",
-            daemon=True,
+            target=self._serve_forever, name="emews-service", daemon=True
         )
-        self._thread.start()
         self._started_at = self._clock.now()
-        if self._reaper is not None:
-            self._reaper.start()
+        self._thread.start()
         if self._sampler is not None:
             self._sampler.start()
         if self._status_server is not None:
@@ -586,31 +572,348 @@ class TaskService:
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        # Wake blocked long-polls first (they return empty immediately)
-        # so no handler thread sleeps out its max_wait_ms grant during
-        # shutdown; the stopping flag zeroes any wait that races in.
+        """Stop serving and release every socket (idempotent).
+
+        The loop answers every parked long-poll empty, sends what it has
+        begun to send (up to :data:`DRAIN_SECONDS`), and closes each
+        connection; a wait that arrives meanwhile is answered at once.
+        """
         self._stopping.set()
-        self._store.wake_waiters()
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # already closed, or a wake byte is already pending
         if self._status_server is not None:
             self._status_server.stop()
         if self._sampler is not None:
             self._sampler.stop()
-        if self._reaper is not None:
-            self._reaper.stop()
         if self._thread is not None:
-            # serve_forever() checks its shutdown flag once per 0.5 s
-            # select() poll; shutting the listener down makes it
-            # readable now (the accept fails and is dropped), so the
-            # loop sees the flag at once instead of on the next tick.
-            try:
-                self._server.socket.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # unsupported here: stop on the next poll tick
-            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
-        self._server.server_close()
+        else:
+            self._close_all()
+
+    def _serve_forever(self) -> None:
+        reap_at = time.monotonic() + (self._reap_every or 0.0)
+        try:
+            while not self._stopping.is_set():
+                due = retry_at = self._next_retry()
+                if self._reaper is not None:
+                    due = reap_at if due is None else min(due, reap_at)
+                self._poll(None if due is None else max(due - time.monotonic(), 0.0))
+                now = time.monotonic()
+                if retry_at is not None and now >= retry_at and self._parked:
+                    self._tick_at = now + RETRY_TICK
+                    self._retry(list(self._parked.values()))
+                if self._reaper is not None and now >= reap_at:
+                    reap_at = now + self._reap_every  # type: ignore[operator]
+                    self._reap()
+            # Stopping: answer every parked wait empty, take no new
+            # connection, and give what is being sent time to go out.
+            for parked in list(self._parked.values()):
+                self._answer(parked, [])
+            self._selector.unregister(self._listener)
+            self._listener.close()
+            until = time.monotonic() + DRAIN_SECONDS
+            while any(conn.chunks is not None for conn in self._conns):
+                left = until - time.monotonic()
+                if left <= 0:
+                    break
+                self._poll(left)
+        finally:
+            self._close_all()
+
+    def _next_retry(self) -> float | None:
+        """When parked requests are next re-tried: the tick, or an
+        earlier deadline (None: nothing is parked)."""
+        if not self._parked:
+            return None
+        return min(self._tick_at, min(p.deadline for p in self._parked.values()))
+
+    def _poll(self, timeout: float | None) -> None:
+        """Serve whatever the selector reports ready within ``timeout``."""
+        for key, mask in self._selector.select(timeout):
+            if type(key.data) is _Conn:
+                self._pump(key.data, readable=bool(mask & _READ))
+            else:
+                key.data()
+
+    def _close_all(self) -> None:
+        for conn in list(self._conns):
+            self._drop(conn)
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        self._selector.close()
+
+    def _drain_wake(self) -> None:
+        try:
+            self._wake_r.recv(64)
+        except OSError:
+            pass
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # nothing left to accept (or a transient error)
+            sock.setblocking(False)
+            # Small JSON frames under Nagle wait an ACK-delay per
+            # response; the request/response protocol always wants the
+            # frame on the wire at once (the client sets the same).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Conn(sock)
+            self._conns.add(conn)
+            self.m_connections.inc()
+            self.g_connections.inc()
+            self._watch(conn)
+
+    def _pump(self, conn: _Conn, readable: bool = False) -> None:
+        """Advance one connection as far as it goes without blocking:
+        send, read, serve what it sent in order, re-arm the selector.
+        Any error drops this connection only."""
+        try:
+            if conn.chunks is not None:
+                self._send(conn)
+            if readable and conn.chunks is None and not self._recv(conn):
+                return
+            while conn.chunks is None and conn.inbox and conn not in self._parked:
+                response = self._handle(conn, conn.inbox.popleft())
+                if response is not None:
+                    conn.chunks = protocol.frame_chunks(response)
+                    del response  # the chunk generator holds it while it sends
+                    self._send(conn)
+            self._watch(conn)
+        except Exception as exc:  # noqa: BLE001 - one peer must not stop the loop
+            self._drop(conn, exc)
+
+    def _recv(self, conn: _Conn) -> bool:
+        """Take what the socket holds; False once the connection is gone.
+
+        A lockstep client sends nothing while its request is parked, so
+        a parked connection turning readable is normally its EOF: the
+        request is dropped before any re-try can claim work for a
+        client that cannot receive it.
+        """
+        try:
+            data = conn.sock.recv(RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return True
+        if not data:
+            if not conn.decoder.idle:
+                log_event(_log, "service.bad_frame", level=10,
+                          error="truncated protocol frame (EOF inside a frame)")
+            self._drop(conn)
+            return False
+        for message, nbytes in conn.decoder.feed(data):
+            conn.inbox.append(message)
+            self.m_bytes_received.inc(nbytes)
+        return True
+
+    @staticmethod
+    def _gone(conn: _Conn) -> bool:
+        """Whether a parked connection's peer has closed (EOF waiting)."""
+        try:
+            return not conn.sock.recv(1, socket.MSG_PEEK)
+        except (BlockingIOError, InterruptedError):
+            return False
+        except OSError:
+            return True
+
+    def _send(self, conn: _Conn) -> None:
+        """Send the response in progress until the socket would block;
+        at most one chunk of it is held at a time."""
+        while True:
+            if not conn.pending:
+                chunk = next(conn.chunks, None)  # type: ignore[arg-type]
+                if chunk is None:
+                    conn.chunks = None
+                    return
+                conn.pending = memoryview(chunk)
+            try:
+                sent = conn.sock.send(conn.pending)
+            except (BlockingIOError, InterruptedError):
+                return
+            self.m_bytes_sent.inc(sent)
+            conn.pending = conn.pending[sent:]
+
+    def _watch(self, conn: _Conn) -> None:
+        """Watch for writability while a response is unsent, else for
+        reads unless requests already wait behind a parked one."""
+        if conn.chunks is not None:
+            events = _WRITE
+        elif conn.inbox:
+            events = 0
+        else:
+            events = _READ
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif not events:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, events, conn)
+        conn.events = events
+
+    def _drop(self, conn: _Conn, exc: BaseException | None = None) -> None:
+        """Close one connection and forget its parked request (idempotent)."""
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        if self._parked.pop(conn, None) is not None:
+            self.g_waiters.set(len(self._parked))
+        if conn.events:
+            self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self.g_connections.dec()
+        if isinstance(exc, SerializationError):
+            log_event(_log, "service.bad_frame", level=10, error=str(exc))
+        elif exc is not None and not isinstance(exc, OSError):
+            log_event(_log, "service.connection_error", level=30,
+                      error=f"{type(exc).__name__}: {exc}")
+
+    # -- requests -----------------------------------------------------------------
+
+    def _handle(self, conn: _Conn, message: dict[str, Any]) -> dict[str, Any] | None:
+        """Serve one request: its response, or None once it is parked."""
+        request_id = message.get("id")
+        try:
+            self.check_token(message.get("token"))
+            method = message.get("method")
+            if not isinstance(method, str):
+                raise ValueError("request missing method name")
+            params = message.get("params") or {}
+            if not isinstance(params, dict):
+                raise ValueError("request params must be an object")
+            op = OPS.get(method)
+            if op is None:
+                raise ValueError(f"unknown method: {method}")
+            wait = self._resolve_wait(params) if op.waitable else 0.0
+            result = self._attempt(op, params, message, traced=True)
+            if wait > 0 and not result:
+                self._parked[conn] = _Parked(
+                    conn, op, params, message, time.monotonic() + wait
+                )
+                if len(self._parked) == 1:
+                    self._tick_at = time.monotonic() + RETRY_TICK
+                self.g_waiters.set(len(self._parked))
+                return None
+        except Exception as exc:
+            self.m_errors.inc()
+            return protocol.error_response(request_id, exc)
+        self._wake(op, params, result)
+        return self._answered(method, request_id, result)
+
+    def _attempt(
+        self, op: Op, params: dict[str, Any], message: dict[str, Any], traced: bool
+    ) -> Any:
+        """One store call for a request, journaled (and traced, unless
+        it is a parked request's re-try)."""
+        # A hop record carries the time the call *began*: the store
+        # write inside it makes work visible to parked peers, so a stamp
+        # taken after it could sort this hop behind the events it caused
+        # (a report after the ME's collect).
+        hops = op.hops
+        began = self._clock.now() if hops and self.journal.enabled else None
+        tracer = self.tracer
+        if not (traced and tracer.enabled):
+            result = self.call(op, params)
+        else:
+            # Parent under the client's RPC span (propagated in the
+            # frame) so the wire hop decomposes: service handling and DB
+            # time nest inside the client-observed RTT.
+            with tracer.span(
+                f"service.{op.name}",
+                component="service",
+                parent=protocol.extract_trace(message),
+            ):
+                with tracer.span(f"db.{op.name}", component="db"):
+                    result = self.call(op, params)
+        if began is not None:
+            self.journal_hops(hops, params, result, message, began)
+        return result
+
+    def _answered(self, method: str, request_id: Any, result: Any) -> dict[str, Any]:
+        self.m_requests.inc()
+        self.m_method_requests[method].inc()
+        return protocol.ok_response(request_id, result)
+
+    def _wake(self, op: Op, params: dict[str, Any], result: Any) -> None:
+        """Re-try the parked requests a dispatched write can satisfy.
+
+        The op's journal hops say what the write did: an enqueue or a
+        requeue wakes fetches of the work types it queued (a requeue
+        names none, so it wakes every fetch), a report wakes collects
+        watching an id it delivered.  A re-tried fetch's ``now`` is
+        raised to the write's enqueue time, as the store raises it for a
+        pop that had to wait.
+        """
+        if not self._parked:
+            return
+        queued: set[int] = set()
+        reported: set[int] = set()
+        for hop in op.hops:
+            if hop.event == EV_REPORT:
+                reported.update(tid for tid, _ in hop.tasks(params, result))
+            elif hop.event in (EV_ENQUEUE, EV_REQUEUE):
+                queued.update(work_type for _, work_type in hop.tasks(params, result))
+        if not (queued or reported):
+            return
+        due = [p for p in self._parked.values() if p.woken_by(queued, reported)]
+        stamp = params.get("time_created", params.get("now")) if queued else None
+        if stamp is not None:
+            for parked in due:
+                parked.params["now"] = max(parked.params.get("now", 0.0), stamp)
+        self._retry(due)
+
+    def _retry(self, due: list[_Parked]) -> None:
+        """Re-try parked requests in park order: answer each that finds
+        work or fails, and answer empty, without a store call, each past
+        its deadline."""
+        now = time.monotonic()
+        for parked in due:
+            if self._parked.get(parked.conn) is not parked:
+                continue  # answered or dropped by an earlier re-try
+            if now >= parked.deadline:
+                self._answer(parked, [])
+                continue
+            if self._gone(parked.conn):
+                self._drop(parked.conn)  # claim nothing for a client that left
+                continue
+            try:
+                result = self._attempt(parked.op, parked.params, parked.message, False)
+            except Exception as exc:
+                self.m_errors.inc()
+                self._answer(parked, None, exc)
+                continue
+            if result:
+                self._answer(parked, result)
+
+    def _answer(
+        self, parked: _Parked, result: Any, exc: Exception | None = None
+    ) -> None:
+        """Unpark a request and send its response (or error)."""
+        conn = parked.conn
+        del self._parked[conn]
+        self.g_waiters.set(len(self._parked))
+        request_id = parked.message.get("id")
+        conn.chunks = protocol.frame_chunks(
+            protocol.error_response(request_id, exc) if exc is not None
+            else self._answered(parked.op.name, request_id, result)
+        )
+        self._pump(conn)
+
+    def _reap(self) -> None:
+        """One lease-reaper sweep on the loop's timer; requeued work goes
+        to parked fetches at once."""
+        try:
+            requeued = self._reaper.run_once()  # type: ignore[union-attr]
+        except Exception as exc:  # noqa: BLE001 - recovery must outlive faults
+            log_event(_log, "leases.reaper_error", level=30, error=str(exc))
+            return
+        # Read after the sweep, so no claim predates the requeue.
+        self._wake(OPS["requeue_expired"], {"now": self._clock.now()}, requeued)
 
     def __enter__(self) -> "TaskService":
         return self.start()

@@ -57,10 +57,12 @@ _WAITER_JOIN = 30.0
 #: One payload or result in ``_BULK_EVERY`` — picked by step or task id,
 #: never by a PRNG draw, so seed schedules replay unchanged — is padded
 #: past the wire's attachment threshold (4 096 characters) with
-#: non-ASCII text and raw newlines, so every access path also carries
-#: frames with attachments: create, pop, report, collect, cache.
+#: non-ASCII text, raw newlines and, past that threshold, a lone
+#: surrogate, so every access path also carries frames with
+#: attachments (create, pop, report, collect, cache) and the decoder
+#: meets a surrogate wherever a read boundary falls.
 _BULK_EVERY = 4
-_BULK_PAD = ",\n".join(['"résumé 😀 → ∑"'] * 300)  # 4 798 characters
+_BULK_PAD = ",\n".join(['"résumé 😀 → ∑"'] * 300 + ['"\ud800"'])  # 4 803 characters
 
 
 def _bulk(text: str, key: int) -> str:

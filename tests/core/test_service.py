@@ -135,6 +135,37 @@ class TestStop:
         assert elapsed < 0.25
 
 
+class TestOneServiceThread:
+    def test_threads_do_not_grow_with_clients_or_parked_waits(self):
+        backing = MemoryTaskStore()
+        service = TaskService(backing).start()
+        socks = []
+        try:
+            before = threading.active_count()
+            for i in range(8):
+                sock = socket.create_connection(service.address, timeout=5)
+                socks.append(sock)
+                if i % 2:
+                    continue  # a connected, idle client
+                protocol.write_frame(sock.sendall, {
+                    "id": 1, "method": "pop_out",
+                    "params": {"eq_type": 0, "n": 1, "wait_ms": 30_000},
+                })
+            deadline = time.monotonic() + 10.0
+            while True:
+                status = service.status_snapshot()["service"]
+                if (status["waiters"], status["connections_active"]) == (4, 8):
+                    break
+                assert time.monotonic() < deadline, "not all served and parked"
+                time.sleep(0.005)
+            assert threading.active_count() == before
+        finally:
+            service.stop()
+            for sock in socks:
+                sock.close()
+            backing.close()
+
+
 class TestMeRpcCost:
     def test_submit_and_collect_are_one_rpc_per_batch(self):
         # The ME-side twin of the busy pool's one RPC per task: a batch

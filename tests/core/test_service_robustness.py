@@ -8,12 +8,18 @@ corrupting state or denying service to well-behaved clients.
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
 from repro.core import EQSQL, RemoteTaskStore, TaskService
-from repro.core.protocol import read_message, write_frame
+from repro.core.protocol import encode_message, read_message, write_frame
 from repro.db import MemoryTaskStore
+from repro.db.schema import TaskStatus
+
+#: How long a well-behaved client may wait for an answer while another
+#: peer misbehaves (the ``PROMPT`` bound of ``test_wait_dispatch.py``).
+PROMPT = 3.0
 
 
 @pytest.fixture
@@ -127,3 +133,117 @@ class TestConcurrentHostileAndFriendly:
         finally:
             stop.set()
             thread.join(timeout=5)
+
+
+def _waiters(service) -> int:
+    return service.status_snapshot()["service"]["waiters"]
+
+
+def _until(predicate, seconds: float = 10.0) -> bool:
+    """Poll ``predicate`` for up to ``seconds``; its last value."""
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _park_raw(service, method: str, params: dict) -> socket.socket:
+    """A raw connection whose long-poll the service has parked."""
+    sock, _rfile = raw_connection(service)
+    write_frame(
+        sock.sendall,
+        {"id": 1, "method": method, "params": {**params, "wait_ms": 30_000}},
+    )
+    assert _until(lambda: _waiters(service) == 1), "wait never parked"
+    return sock
+
+
+class TestGoneWaiterClaimsNothing:
+    """A long-poll whose client disconnected must not claim work that
+    nobody can receive: a fetch would leave its task RUNNING with no
+    owner and no lease, a collect would consume results for nobody."""
+
+    def test_fetch_of_a_closed_connection_claims_nothing(self, service):
+        sock = _park_raw(service, "pop_out", {"eq_type": 0, "n": 1})
+        sock.close()
+        # The loop sees the EOF and drops the parked request.
+        _until(lambda: _waiters(service) == 0, seconds=2.0)
+        store = RemoteTaskStore(*service.address)
+        try:
+            [tid] = store.create_tasks("e", 0, ["p"])
+            time.sleep(0.2)  # a stale waiter would have claimed by now
+            assert store.queue_out_length() == 1
+            assert store.get_task(tid).eq_status == TaskStatus.QUEUED
+        finally:
+            store.close()
+
+    def test_collect_of_a_closed_connection_consumes_nothing(self, service):
+        store = RemoteTaskStore(*service.address)
+        try:
+            [tid] = store.create_tasks("e", 0, ["p"])
+            assert store.pop_out(0, 1) == [(tid, "p")]
+            sock = _park_raw(service, "pop_in_any", {"eq_task_ids": [tid]})
+            sock.close()
+            _until(lambda: _waiters(service) == 0, seconds=2.0)
+            store.report_batch([(tid, 0, "r")])
+            time.sleep(0.2)  # a stale waiter would have consumed it by now
+            assert store.queue_in_length() == 1
+            assert store.pop_in_any([tid]) == [(tid, "r")]
+        finally:
+            store.close()
+
+
+class TestStalledPeers:
+    """A peer that stops halfway through a frame, or never reads its
+    answer, delays nobody else: another client is answered promptly."""
+
+    @staticmethod
+    def _prompt(service) -> None:
+        store = RemoteTaskStore(*service.address)
+        try:
+            t0 = time.monotonic()
+            assert store.queue_in_length() == 0
+            assert time.monotonic() - t0 < PROMPT
+        finally:
+            store.close()
+
+    def test_half_a_header_line(self, service):
+        sock, _rfile = raw_connection(service)
+        try:
+            sock.sendall(b'{"id": 1, "method": "queue_in_len')
+            self._prompt(service)
+        finally:
+            sock.close()
+
+    def test_header_and_half_an_attachment(self, service):
+        frame = encode_message({
+            "id": 1, "method": "create_tasks",
+            "params": {"exp_id": "e", "eq_type": 0, "payloads": ["x" * 65536]},
+        })
+        head = frame.index(b"\n") + 1
+        sock, _rfile = raw_connection(service)
+        try:
+            sock.sendall(frame[: head + 32768])
+            self._prompt(service)
+        finally:
+            sock.close()
+        assert service.store.queue_out_length() == 0  # nothing applied
+
+    def test_a_peer_that_never_reads_a_large_response(self, service):
+        big = "y" * (2 << 20)
+        service.store.create_tasks("e", 0, [big] * 4)  # an 8 MiB answer
+        sock = socket.socket()
+        # A small receive window: the answer cannot all be buffered.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(service.address)
+        try:
+            write_frame(
+                sock.sendall,
+                {"id": 1, "method": "pop_out", "params": {"eq_type": 0, "n": 4}},
+            )
+            assert _until(lambda: service.store.queue_out_length() == 0)
+            self._prompt(service)
+        finally:
+            sock.close()

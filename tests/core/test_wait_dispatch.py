@@ -21,7 +21,7 @@ import pytest
 from repro.core import EQ_STOP, EQSQL, RemoteTaskStore, TaskService
 from repro.core.constants import EQ_TIMEOUT, ResultStatus
 from repro.core.futures import as_completed
-from repro.db import MemoryTaskStore
+from repro.db import MemoryTaskStore, SqliteTaskStore
 from repro.pools import (
     PoolConfig,
     PythonTaskHandler,
@@ -132,32 +132,70 @@ class TestServiceWaitGrant:
             service.stop()
             backing.close()
 
-    def test_wait_over_polling_only_store_degrades_to_nonblocking(self):
+    def test_wait_over_wait_dropping_store_is_parked(self):
+        # The service parks the request itself, so it long-polls over
+        # any store, even one that never blocks.
         backing = MemoryTaskStore()
-        service = TaskService(_WaitDroppingStore(backing)).start()
+        store = _WaitDroppingStore(backing)
+        service = TaskService(store).start()
         client = RemoteTaskStore(*service.address)
         try:
+            thread, results = _park_one_waiter(
+                service,
+                lambda: client.pop_out(0, 1, worker_pool="w", now=1.0, wait=10.0),
+            )
             t0 = time.monotonic()
-            assert client.pop_out(0, 1, worker_pool="w", now=1.0, wait=10.0) == []
+            [tid] = client.create_tasks("e", 0, ["p"], time_created=0.0)
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
             assert time.monotonic() - t0 < PROMPT
+            assert results == [[(tid, "p")]]
+            assert all("wait" not in kwargs for _, kwargs in store.pops)
         finally:
             client.close()
             service.stop()
             backing.close()
 
-    def test_waiters_gauge_tracks_parked_handlers(self, service_stack):
+    def test_write_from_another_handle_ends_a_parked_wait(self, tmp_path):
+        """A writer the service never sees (a second handle on the same
+        database file, as another process would be) still ends a parked
+        remote wait, within the service's re-try tick."""
+        path = str(tmp_path / "emews.db")
+        served, other = SqliteTaskStore(path), SqliteTaskStore(path)
+        service = TaskService(served).start()
+        client = RemoteTaskStore(*service.address)
+        try:
+            thread, results = _park_one_waiter(
+                service,
+                lambda: client.pop_out(0, 1, worker_pool="w", now=1.0, wait=10.0),
+            )
+            t0 = time.monotonic()
+            [tid] = other.create_tasks("e", 0, ["p"], time_created=0.0)
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - t0 < 0.5
+            assert results == [[(tid, "p")]]
+        finally:
+            client.close()
+            service.stop()
+            other.close()
+            served.close()
+
+    def test_waiters_gauge_tracks_parked_requests(self, service_stack):
         backing, service, client = service_stack
+        [tid] = client.create_tasks("e", 0, ["p"], time_created=0.0)
+        assert client.pop_out(0, 1, worker_pool="w", now=1.0) == [(tid, "p")]
         # The wait outlasts the gauge check below even on a stalled
-        # machine; a wake ends it, so nothing waits out a timeout.
+        # machine; the report ends it, so nothing waits out a timeout.
         thread, results = _park_one_waiter(
             service,
-            lambda: client.pop_in_any([999], wait=30.0),
+            lambda: client.pop_in_any([tid], wait=30.0),
         )
         assert service.status_snapshot()["service"]["waiters"] == 1
-        backing.wake_waiters()
+        client.report_batch([(tid, 0, "r")], now=2.0)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert results == [[]]
+        assert results == [[(tid, "r")]]
         assert service.status_snapshot()["service"]["waiters"] == 0
 
     def test_stop_wakes_parked_waiters(self):

@@ -18,6 +18,9 @@ attachment cases; the ``report_pop`` case was appended with that op.
 Retiring the single-row ops ``create_task``, ``report`` and ``pop_in``
 deleted their seven records and appended ``create_tasks/all``, which
 carries the retired ``create_task/all`` keywords on the batch op.
+When the service began parking long-polls itself instead of blocking in
+the store, the three wait cases' ``store_call`` lost its ``wait``
+keyword; their request and response bytes are unchanged.
 Every other record is the original recording.
 Re-record only for a deliberate wire change::
 

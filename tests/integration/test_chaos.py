@@ -139,10 +139,10 @@ class TestSeverMidWait:
 
         The fetcher idiom is re-issue-until-claimed: each empty wait
         (server cap, shutdown wake) just loops.  The sever leaves a
-        *stale* handler thread parked in the backend whose response can
-        only go to a dead socket; ``wake_waiters`` flushes it — its
-        empty reply is lost with its connection — before the task is
-        published, proving the reconnected wait is the one that claims.
+        *stale* parked request whose response could only go to a dead
+        socket; the service sees that socket's EOF and drops it before
+        the task is published (a stale request must claim nothing),
+        proving the reconnected wait is the one that claims.
         """
         backing = MemoryTaskStore()
         service = TaskService(backing).start()
@@ -171,10 +171,9 @@ class TestSeverMidWait:
                 time.sleep(0.005)
 
             assert proxy.sever_all() >= 1
-            # Flush the stale handler (it returns empty into its dead
-            # socket and exits) and give the client time to reconnect
-            # and re-issue; an in-flight re-issue just loops on empty.
-            backing.wake_waiters()
+            # Give the service time to drop the stale request and the
+            # client time to reconnect and re-issue; an in-flight
+            # re-issue just loops on empty.
             time.sleep(0.3)
             [tid] = backing.create_tasks(
                 "sever", 0, [json.dumps({"x": 3})], time_created=1.0
