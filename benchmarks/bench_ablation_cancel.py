@@ -23,7 +23,7 @@ import numpy as np
 import scipy.stats  # noqa: F401
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.me import BOConfig, ackley, run_async_bo
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.telemetry import render_table
@@ -42,7 +42,7 @@ def evaluate(payload: dict) -> dict:
 
 
 def run_campaign(cancel_fraction: float, seed: int):
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     pool = ThreadedWorkerPool(
         eq,
         PythonTaskHandler(evaluate),

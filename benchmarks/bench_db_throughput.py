@@ -1,28 +1,20 @@
-"""PERF-DB — EMEWS DB operation throughput, per backend.
+"""PERF-DB — EMEWS DB operation throughput.
 
 Microbenchmarks for the task-queue hot paths (submit, priority pop,
-report, batch reprioritize) on both store engines.  The in-memory
-backend is what the DES scenarios run on; the SQLite backend is the
-durable deployment engine — the gap between them bounds how much of a
-wall-clock run the database can account for.
+report, batch reprioritize) on the SQLite store over ``:memory:`` — the
+store the DES scenarios run on, and the engine a durable deployment
+runs on a file.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 
 N = 500
 
 
-def make_store(kind: str):
-    return MemoryTaskStore() if kind == "memory" else SqliteTaskStore(":memory:")
-
-
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_submit_throughput(benchmark, kind):
-    store = make_store(kind)
+def test_submit_throughput(benchmark):
+    store = SqliteTaskStore()
 
     def submit_batch():
         store.create_tasks("exp", 0, ["{}"] * N)
@@ -31,9 +23,8 @@ def test_submit_throughput(benchmark, kind):
     store.close()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_pop_report_cycle(benchmark, kind):
-    store = make_store(kind)
+def test_pop_report_cycle(benchmark):
+    store = SqliteTaskStore()
 
     def cycle():
         ids = store.create_tasks("exp", 0, ["{}"] * N)
@@ -49,9 +40,8 @@ def test_pop_report_cycle(benchmark, kind):
     store.close()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_reprioritize_batch(benchmark, kind):
-    store = make_store(kind)
+def test_reprioritize_batch(benchmark):
+    store = SqliteTaskStore()
     ids = store.create_tasks("exp", 0, ["{}"] * N)
     flip = [False]
 
@@ -65,13 +55,12 @@ def test_reprioritize_batch(benchmark, kind):
     store.close()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_priority_pop_order_cost(benchmark, kind):
-    """Pop with 10k queued tasks at random priorities (heap/index work)."""
+def test_priority_pop_order_cost(benchmark):
+    """Pop with 10k queued tasks at random priorities (index work)."""
     import random
 
     rng = random.Random(0)
-    store = make_store(kind)
+    store = SqliteTaskStore()
     priorities = [rng.randrange(1000) for _ in range(10_000)]
     store.create_tasks("exp", 0, ["{}"] * 10_000, priority=priorities)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.sim import SimPoolConfig, SimWorkerPool
 from repro.sim.scenarios import complete_records
 from repro.simt import Environment
@@ -32,7 +32,7 @@ ML_EVERY = 50
 
 def run_heterogeneous():
     env = Environment()
-    eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
+    eqsql = EQSQL(SqliteTaskStore(), clock=env.clock)
     journal = Journal(clock=env.clock)
     rng = np.random.default_rng(7)
     sim_runtimes = rng.lognormal(np.log(15.0), 0.4, N_SIM)

@@ -8,19 +8,15 @@ is free.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import EQSQL, as_completed
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 
 N_TASKS = 200
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_pool_end_to_end(benchmark, backend):
-    store = MemoryTaskStore() if backend == "memory" else SqliteTaskStore(":memory:")
-    eq = EQSQL(store)
+def test_pool_end_to_end(benchmark):
+    eq = EQSQL(SqliteTaskStore())
     pool = ThreadedWorkerPool(
         eq,
         PythonTaskHandler(lambda d: d),
@@ -43,7 +39,7 @@ def test_mpi_pool_end_to_end(benchmark):
     from repro.pools import run_mpi_pool
 
     def drain():
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         eq.submit_tasks("bench", 0, ["{}"] * N_TASKS)
         eq.submit_task("bench", 0, EQ_STOP, priority=-10)
         stats = run_mpi_pool(

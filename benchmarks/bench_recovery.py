@@ -7,20 +7,16 @@ size — the time-to-repair component of the §IV-B fault-tolerance story.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import EQSQL
 from repro.core.recovery import find_orphaned_tasks, requeue_tasks
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 
 N_TASKS = 1000
 N_ORPHANED = 200
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_find_and_requeue_orphans(benchmark, backend):
-    store = MemoryTaskStore() if backend == "memory" else SqliteTaskStore(":memory:")
-    eq = EQSQL(store)
+def test_find_and_requeue_orphans(benchmark):
+    eq = EQSQL(SqliteTaskStore())
     eq.submit_tasks("exp", 0, ["{}"] * N_TASKS)
 
     def cycle():

@@ -17,14 +17,14 @@ import time
 import pytest
 
 from repro.core import EQSQL, RemoteTaskStore, TaskService
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 
 N = 100
 
 
 @pytest.fixture
 def remote_eq():
-    backing = MemoryTaskStore()
+    backing = SqliteTaskStore()
     service = TaskService(backing).start()
     host, port = service.address
     store = RemoteTaskStore(host, port)
@@ -37,7 +37,7 @@ def remote_eq():
 
 @pytest.fixture
 def local_eq():
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     yield eq
     eq.close()
 

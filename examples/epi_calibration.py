@@ -24,7 +24,7 @@ from repro.data import (
     fill_missing,
     rolling_mean,
 )
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.epi import (
     CalibrationProblem,
     SEIRParams,
@@ -86,7 +86,7 @@ def main() -> None:
         surveillance=SurveillanceModel(reporting_rate=0.3, delay_mean=2.0),
         initial_infected=5,
     )
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     pool = ThreadedWorkerPool(
         eq,
         PythonTaskHandler(problem.task_function),

@@ -76,7 +76,8 @@ def main() -> None:
     )
 
     if args.trace is None:
-        # 1. Open the EMEWS DB (in-memory here; pass a path for SQLite).
+        # 1. Open the EMEWS DB (SQLite in memory here; pass a file path
+        #    for a durable one).
         eq = init_eqsql()
         pool = ThreadedWorkerPool(eq, PythonTaskHandler(simulate), pool_config)
         run(eq, pool)
@@ -88,7 +89,7 @@ def main() -> None:
     from repro.core.eqsql import EQSQL
     from repro.core.service import TaskService
     from repro.core.service_client import RemoteTaskStore
-    from repro.db.memory_backend import MemoryTaskStore
+    from repro.db.sqlite_backend import SqliteTaskStore
     from repro.telemetry.trace_export import (
         render_latency_breakdown,
         save_chrome_trace,
@@ -98,7 +99,7 @@ def main() -> None:
 
     tracer = Tracer(clock=SystemClock(), enabled=True)
     previous = set_tracer(tracer)
-    service = TaskService(MemoryTaskStore()).start()
+    service = TaskService(SqliteTaskStore()).start()
     try:
         host, port = service.address
         remote = RemoteTaskStore(host, port)

@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.epi import ParticleFilter, ParticleFilterConfig, SEIRParams, simulate_stochastic_seir
 from repro.sched import Cluster, ClusterSpec, Scheduler
 from repro.sched.psij import JobSpec, LocalSchedulerExecutor, managed_pool_job
@@ -66,7 +66,7 @@ def main() -> None:
     print(f"workflow spec ({len(shipped)} bytes of JSON) shipped to another group")
 
     received = WorkflowSpec.from_json(shipped)
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     betas = [0.25, 0.4, 0.55, 0.7]
     results = run_workflow(
         received, eq,
@@ -96,7 +96,7 @@ def main() -> None:
     # --- 3. PSI/J-managed worker pool ------------------------------------------
     scheduler = Scheduler(Cluster(ClusterSpec("bebop", n_nodes=2))).start()
     executor = LocalSchedulerExecutor(scheduler).start()
-    eq2 = EQSQL(MemoryTaskStore())
+    eq2 = EQSQL(SqliteTaskStore())
     futures = eq2.submit_tasks(
         "psij-demo", 0,
         [json.dumps({"beta": 0.5, "seed": i, "replicates": 2}) for i in range(6)],

@@ -29,8 +29,9 @@ renders a live terminal view of a running service's ``/status``
 endpoint; ``timeline`` merges flight-recorder journal files from any
 number of roles into one task's causally-ordered lifecycle;
 ``stragglers`` is the live view over a service's ``/events`` route,
-``fleet`` the one over ``/fleet``; and ``conform`` fuzzes the memory /
-sqlite / remote store paths against the reference model.
+``fleet`` the one over ``/fleet``; and ``conform`` fuzzes the sqlite
+and remote store paths against the reference model.  The demos run on
+a transient ``SqliteTaskStore(":memory:")``.
 """
 
 from __future__ import annotations
@@ -170,14 +171,14 @@ def _run_instrumented_workload(n_tasks: int, n_workers: int) -> None:
     from repro.core.futures import as_completed
     from repro.core.service import TaskService
     from repro.core.service_client import RemoteTaskStore
-    from repro.db.memory_backend import MemoryTaskStore
+    from repro.db.sqlite_backend import SqliteTaskStore
     from repro.pools.config import PoolConfig
     from repro.pools.handlers import PythonTaskHandler
     from repro.pools.pool import ThreadedWorkerPool
     from repro.telemetry.tracing import get_tracer
 
     tracer = get_tracer()
-    service = TaskService(MemoryTaskStore()).start()
+    service = TaskService(SqliteTaskStore()).start()
     host, port = service.address
     remote = RemoteTaskStore(host, port)
     eq = EQSQL(remote, clock=tracer.clock)
@@ -267,7 +268,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.core.eqsql import EQSQL
     from repro.core.service import TaskService
     from repro.core.service_client import RemoteTaskStore, RetryPolicy
-    from repro.db.memory_backend import MemoryTaskStore
+    from repro.db.sqlite_backend import SqliteTaskStore
     from repro.pools.config import PoolConfig
     from repro.pools.handlers import PythonTaskHandler
     from repro.pools.pool import ThreadedWorkerPool
@@ -303,7 +304,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # port; the final report below reads queue/lease state from its
     # /status JSON — the same payload `repro monitor` renders live.
     service = TaskService(
-        MemoryTaskStore(metrics=registry),
+        SqliteTaskStore(metrics=registry),
         lease_reaper_interval=args.lease / 4,
         metrics=registry,
         status_port=0,
@@ -688,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule length per seed (default 150)")
     p.add_argument("--pools", type=int, default=3,
                    help="logical worker-pool actors (default 3)")
-    p.add_argument("--paths", default="memory,sqlite,remote",
-                   help="comma-separated access paths (default all three)")
+    p.add_argument("--paths", default="sqlite,remote",
+                   help="comma-separated access paths (default both)")
     p.set_defaults(fn=_cmd_conform)
 
     return parser

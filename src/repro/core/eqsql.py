@@ -2,8 +2,8 @@
 
 Instances of :class:`EQSQL` provide methods for task submission,
 querying the queues, result reporting, and retrieval, layered over any
-:class:`repro.db.TaskStore` — a local in-process store, a SQLite file,
-or a :class:`repro.core.service_client.RemoteTaskStore` that speaks to
+:class:`repro.db.TaskStore` — a transient in-memory SQLite store, a
+SQLite file, or a :class:`repro.core.service_client.RemoteTaskStore` that speaks to
 an EMEWS service across the network.  Polling delays and timeouts mirror
 the signatures in the paper's Listing 1.
 """
@@ -18,7 +18,6 @@ from repro.core.constants import EQ_TIMEOUT, ResultStatus, TaskStatus
 from repro.core.fetch import fetch_count
 from repro.core.task import _TRACE_PREFIX, unwrap_payload, wrap_payload
 from repro.db.backend import TaskStore, normalize_priorities
-from repro.db.memory_backend import MemoryTaskStore
 from repro.db.schema import TaskRow
 from repro.db.sqlite_backend import SqliteTaskStore
 from repro.telemetry.metrics import (
@@ -784,7 +783,7 @@ class EQSQL:
 
 
 def init_eqsql(
-    db_path: str | None = None,
+    db_path: str = ":memory:",
     clock: Clock | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
@@ -792,12 +791,10 @@ def init_eqsql(
 ) -> EQSQL:
     """Create an :class:`EQSQL` instance (the paper's ``init_esql``).
 
-    ``db_path=None`` gives a pure in-memory store; a path (or
-    ``":memory:"``) gives the SQLite engine.
+    ``db_path`` is a SQLite database file; the default ``":memory:"``
+    gives a transient store that lives as long as the instance.
     """
-    store: TaskStore
-    if db_path is None:
-        store = MemoryTaskStore()
-    else:
-        store = SqliteTaskStore(db_path)
-    return EQSQL(store, clock=clock, tracer=tracer, metrics=metrics, cache_ttl=cache_ttl)
+    return EQSQL(
+        SqliteTaskStore(db_path), clock=clock, tracer=tracer, metrics=metrics,
+        cache_ttl=cache_ttl,
+    )

@@ -30,7 +30,7 @@ _lock = threading.Lock()
 _eqsql: EQSQL | None = None
 
 
-def eq_init(db_path: str | None = None, eqsql: EQSQL | None = None) -> None:
+def eq_init(db_path: str = ":memory:", eqsql: EQSQL | None = None) -> None:
     """Initialize the module-level connection (R: ``eq_init``).
 
     Pass an existing :class:`EQSQL` to share a connection with Python

@@ -35,6 +35,7 @@ from repro.core import protocol
 from repro.core.leases import LeaseReaper
 from repro.core.ops import OPS, Hop, Op
 from repro.db.backend import TaskStore
+from repro.db.sqlite_backend import WAIT_POLL
 from repro.telemetry.journal import (
     EV_ENQUEUE,
     EV_REPORT,
@@ -56,10 +57,10 @@ _log = get_logger(__name__)
 #: a parked request at once after a write it dispatched that can satisfy
 #: it; this tick covers the writes it cannot see (another store handle or
 #: process on the same database file).  It is the store's own
-#: degraded-mode interval (``SqliteTaskStore(wait_poll_interval=0.05)``),
-#: so such a write ends a remote wait as soon as it would end an
-#: embedded one.
-RETRY_TICK = 0.05
+#: degraded-mode interval (:data:`repro.db.sqlite_backend.WAIT_POLL`), so
+#: such a write ends a remote wait as soon as it would end an embedded
+#: one.
+RETRY_TICK = WAIT_POLL
 
 #: Most bytes one ``recv`` takes off a connection.
 RECV_BYTES = 1 << 16

@@ -5,21 +5,17 @@ queue, input queue, experiments, tags — that provides the foundation for
 fault-tolerant task queueing: tasks live in the database, not in the ME
 process, so a resource failure loses no work.
 
-Two interchangeable backends implement the same :class:`TaskStore`
-contract:
-
-- :class:`SqliteTaskStore` — the durable engine (stdlib ``sqlite3``,
-  substituting for the paper's PostgreSQL; the schema and semantics are
-  engine-agnostic).
-- :class:`MemoryTaskStore` — a pure-Python engine used by the
-  discrete-event simulations and micro-benchmarks.
-
-Both pass one shared conformance test suite.
+One engine implements the :class:`TaskStore` contract:
+:class:`SqliteTaskStore` on stdlib ``sqlite3`` (substituting for the
+paper's PostgreSQL; the schema and semantics are engine-agnostic).  A
+database file is the durable store; ``":memory:"`` is the transient one
+the discrete-event simulations, demos and tests run on.  The reference
+model in :mod:`repro.testing.conformance` is the contract's executable
+spec.
 """
 
 from repro.db.schema import TaskStatus, TaskRow, SCHEMA_STATEMENTS
 from repro.db.backend import TaskStore
-from repro.db.memory_backend import MemoryTaskStore
 from repro.db.sqlite_backend import SqliteTaskStore
 
 __all__ = [
@@ -27,6 +23,5 @@ __all__ = [
     "TaskRow",
     "SCHEMA_STATEMENTS",
     "TaskStore",
-    "MemoryTaskStore",
     "SqliteTaskStore",
 ]

@@ -61,6 +61,13 @@ from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.util.errors import NotFoundError
 from repro.util.serialization import json_dumps
 
+#: Seconds a long-poll sleeps between re-checks of the tables.  A write
+#: through this store object wakes its waiters at once; the re-check
+#: catches writes it cannot see (another handle or process on the same
+#: database file).  The service re-tries its parked waits on the same
+#: tick (:data:`repro.core.service.RETRY_TICK`).
+WAIT_POLL = 0.05
+
 # pop_in_any's three statements (json_each: built in since SQLite 3.38).
 # CROSS JOIN pins json_each as the outer loop (SQLite never reorders
 # it), so rows come out in the caller's array order at one
@@ -108,14 +115,12 @@ def _from_db(value: str | bytes | None) -> str | None:
 class SqliteTaskStore(TaskStore):
     """EMEWS DB on SQLite (file-backed or ``:memory:``).
 
-    Long-poll waits use the same in-process condition variables as the
-    memory backend, so embedded use (pools and ME sharing one store
+    Long-poll waits sleep on in-process condition variables that share
+    the store lock, so embedded use (pools and ME sharing one store
     object) gets instant wake-ups.  A *different process* writing the
     same database file can't signal this process's condvars, so waits
-    additionally re-check the tables every ``wait_poll_interval``
-    seconds — a degraded mode that still beats the old client-side poll
-    (the default interval is well under the former per-attempt delays,
-    and the re-check is a single indexed SELECT, not an RPC).
+    additionally re-check the tables every :data:`WAIT_POLL` seconds — a
+    degraded mode whose re-check is a single indexed SELECT, not an RPC.
     """
 
     def __init__(
@@ -125,7 +130,6 @@ class SqliteTaskStore(TaskStore):
         *,
         durable: bool = False,
         journal: Journal | None = None,
-        wait_poll_interval: float = 0.05,
         cache_capacity: int = 512,
     ) -> None:
         if cache_capacity < 1:
@@ -158,13 +162,12 @@ class SqliteTaskStore(TaskStore):
         )
         self._path = path
         self._durable = durable
-        self._wait_poll = max(wait_poll_interval, 0.001)
         self._lock = threading.RLock()
-        # Long-poll conditions share the store lock (see memory backend);
-        # per-work-type for pop_out, one for the input queue.
+        # Long-poll conditions share the store lock; per-work-type for
+        # pop_out, one for the input queue.
         self._out_conds: dict[int, threading.Condition] = {}
-        # Latest enqueue time per work type, as in the memory backend
-        # (in-process writers only).
+        # Latest enqueue time per work type (in-process writers only):
+        # a woken pop is stamped no earlier than the write that woke it.
         self._out_marks: dict[int, float] = {}
         self._in_cond = threading.Condition(self._lock)
         self._wake_epoch = 0
@@ -362,26 +365,35 @@ class SqliteTaskStore(TaskStore):
         self._check_open()
         if n < 1:
             return []
-        if wait is not None and wait > 0:
-            # Long-poll: same-process writers notify the per-type cond;
-            # cross-process writers are caught by the bounded re-check
-            # interval (degraded mode, see the class docstring).
-            deadline = time.monotonic() + wait
-            with self._lock:
-                cond = self._out_cond(eq_type)
-                epoch = self._wake_epoch
-                while True:
-                    popped = self.pop_out(
-                        eq_type, n, worker_pool=worker_pool, now=now, lease=lease
-                    )
-                    if popped:
-                        return popped
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._wake_epoch != epoch:
-                        return []
-                    cond.wait(min(remaining, self._wait_poll))
-                    self._check_open()
-                    now = max(now, self._out_marks.get(eq_type, now))
+        if wait is None or wait <= 0:
+            return self._claim_out(eq_type, n, worker_pool, now, lease)
+        # Long-poll: same-process writers notify the per-type cond;
+        # cross-process writers are caught by the bounded re-check
+        # interval (degraded mode, see the class docstring).
+        deadline = time.monotonic() + wait
+        with self._lock:
+            cond = self._out_cond(eq_type)
+            epoch = self._wake_epoch
+            while True:
+                popped = self._claim_out(eq_type, n, worker_pool, now, lease)
+                if popped:
+                    return popped
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._wake_epoch != epoch:
+                    return []
+                cond.wait(min(remaining, WAIT_POLL))
+                self._check_open()
+                now = max(now, self._out_marks.get(eq_type, now))
+
+    def _claim_out(
+        self,
+        eq_type: int,
+        n: int,
+        worker_pool: str,
+        now: float,
+        lease: float | None,
+    ) -> list[tuple[int, str]]:
+        """One claim attempt: a single ``BEGIN IMMEDIATE`` transaction."""
         lease_expiry = None if lease is None else now + lease
         with self._txn() as cur:
             cur.execute(
@@ -542,19 +554,26 @@ class SqliteTaskStore(TaskStore):
             return []
         if limit is not None and limit <= 0:
             return []
-        if wait is not None and wait > 0:
-            deadline = time.monotonic() + wait
-            with self._lock:
-                epoch = self._wake_epoch
-                while True:
-                    results = self.pop_in_any(ids, limit)
-                    if results:
-                        return results
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._wake_epoch != epoch:
-                        return []
-                    self._in_cond.wait(min(remaining, self._wait_poll))
-                    self._check_open()
+        if wait is None or wait <= 0:
+            return self._claim_in(ids, limit)
+        deadline = time.monotonic() + wait
+        with self._lock:
+            epoch = self._wake_epoch
+            while True:
+                results = self._claim_in(ids, limit)
+                if results:
+                    return results
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._wake_epoch != epoch:
+                    return []
+                self._in_cond.wait(min(remaining, WAIT_POLL))
+                self._check_open()
+
+    def _claim_in(
+        self, ids: list[int], limit: int | None
+    ) -> list[tuple[int, str]]:
+        """One claim attempt: a peek outside any transaction, then one
+        transaction that claims what is still ready."""
         # The watch list travels as ONE bound JSON array, so the
         # statement text (and sqlite3's cached prepared statement) is
         # the same for any list length.  json_each drives the join in
@@ -564,7 +583,7 @@ class SqliteTaskStore(TaskStore):
             # every report, mostly for someone else's ids, and an empty
             # wake must not take the database write lock.
             cur.execute(_READY_IN_SQL, (json_dumps(ids),))
-            # Caller order; a repeated id counts once (memory parity).
+            # Caller order; a repeated id counts once.
             ready = list(dict.fromkeys(row[0] for row in cur.fetchall()))[:limit]
             if not ready:
                 return []

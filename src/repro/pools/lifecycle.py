@@ -31,7 +31,7 @@ _services: dict[str, TaskService] = {}
 _pools: dict[str, ThreadedWorkerPool] = {}
 
 
-def start_emews_db(name: str, db_path: str | None = None) -> str:
+def start_emews_db(name: str, db_path: str = ":memory:") -> str:
     """Start (open) an EMEWS DB on this site; returns its name."""
     with _lock:
         if name in _databases:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.eqsql import EQSQL
-from repro.db.memory_backend import MemoryTaskStore
+from repro.db.sqlite_backend import SqliteTaskStore
 from repro.sim.me_model import ReprioritizationTrace, SimMEAlgorithm
 from repro.sim.pool_model import SimPoolConfig, SimWorkerPool
 from repro.sim.workload import AckleyWorkload, RuntimeModel
@@ -39,7 +39,7 @@ def _make_env(n_tasks: int) -> tuple[Environment, EQSQL, Journal]:
     """A virtual-time environment plus the journal its pools write to,
     sized for the three pool-role hops each task leaves."""
     env = Environment()
-    eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
+    eqsql = EQSQL(SqliteTaskStore(), clock=env.clock)
     return env, eqsql, Journal(clock=env.clock, capacity=max(1, 3 * n_tasks))
 
 

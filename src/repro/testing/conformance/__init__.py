@@ -1,10 +1,10 @@
 """Deterministic cross-backend conformance harness for the EMEWS DB.
 
 One shared, seeded operation schedule is executed against every store
-access path — :class:`~repro.db.memory_backend.MemoryTaskStore`,
-:class:`~repro.db.sqlite_backend.SqliteTaskStore`, and
-:class:`~repro.core.service_client.RemoteTaskStore` through a live
-:class:`~repro.core.service.TaskService` — and every observable result
+access path — :class:`~repro.db.sqlite_backend.SqliteTaskStore`
+embedded, and :class:`~repro.core.service_client.RemoteTaskStore`
+through a live :class:`~repro.core.service.TaskService` over the same
+engine — and every observable result
 is checked, operation by operation, against a reference model of the
 store contract, then across paths byte-for-byte.
 

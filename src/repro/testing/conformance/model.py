@@ -49,7 +49,7 @@ class ModelStore:
     enqueues; pop, cancel, and report-withdraw dequeue; requeue
     re-enqueues).  The input queue is an ordered id list.  Pop order is
     ``priority DESC, eq_task_id ASC``; batch operations preserve caller
-    id order exactly as the SQL and memory backends do.
+    id order exactly as the SQL backend does.
     """
 
     def __init__(self, cache_capacity: int = 512) -> None:

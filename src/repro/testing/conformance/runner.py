@@ -5,15 +5,15 @@ access path in turn — a fresh store, model, virtual clock, and journal
 per path — then audits each path's journal and compares histories and
 journal traces across paths.  Paths:
 
-- ``memory`` — :class:`~repro.db.memory_backend.MemoryTaskStore`;
 - ``sqlite`` — :class:`~repro.db.sqlite_backend.SqliteTaskStore` on
   ``:memory:``;
 - ``remote`` — :class:`~repro.core.service_client.RemoteTaskStore`
   speaking the wire protocol to a live in-process
-  :class:`~repro.core.service.TaskService` wrapping a memory backend.
-  The backend gets the recording journal (so ROLE_DB traces compare
-  across paths); the service itself gets a disabled journal, keeping
-  service-hop records out of the cross-path comparison.
+  :class:`~repro.core.service.TaskService` wrapping the same kind of
+  store, the pairing a deployment runs.  The backend gets the
+  recording journal (so ROLE_DB traces compare across paths); the
+  service itself gets a disabled journal, keeping service-hop records
+  out of the cross-path comparison.
 
 Each path uses a private metrics registry so conformance runs never
 pollute the process-wide one.
@@ -22,11 +22,10 @@ pollute the process-wide one.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 from repro.db.backend import TaskStore
-from repro.db.memory_backend import MemoryTaskStore
 from repro.db.sqlite_backend import SqliteTaskStore
 from repro.telemetry.journal import Journal
 from repro.telemetry.metrics import MetricsRegistry
@@ -43,7 +42,7 @@ from repro.testing.conformance.schedule import (
 )
 from repro.util.clock import VirtualClock
 
-ACCESS_PATHS: tuple[str, ...] = ("memory", "sqlite", "remote")
+ACCESS_PATHS: tuple[str, ...] = ("sqlite", "remote")
 
 
 @contextmanager
@@ -57,48 +56,29 @@ def open_path(
     order is part of the verified contract, so the store and the model
     have to overflow at the same point.
     """
+    if path not in ACCESS_PATHS:
+        raise ValueError(f"unknown access path: {path!r}")
     registry = MetricsRegistry()
-    if path == "memory":
-        store = MemoryTaskStore(
+    with ExitStack() as stack:
+        backend = SqliteTaskStore(
             metrics=registry, journal=journal, cache_capacity=cache_capacity
         )
-        try:
-            yield store
-        finally:
-            store.close()
-    elif path == "sqlite":
-        store = SqliteTaskStore(
-            ":memory:", metrics=registry, journal=journal,
-            cache_capacity=cache_capacity,
-        )
-        try:
-            yield store
-        finally:
-            store.close()
-    elif path == "remote":
-        # Imported lazily: the memory/sqlite paths must not pay for the
-        # service stack (sockets, threads) just to run.
+        stack.callback(backend.close)
+        if path == "sqlite":
+            yield backend
+            return
+        # Imported lazily: the sqlite path must not pay for the service
+        # stack (sockets, threads) just to run.
         from repro.core.service import TaskService
         from repro.core.service_client import RemoteTaskStore
 
-        backend = MemoryTaskStore(
-            metrics=registry, journal=journal, cache_capacity=cache_capacity
-        )
         service = TaskService(
             backend, metrics=registry, journal=Journal(enabled=False)
         ).start()
-        client = None
-        try:
-            host, port = service.address
-            client = RemoteTaskStore(host, port, metrics=registry)
-            yield client
-        finally:
-            if client is not None:
-                client.close()
-            service.stop()
-            backend.close()
-    else:
-        raise ValueError(f"unknown access path: {path!r}")
+        stack.callback(service.stop)
+        client = RemoteTaskStore(*service.address, metrics=registry)
+        stack.callback(client.close)
+        yield client
 
 
 @dataclass

@@ -173,6 +173,7 @@ class TestIntrospection:
 class TestInit:
     def test_init_memory(self):
         eq = init_eqsql()
+        assert eq.store.path == ":memory:"
         eq.submit_task("e", 0, "p")
         assert eq.queue_lengths()[0] == 1
         eq.close()

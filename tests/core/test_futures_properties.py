@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EQSQL, ResultStatus, as_completed, update_priority
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 
 
 @settings(max_examples=40, deadline=None)
@@ -19,7 +19,7 @@ from repro.db import MemoryTaskStore
     batch=st.integers(min_value=1, max_value=25),
 )
 def test_every_future_yields_exactly_once(priorities, batch):
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     futures = eq.submit_tasks("e", 0, ["p"] * len(priorities), priority=priorities)
     # Execute everything inline.
     while True:
@@ -45,7 +45,7 @@ def test_every_future_yields_exactly_once(priorities, batch):
     new_priorities=st.lists(st.integers(-100, 100), min_size=20, max_size=20),
 )
 def test_pool_pop_order_follows_future_priorities(n, new_priorities):
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     futures = eq.submit_tasks("e", 0, ["p"] * n)
     update_priority(futures, new_priorities[:n])
     popped = [
@@ -65,7 +65,7 @@ def test_pool_pop_order_follows_future_priorities(n, new_priorities):
     cancel_mask=st.lists(st.booleans(), min_size=15, max_size=15),
 )
 def test_cancelled_futures_never_complete(n, cancel_mask):
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     futures = eq.submit_tasks("e", 0, ["p"] * n)
     for future, cancel in zip(futures, cancel_mask):
         if cancel:

@@ -18,7 +18,7 @@ import pytest
 from repro.core import EQSQL, LeaseReaper, TaskStatus, as_completed
 from repro.core.recovery import reap_expired
 from repro.core.service import TaskService
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.util.clock import VirtualClock
 
@@ -173,7 +173,7 @@ class TestConcurrentReportVsRequeue:
 
 class TestLeaseReaper:
     def test_run_once_under_virtual_clock(self):
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         clock = VirtualClock()
         reaper = LeaseReaper(store, clock=clock, interval=1.0)
         tid = claim(store, now=0.0, lease=10.0)
@@ -185,7 +185,7 @@ class TestLeaseReaper:
 
     def test_reap_expired_via_eqsql(self):
         clock = VirtualClock()
-        eq = EQSQL(MemoryTaskStore(), clock=clock)
+        eq = EQSQL(SqliteTaskStore(), clock=clock)
         future = eq.submit_task("exp", 0, "p")
         eq.query_task(0, timeout=0, lease=10.0)
         clock.advance(11.0)
@@ -193,13 +193,13 @@ class TestLeaseReaper:
         eq.close()
 
     def test_interval_must_be_positive(self):
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         with pytest.raises(ValueError):
             LeaseReaper(store, interval=0.0)
         store.close()
 
     def test_threaded_reaper_requeues_in_background(self):
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         tid = claim(store, now=0.0, lease=0.05)
         with LeaseReaper(store, interval=0.02):
             deadline = time.monotonic() + 5.0
@@ -209,7 +209,7 @@ class TestLeaseReaper:
         store.close()
 
     def test_service_embedded_reaper(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing, lease_reaper_interval=0.02).start()
         try:
             assert service.lease_reaper is not None
@@ -223,7 +223,7 @@ class TestLeaseReaper:
             backing.close()
 
     def test_service_without_interval_has_no_reaper(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         try:
             assert service.lease_reaper is None
@@ -245,7 +245,7 @@ class TestPoolHeartbeat:
     def test_heartbeat_keeps_long_tasks_alive(self):
         # Tasks run for several lease lifetimes; the heartbeat must keep
         # renewing so the reaper never requeues (each task executes once).
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         calls: list[int] = []
         lock = threading.Lock()
 
@@ -275,7 +275,7 @@ class TestPoolHeartbeat:
         # A leased pool claims more than it can run and dies without
         # draining; the reaper requeues the abandoned claims and a
         # replacement completes everything — no recover_pool call.
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
 
         def slow(d):
             time.sleep(0.1)
@@ -307,7 +307,7 @@ class TestPoolHeartbeat:
         eq.close()
 
     def test_renew_leases_without_lease_config_is_noop(self):
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         pool = ThreadedWorkerPool(
             eq,
             PythonTaskHandler(lambda d: d),

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import RemoteTaskStore, TaskService, protocol
 from repro.core.service_client import RetryPolicy
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.util.errors import (
     ConnectionBrokenError,
     SerializationError,
@@ -248,7 +248,7 @@ class TestStreamingMemory:
 
 @pytest.fixture
 def service():
-    backing = MemoryTaskStore()
+    backing = SqliteTaskStore()
     svc = TaskService(backing).start()
     yield svc
     svc.stop()

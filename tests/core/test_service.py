@@ -15,7 +15,7 @@ import pytest
 from repro.core import EQSQL, ResultStatus, TaskService, RemoteTaskStore, as_completed
 from repro.core import protocol
 from repro.core.protocol import task_row_from_dict, task_row_to_dict
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.db.schema import TaskRow, TaskStatus
 from repro.telemetry.metrics import MetricsRegistry
 from repro.util.errors import AuthenticationError, NotFoundError
@@ -23,7 +23,7 @@ from repro.util.errors import AuthenticationError, NotFoundError
 
 @pytest.fixture
 def service():
-    backing = MemoryTaskStore()
+    backing = SqliteTaskStore()
     svc = TaskService(backing, auth_token="tok").start()
     yield svc
     svc.stop()
@@ -50,7 +50,7 @@ class TestAuth:
             RemoteTaskStore(host, port)
 
     def test_no_token_service_accepts_anyone(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         with TaskService(backing) as svc:
             host, port = svc.address
             store = RemoteTaskStore(host, port)
@@ -118,7 +118,7 @@ class TestRemoteStore:
 
 class TestStop:
     def test_stop_does_not_wait_out_the_serve_poll(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         serve_thread = service._thread
         try:
@@ -137,7 +137,7 @@ class TestStop:
 
 class TestOneServiceThread:
     def test_threads_do_not_grow_with_clients_or_parked_waits(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         socks = []
         try:
@@ -172,7 +172,7 @@ class TestMeRpcCost:
         # submit is one create_tasks, and draining results that have
         # all landed is one pop_in_any, not one round trip per task.
         n_tasks = 200
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         registry = MetricsRegistry()
         store = RemoteTaskStore(*service.address, metrics=registry)
@@ -198,7 +198,7 @@ class TestMeRpcCost:
     def test_singular_api_is_one_batch_of_one_rpc_per_call(self):
         # The paper's Listing 1/2 names on the pingpong path: each call
         # is one round trip, and on the wire it is the batch op.
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service_metrics = MetricsRegistry()
         service = TaskService(backing, metrics=service_metrics).start()
         me_metrics, pool_metrics = MetricsRegistry(), MetricsRegistry()
@@ -310,7 +310,7 @@ class TestProtocol:
                 {"id": 2, "method": "pop_out", "params": {"eq_type": 0, "n": 2}}
             ),
         ]
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing, metrics=MetricsRegistry()).start()
         try:
             with socket.create_connection(service.address, timeout=5) as sock:

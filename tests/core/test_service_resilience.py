@@ -19,7 +19,7 @@ from repro.core import RemoteTaskStore, TaskService
 from repro.core import protocol
 from repro.core.ops import OPS, retryable
 from repro.core.service_client import RetryPolicy
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.db.backend import TaskStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.testing import ChaosProxy
@@ -34,7 +34,7 @@ FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.01, max_delay=0.05)
 
 @pytest.fixture
 def service():
-    backing = MemoryTaskStore()
+    backing = SqliteTaskStore()
     svc = TaskService(backing).start()
     yield svc
     svc.stop()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import EQSQL, RemoteTaskStore, TaskService
 from repro.core.protocol import encode_message, read_message, write_frame
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.db.schema import TaskStatus
 
 #: How long a well-behaved client may wait for an answer while another
@@ -24,7 +24,7 @@ PROMPT = 3.0
 
 @pytest.fixture
 def service():
-    backing = MemoryTaskStore()
+    backing = SqliteTaskStore()
     svc = TaskService(backing).start()
     yield svc
     svc.stop()

@@ -21,7 +21,7 @@ import pytest
 from repro.core import EQ_STOP, EQSQL, RemoteTaskStore, TaskService
 from repro.core.constants import EQ_TIMEOUT, ResultStatus
 from repro.core.futures import as_completed
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import (
     PoolConfig,
     PythonTaskHandler,
@@ -82,7 +82,7 @@ def _report_later(backing, n, delay=0.05):
 
 @pytest.fixture
 def service_stack():
-    backing = MemoryTaskStore()
+    backing = SqliteTaskStore()
     service = TaskService(backing).start()
     client = RemoteTaskStore(*service.address)
     yield backing, service, client
@@ -118,7 +118,7 @@ class TestServiceWaitGrant:
         assert results == [[(tid, "p")]]
 
     def test_wait_grant_is_capped_by_max_wait_ms(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing, max_wait_ms=50).start()
         client = RemoteTaskStore(*service.address)
         try:
@@ -135,7 +135,7 @@ class TestServiceWaitGrant:
     def test_wait_over_wait_dropping_store_is_parked(self):
         # The service parks the request itself, so it long-polls over
         # any store, even one that never blocks.
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         store = _WaitDroppingStore(backing)
         service = TaskService(store).start()
         client = RemoteTaskStore(*service.address)
@@ -199,7 +199,7 @@ class TestServiceWaitGrant:
         assert service.status_snapshot()["service"]["waiters"] == 0
 
     def test_stop_wakes_parked_waiters(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         client = RemoteTaskStore(*service.address)
         try:
@@ -292,7 +292,7 @@ class TestNonBlockingContract:
 
     @pytest.mark.parametrize("call", sorted(_NONBLOCKING_CALLS))
     def test_one_waitless_store_call(self, call):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         store = _WaitDroppingStore(backing)
         try:
             clock = VirtualClock(start=10.0)
@@ -311,7 +311,7 @@ class TestNonBlockingContract:
 
 class TestEqsqlFastPath:
     def test_query_result_returns_at_event_not_delay_tick(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         try:
             eq = EQSQL(backing)
             future = eq.submit_task("e", 0, json.dumps({"x": 1}))
@@ -334,7 +334,7 @@ class TestEqsqlFastPath:
             backing.close()
 
     def test_as_completed_wakes_at_event_not_delay_tick(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         try:
             eq = EQSQL(backing)
             futures = eq.submit_tasks(
@@ -355,7 +355,7 @@ class TestEqsqlFastPath:
             backing.close()
 
     def test_as_completed_polling_fallback_still_drains(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         store = _WaitDroppingStore(backing)
         try:
             eq = EQSQL(store)
@@ -371,7 +371,7 @@ class TestEqsqlFastPath:
             backing.close()
 
     def test_query_result_drains_through_jittered_retry(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         store = _WaitDroppingStore(backing)
         try:
             eq = EQSQL(store)
@@ -388,7 +388,7 @@ class TestEqsqlFastPath:
             backing.close()
 
     def test_query_task_batch_drains_through_jittered_retry(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         store = _WaitDroppingStore(backing)
         try:
             eq = EQSQL(store)
@@ -418,7 +418,7 @@ class TestPoolFetchWait:
     # ``wait`` and the fetcher drains through the jittered retry.
     @pytest.mark.parametrize("wait_cap", [0.5, 0.0])
     def test_pool_drains_with_and_without_long_poll(self, wait_cap):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         store = _WaitDroppingStore(backing, cap=wait_cap)
         eq = EQSQL(store)
         pool = ThreadedWorkerPool(
@@ -444,7 +444,7 @@ class TestPoolFetchWait:
     def test_idle_pool_dispatches_without_poll_delay_tick(self):
         """With long-poll fetch, dispatch latency is decoupled from
         ``poll_delay``: a deliberately huge poll_delay stays unused."""
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         eq = EQSQL(backing)
         pool = ThreadedWorkerPool(
             eq,
@@ -467,7 +467,7 @@ class TestPoolFetchWait:
     def test_idle_mpi_engine_dispatches_on_the_event(self):
         """Rank 0 long-polls an empty queue instead of sleeping
         ``poll_delay``: a deliberately huge poll_delay stays unused."""
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         eq = EQSQL(backing)
         config = PoolConfig(work_type=0, n_workers=1, poll_delay=5.0)
         runner = threading.Thread(

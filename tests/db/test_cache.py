@@ -1,7 +1,8 @@
 """Cross-backend result-cache parity (ISSUE 10 satellite).
 
 One parametrized module holds every backend to the same cache
-contract — memory, sqlite, and remote through a live TaskService —
+contract — sqlite over ``:memory:`` and over a file, and remote
+through a live TaskService —
 covering hit/miss, TTL expiry-on-get, last-write-wins puts, LRU
 eviction at capacity, stats, and persistence across sqlite reopen.
 The EQSQL-level tests then cover the submit-path integration: cache
@@ -17,7 +18,7 @@ import pytest
 from repro.core.constants import ResultStatus, TaskStatus
 from repro.core.eqsql import EQSQL
 from repro.core.futures import as_completed
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.util.clock import VirtualClock
 from repro.util.serialization import cache_key
@@ -26,31 +27,26 @@ CAPACITY = 4
 
 
 @pytest.fixture(params=["memory", "sqlite", "remote"])
-def cache_store(request):
-    """A fresh capacity-bounded store of each access-path flavor."""
+def cache_store(request, tmp_path):
+    """A fresh capacity-bounded store on each access path: embedded over
+    ``:memory:``, embedded over a database file, and remote through a
+    live TaskService."""
     registry = MetricsRegistry()
-    if request.param == "memory":
-        store = MemoryTaskStore(metrics=registry, cache_capacity=CAPACITY)
-        yield store
-        store.close()
-    elif request.param == "sqlite":
-        store = SqliteTaskStore(
-            ":memory:", metrics=registry, cache_capacity=CAPACITY
-        )
-        yield store
-        store.close()
-    else:
+    path = str(tmp_path / "emews.db") if request.param == "sqlite" else ":memory:"
+    backend = SqliteTaskStore(path, metrics=registry, cache_capacity=CAPACITY)
+    if request.param == "remote":
         from repro.core.service import TaskService
         from repro.core.service_client import RemoteTaskStore
 
-        backend = MemoryTaskStore(metrics=registry, cache_capacity=CAPACITY)
         service = TaskService(backend, port=0, metrics=registry).start()
         host, port = service.address
         client = RemoteTaskStore(host, port, metrics=MetricsRegistry())
         yield client
         client.close()
         service.stop()
-        backend.close()
+    else:
+        yield backend
+    backend.close()
 
 
 class TestCacheParity:
@@ -160,7 +156,7 @@ class TestSqlitePersistence:
 class TestSubmitPathCache:
     def _eqsql(self, ttl=None):
         registry = MetricsRegistry()
-        store = MemoryTaskStore(metrics=registry, cache_capacity=16)
+        store = SqliteTaskStore(metrics=registry, cache_capacity=16)
         clock = VirtualClock()
         return (
             EQSQL(store, clock=clock, metrics=registry, cache_ttl=ttl),
@@ -360,7 +356,7 @@ class TestRemoteSubmitPathCache:
         from repro.core.service_client import RemoteTaskStore
 
         registry = MetricsRegistry()
-        backend = MemoryTaskStore(metrics=registry, cache_capacity=16)
+        backend = SqliteTaskStore(metrics=registry, cache_capacity=16)
         service = TaskService(backend, port=0, metrics=registry).start()
         host, port = service.address
         me_client = RemoteTaskStore(host, port, metrics=MetricsRegistry())

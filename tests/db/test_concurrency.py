@@ -11,12 +11,12 @@ import threading
 
 import pytest
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_concurrent_pop_no_duplicates(backend):
-    store = MemoryTaskStore() if backend == "memory" else SqliteTaskStore(":memory:")
+def test_concurrent_pop_no_duplicates(backend, db_path):
+    store = SqliteTaskStore(db_path(backend))
     n_tasks = 600
     store.create_tasks("e", 0, [f"p{i}" for i in range(n_tasks)])
     popped: list[int] = []
@@ -44,8 +44,8 @@ def test_concurrent_pop_no_duplicates(backend):
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_concurrent_submit_and_pop(backend):
-    store = MemoryTaskStore() if backend == "memory" else SqliteTaskStore(":memory:")
+def test_concurrent_submit_and_pop(backend, db_path):
+    store = SqliteTaskStore(db_path(backend))
     n_producers, per_producer = 4, 100
     total = n_producers * per_producer
     done = threading.Event()
@@ -83,8 +83,8 @@ def test_concurrent_submit_and_pop(backend):
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_concurrent_report_and_pop_in(backend):
-    store = MemoryTaskStore() if backend == "memory" else SqliteTaskStore(":memory:")
+def test_concurrent_report_and_pop_in(backend, db_path):
+    store = SqliteTaskStore(db_path(backend))
     ids = store.create_tasks("e", 0, ["p"] * 200)
     store.pop_out(0, 200)
 

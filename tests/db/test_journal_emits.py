@@ -1,10 +1,11 @@
-"""Both backends emit identical flight-recorder records at every hop."""
+"""The store emits the same flight-recorder records at every hop, over
+``:memory:`` and over a database file."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.telemetry.journal import (
     EV_CANCEL,
     EV_ENQUEUE,
@@ -20,12 +21,9 @@ from repro.util.clock import VirtualClock
 
 
 @pytest.fixture(params=["memory", "sqlite"])
-def journaled_store(request):
+def journaled_store(request, db_path):
     journal = Journal(clock=VirtualClock())
-    if request.param == "memory":
-        store = MemoryTaskStore(journal=journal)
-    else:
-        store = SqliteTaskStore(":memory:", journal=journal)
+    store = SqliteTaskStore(db_path(request.param), journal=journal)
     yield store, journal
     store.close()
 
@@ -126,12 +124,9 @@ class TestLifecycleEmits:
 
 class TestDisabledJournal:
     @pytest.mark.parametrize("flavor", ["memory", "sqlite"])
-    def test_disabled_journal_records_nothing(self, flavor):
+    def test_disabled_journal_records_nothing(self, flavor, db_path):
         journal = Journal(clock=VirtualClock(), enabled=False)
-        if flavor == "memory":
-            store = MemoryTaskStore(journal=journal)
-        else:
-            store = SqliteTaskStore(":memory:", journal=journal)
+        store = SqliteTaskStore(db_path(flavor), journal=journal)
         try:
             (tid,) = store.create_tasks("exp", 0, ["{}"])
             store.pop_out(0, n=1, now=0.0, lease=5.0)

@@ -4,8 +4,8 @@ The ME re-sends its whole watch list on every collect wake, so the
 SQLite implementation binds the list as one JSON array (statement text
 independent of its length), peeks without a transaction, and claims
 under the write lock.  These tests pin what that must not change —
-caller order, ``limit``, parity with the memory backend, exactly-once
-across handles — and what it must achieve.
+caller order, ``limit``, the same answers over ``:memory:`` and over a
+file, exactly-once across handles — and what it must achieve.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 
 
 def fill(store, n_mine: int, seed: int) -> tuple[list[int], set[int]]:
@@ -37,24 +37,24 @@ def fill(store, n_mine: int, seed: int) -> tuple[list[int], set[int]]:
 
 @pytest.mark.parametrize("n_watch", [1, 999, 1000, 5000])
 @pytest.mark.parametrize("limit", [None, 1, 7])
-def test_memory_sqlite_parity_on_order_and_limit(n_watch, limit):
-    memory, sqlite = MemoryTaskStore(), SqliteTaskStore(":memory:")
+def test_memory_sqlite_parity_on_order_and_limit(n_watch, limit, db_path):
+    """A ``:memory:`` database and a database file both answer with the
+    ready watched ids in caller order, cut at ``limit``."""
+    stores = [SqliteTaskStore(db_path("memory")), SqliteTaskStore(db_path("sqlite"))]
     try:
-        watch, ready = fill(memory, n_watch, seed=n_watch)
-        assert fill(sqlite, n_watch, seed=n_watch) == (watch, ready)
-        expected = [(t, f"r{t}") for t in watch if t in ready][:limit]
-        assert memory.pop_in_any(watch, limit) == expected
-        assert sqlite.pop_in_any(watch, limit) == expected
-        # Drain: same leftovers in the same order, and nothing twice.
-        rest = [(t, f"r{t}") for t in watch if t in ready][len(expected):]
-        assert memory.pop_in_any(watch) == rest
-        assert sqlite.pop_in_any(watch) == rest
-        assert sqlite.pop_in_any(watch) == memory.pop_in_any(watch) == []
-        # Foreign results were never touched.
-        assert sqlite.queue_in_length() == memory.queue_in_length() == n_watch
+        for store in stores:
+            watch, ready = fill(store, n_watch, seed=n_watch)
+            expected = [(t, f"r{t}") for t in watch if t in ready][:limit]
+            assert store.pop_in_any(watch, limit) == expected
+            # Drain: the leftovers in caller order, and nothing twice.
+            rest = [(t, f"r{t}") for t in watch if t in ready][len(expected):]
+            assert store.pop_in_any(watch) == rest
+            assert store.pop_in_any(watch) == []
+            # Foreign results were never touched.
+            assert store.queue_in_length() == n_watch
     finally:
-        memory.close()
-        sqlite.close()
+        for store in stores:
+            store.close()
 
 
 def test_repeated_id_in_watch_list_pops_once(store):

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.db.schema import TaskStatus
-
-BACKENDS = [MemoryTaskStore, lambda: SqliteTaskStore(":memory:")]
 
 priorities_lists = st.lists(
     st.integers(min_value=-100, max_value=100), min_size=1, max_size=40
@@ -36,10 +34,10 @@ def submissions_and_updates(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=submissions_and_updates(), backend_idx=st.integers(min_value=0, max_value=1))
-def test_pop_order_matches_final_priorities(data, backend_idx):
+@given(data=submissions_and_updates())
+def test_pop_order_matches_final_priorities(data):
     priorities, updates = data
-    store = BACKENDS[backend_idx]()
+    store = SqliteTaskStore()
     try:
         ids = store.create_tasks("e", 0, ["p"] * len(priorities), priority=priorities)
         final = dict(zip(ids, priorities))
@@ -60,10 +58,9 @@ def test_pop_order_matches_final_priorities(data, backend_idx):
 @given(
     priorities=priorities_lists,
     cancel_mask=st.lists(st.booleans(), min_size=1, max_size=40),
-    backend_idx=st.integers(min_value=0, max_value=1),
 )
-def test_cancel_removes_exactly_the_canceled(priorities, cancel_mask, backend_idx):
-    store = BACKENDS[backend_idx]()
+def test_cancel_removes_exactly_the_canceled(priorities, cancel_mask):
+    store = SqliteTaskStore()
     try:
         ids = store.create_tasks("e", 0, ["p"] * len(priorities), priority=priorities)
         to_cancel = [t for t, c in zip(ids, cancel_mask) if c]
@@ -80,10 +77,9 @@ def test_cancel_removes_exactly_the_canceled(priorities, cancel_mask, backend_id
 @given(
     n=st.integers(min_value=1, max_value=30),
     report_order=st.permutations(range(30)),
-    backend_idx=st.integers(min_value=0, max_value=1),
 )
-def test_input_queue_delivers_every_result_once(n, report_order, backend_idx):
-    store = BACKENDS[backend_idx]()
+def test_input_queue_delivers_every_result_once(n, report_order):
+    store = SqliteTaskStore()
     try:
         ids = store.create_tasks("e", 0, [f"p{i}" for i in range(n)])
         store.pop_out(0, n)

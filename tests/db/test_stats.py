@@ -1,13 +1,13 @@
 """TaskStore.stats() conformance and lease-machinery counters.
 
-Both backends must report identical queue/lease snapshots for identical
-histories — the contract the monitoring samplers and the ``/status``
-endpoint depend on.
+The store must report identical queue/lease snapshots for identical
+histories, over ``:memory:`` and over a database file — the contract
+the monitoring samplers and the ``/status`` endpoint depend on.
 """
 
 from __future__ import annotations
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.telemetry.metrics import MetricsRegistry
 
 EMPTY_STATS = {
@@ -66,8 +66,9 @@ class TestStatsConformance:
         }
         assert stats["tasks"]["complete"] == 1
 
-    def test_backends_agree(self):
-        """The same history yields byte-identical stats on both backends."""
+    def test_backends_agree(self, db_path):
+        """The same history yields byte-identical stats on both kinds of
+        database."""
 
         def drive(store):
             store.create_tasks("exp", 1, ["{}"] * 4)
@@ -77,7 +78,7 @@ class TestStatsConformance:
             store.pop_out(2, n=1, now=1.0)
             return store.stats(now=30.0)
 
-        memory, sqlite = MemoryTaskStore(), SqliteTaskStore(":memory:")
+        memory, sqlite = SqliteTaskStore(db_path("memory")), SqliteTaskStore(db_path("sqlite"))
         try:
             assert drive(memory) == drive(sqlite)
         finally:
@@ -86,47 +87,24 @@ class TestStatsConformance:
 
 
 class TestQueueDepthUnderChurn:
-    """Depth gauges must ignore lazily-deleted heap entries (memory
-    backend) and agree with sqlite's row counts for the same history."""
+    """Depth gauges count live queue rows through reprioritization and
+    cancellation churn."""
 
     def test_depth_gauges_ignore_dead_entries(self, store):
         ids = store.create_tasks("exp", 0, ["{}"] * 6)
-        store.update_priorities(ids, 5)   # memory: invalidates 6 heap entries
-        store.cancel_tasks(ids[:2])       # ...and 2 more
+        store.update_priorities(ids, 5)
+        store.cancel_tasks(ids[:2])
         assert store.queue_out_length(0) == 4
         assert store.queue_out_length() == 4
         assert store.stats()["queue_out"] == {"0": 4}
         assert store.stats()["queue_out_total"] == 4
 
-    def test_memory_heap_compacts_under_reprioritization(self):
-        """Each update_priorities call strands one dead entry per task;
-        compaction must keep the heap near the live count instead of
-        letting three full passes quadruple it."""
-        store = MemoryTaskStore()
-        try:
-            ids = store.create_tasks("exp", 0, ["{}"] * 100)
-            for priority in range(1, 4):
-                assert store.update_priorities(ids, priority) == 100
-            # 300 churned entries; without compaction the heap holds ~400.
-            assert len(store._out_heaps[0]) < 200
-            assert store.queue_out_length(0) == 100
-            popped = store.pop_out(0, n=100, now=0.0)
-            assert len(popped) == 100
-            assert store.queue_out_length(0) == 0
-        finally:
-            store.close()
-
 
 class TestLeaseCounters:
-    def make(self, kind, registry):
-        if kind == "memory":
-            return MemoryTaskStore(metrics=registry)
-        return SqliteTaskStore(":memory:", metrics=registry)
-
-    def test_renewals_counted(self, store_kind="memory"):
+    def test_renewals_counted(self, db_path):
         for kind in ("memory", "sqlite"):
             reg = MetricsRegistry()
-            s = self.make(kind, reg)
+            s = SqliteTaskStore(db_path(kind), metrics=reg)
             s.create_tasks("exp", 0, ["{}"] * 2)
             popped = s.pop_out(0, n=2, now=0.0, lease=10.0)
             ids = [task_id for task_id, _ in popped]
@@ -135,10 +113,10 @@ class TestLeaseCounters:
             assert reg.get("db.lease_renewals").value == 4, kind
             s.close()
 
-    def test_requeues_counted(self):
+    def test_requeues_counted(self, db_path):
         for kind in ("memory", "sqlite"):
             reg = MetricsRegistry()
-            s = self.make(kind, reg)
+            s = SqliteTaskStore(db_path(kind), metrics=reg)
             s.create_tasks("exp", 0, ["{}"] * 3)
             s.pop_out(0, n=2, now=0.0, lease=5.0)
             requeued = s.requeue_expired(now=100.0)
@@ -146,12 +124,12 @@ class TestLeaseCounters:
             assert reg.get("db.lease_requeues").value == 2, kind
             s.close()
 
-    def test_report_withdrawal_counted(self):
+    def test_report_withdrawal_counted(self, db_path):
         """A reaped task whose original report lands late: the requeued
         copy is withdrawn, and the withdrawal is counted."""
         for kind in ("memory", "sqlite"):
             reg = MetricsRegistry()
-            s = self.make(kind, reg)
+            s = SqliteTaskStore(db_path(kind), metrics=reg)
             s.create_tasks("exp", 0, ["{}"])
             popped = s.pop_out(0, n=1, now=0.0, lease=5.0)
             task_id = popped[0][0]
@@ -162,10 +140,10 @@ class TestLeaseCounters:
             assert s.stats()["queue_out_total"] == 0, kind
             s.close()
 
-    def test_plain_report_not_counted_as_withdrawal(self):
+    def test_plain_report_not_counted_as_withdrawal(self, db_path):
         for kind in ("memory", "sqlite"):
             reg = MetricsRegistry()
-            s = self.make(kind, reg)
+            s = SqliteTaskStore(db_path(kind), metrics=reg)
             s.create_tasks("exp", 0, ["{}"])
             popped = s.pop_out(0, n=1, now=0.0)
             s.report_batch([(popped[0][0], 0, "{}")])

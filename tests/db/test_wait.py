@@ -1,4 +1,4 @@
-"""Blocking long-poll (``wait=``) semantics of the store backends.
+"""Blocking long-poll (``wait=``) semantics of the store.
 
 The contract under test (see ``TaskStore.pop_out``/``pop_in_any``):
 a wait over satisfiable state returns immediately; a wait over empty
@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 
 # Every test here asserts wall-clock bounds; on a badly loaded machine
 # they can exceed even generous ceilings, so the whole module carries
@@ -209,11 +209,12 @@ class TestPopInAnyWait:
 
 class TestCrossProcessDegradedMode:
     """Two sqlite handles on one file share no condvars: the waiter's
-    internal re-poll (``wait_poll_interval``) must find foreign writes."""
+    internal re-poll (every ``WAIT_POLL`` seconds) must find foreign
+    writes."""
 
     def test_waiter_discovers_foreign_create(self, tmp_path):
         path = str(tmp_path / "shared.db")
-        reader = SqliteTaskStore(path, wait_poll_interval=0.02)
+        reader = SqliteTaskStore(path)
         writer = SqliteTaskStore(path)
         try:
             blocked = _BlockedCall(lambda: _claim(reader, wait=WAIT))
@@ -227,7 +228,7 @@ class TestCrossProcessDegradedMode:
 
     def test_waiter_discovers_foreign_report(self, tmp_path):
         path = str(tmp_path / "shared.db")
-        reader = SqliteTaskStore(path, wait_poll_interval=0.02)
+        reader = SqliteTaskStore(path)
         writer = SqliteTaskStore(path)
         try:
             [tid] = writer.create_tasks("e", 0, ["p"], time_created=0.0)
@@ -258,6 +259,11 @@ class TestCapabilityFlag:
         assert not hasattr(store, "supports_wait")
         assert _wait_default(store.pop_out) is None
         assert _wait_default(store.pop_in_any) is None
+        # Without ``wait`` an empty pop returns at once.
+        t0 = time.monotonic()
+        assert _claim(store) == []
+        assert store.pop_in_any([1], limit=1) == []
+        assert time.monotonic() - t0 < PROMPT
 
     def test_base_contract_defaults_to_no_wait(self):
         from repro.core.service_client import RemoteTaskStore
@@ -271,15 +277,3 @@ class TestCapabilityFlag:
             assert _wait_default(cls.pop_in_any) is None, cls.__name__
         for cls in (TaskStore, RemoteTaskStore, FlakyTaskStore):
             assert not hasattr(cls, "supports_wait"), cls.__name__
-
-    def test_memory_store_flag(self):
-        s = MemoryTaskStore()
-        try:
-            assert not hasattr(s, "supports_wait")
-            # Without ``wait`` an empty pop returns at once.
-            t0 = time.monotonic()
-            assert _claim(s) == []
-            assert s.pop_in_any([1], limit=1) == []
-            assert time.monotonic() - t0 < PROMPT
-        finally:
-            s.close()

@@ -25,7 +25,7 @@ from repro.core import EQSQL, LeaseReaper, RemoteTaskStore, TaskService
 from repro.core.constants import TaskStatus
 from repro.core.futures import as_completed
 from repro.core.service_client import RetryPolicy
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.testing import ChaosProxy, FlakyTaskStore
 
@@ -61,7 +61,7 @@ class TestProxyChaos:
         all results arrive exactly once, recovery is fully automatic."""
         n_tasks = 24
         rng = random.Random(2023)
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing, lease_reaper_interval=0.1).start()
         proxy = ChaosProxy(*service.address, rng=rng).start()
         me_store = RemoteTaskStore(*proxy.address, retry=RETRY, rng=rng)
@@ -144,7 +144,7 @@ class TestSeverMidWait:
         the task is published (a stale request must claim nothing),
         proving the reconnected wait is the one that claims.
         """
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         proxy = ChaosProxy(*service.address, rng=random.Random(7)).start()
         store = RemoteTaskStore(*proxy.address, retry=RETRY)
@@ -199,7 +199,7 @@ class TestFlakyStoreChaos:
         """Every pool-side store call can fault before or after applying;
         leases plus idempotent reports still deliver everything once."""
         n_tasks = 20
-        inner = MemoryTaskStore()
+        inner = SqliteTaskStore()
         flaky = FlakyTaskStore(
             inner,
             failure_rate=0.25,

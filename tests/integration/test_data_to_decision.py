@@ -21,7 +21,7 @@ from repro.data import (
     fill_missing,
     rolling_mean,
 )
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.epi import (
     CalibrationProblem,
     MultiResolutionEnsemble,
@@ -93,7 +93,7 @@ def test_data_to_decision_pipeline(staging):
         surveillance=SURVEILLANCE,
         initial_infected=5,
     )
-    eq = EQSQL(MemoryTaskStore())
+    eq = EQSQL(SqliteTaskStore())
     pool = ThreadedWorkerPool(
         eq, PythonTaskHandler(problem.task_function),
         PoolConfig(work_type=0, n_workers=4),

@@ -14,7 +14,7 @@ import json
 
 from repro.core import EQSQL, as_completed
 from repro.core.recovery import recover_pool
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.fabric import CloudBroker, Endpoint, FabricClient, FabricTaskState
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 
@@ -32,7 +32,7 @@ def fast_square(d):
 
 class TestPoolCrashRecovery:
     def test_abandoned_tasks_recovered_and_completed(self):
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         futures = eq.submit_tasks(
             "exp", 0, [json.dumps({"x": i}) for i in range(12)]
         )

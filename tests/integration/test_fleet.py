@@ -21,7 +21,7 @@ from repro.cli import main as cli_main
 from repro.core import EQSQL, as_completed
 from repro.core.service import TaskService
 from repro.core.service_client import RemoteTaskStore
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -65,7 +65,7 @@ def pool_config(name: str, **overrides) -> PoolConfig:
 @pytest.fixture()
 def live_service():
     registry = MetricsRegistry()
-    store = MemoryTaskStore(metrics=registry)
+    store = SqliteTaskStore(metrics=registry)
     service = TaskService(
         store,
         port=0,
@@ -253,7 +253,7 @@ class TestInProcessStoreDegradesGracefully:
     def test_pool_without_telemetry_sink_still_works(self):
         # In-process store has no ``telemetry`` RPC: the pool must log
         # and run without a pusher rather than fail.
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         pool = ThreadedWorkerPool(
             eq, PythonTaskHandler(lambda d: d), pool_config("pool-local")
         ).start()

@@ -24,7 +24,7 @@ from repro.cli import main as cli_main
 from repro.core import EQSQL, as_completed
 from repro.core.service import TaskService
 from repro.core.service_client import RemoteTaskStore
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.me.driver import run_async_optimization
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.telemetry.journal import (
@@ -206,7 +206,7 @@ class TestFusedFlushHops:
         # One request, two hops: the service journals the report of the
         # flushed task, then the pop of the refill, stamped alike.
         clock, journal, _spill = scoped_journal
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         service = TaskService(store, clock=clock, metrics=MetricsRegistry()).start()
         remote = RemoteTaskStore(*service.address, metrics=MetricsRegistry())
         try:
@@ -239,7 +239,7 @@ class TestLiveStragglerDetection:
         previous = set_journal(journal)
         registry = MetricsRegistry()
         service = TaskService(
-            MemoryTaskStore(),
+            SqliteTaskStore(),
             port=0,
             status_port=0,
             metrics=registry,

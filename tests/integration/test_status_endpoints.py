@@ -19,7 +19,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.service import TaskService
 from repro.core.service_client import RemoteTaskStore
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -31,7 +31,7 @@ def fetch(url: str):
 @pytest.fixture()
 def live_service():
     registry = MetricsRegistry()
-    store = MemoryTaskStore(metrics=registry)
+    store = SqliteTaskStore(metrics=registry)
     service = TaskService(
         store,
         port=0,
@@ -141,7 +141,7 @@ class TestEndpointsAgainstLiveService:
 class TestReadinessDegradation:
     def test_readyz_503_when_store_breaks(self):
         registry = MetricsRegistry()
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         service = TaskService(store, port=0, status_port=0, metrics=registry)
         service.start()
         try:
@@ -162,7 +162,7 @@ class TestReadinessDegradation:
             service.stop()
 
     def test_no_status_server_by_default(self):
-        service = TaskService(MemoryTaskStore(), port=0)
+        service = TaskService(SqliteTaskStore(), port=0)
         service.start()
         try:
             assert service.status_address is None

@@ -18,7 +18,7 @@ from repro.core.eqsql import EQSQL, init_eqsql
 from repro.core.futures import as_completed
 from repro.core.service import TaskService
 from repro.core.service_client import RemoteTaskStore
-from repro.db.memory_backend import MemoryTaskStore
+from repro.db.sqlite_backend import SqliteTaskStore
 from repro.pools.config import PoolConfig
 from repro.pools.handlers import PythonTaskHandler
 from repro.pools.pool import ThreadedWorkerPool
@@ -99,7 +99,7 @@ class TestLocalPipeline:
 
 class TestServicePipeline:
     def test_cross_wire_parenting(self, tracer):
-        service = TaskService(MemoryTaskStore()).start()
+        service = TaskService(SqliteTaskStore()).start()
         host, port = service.address
         remote = RemoteTaskStore(host, port)
         eq = EQSQL(remote, clock=tracer.clock)
@@ -149,7 +149,7 @@ class TestServicePipeline:
                 assert span.parent_id in by_id, (span.name, span.parent_id)
 
     def test_rtt_decomposes(self, tracer):
-        service = TaskService(MemoryTaskStore()).start()
+        service = TaskService(SqliteTaskStore()).start()
         host, port = service.address
         remote = RemoteTaskStore(host, port)
         eq = EQSQL(remote, clock=tracer.clock)

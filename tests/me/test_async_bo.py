@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.me import BOConfig, ackley, run_async_bo, sphere
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 
@@ -15,7 +15,7 @@ WORK_TYPE = 0
 
 @pytest.fixture
 def eq():
-    eqsql = EQSQL(MemoryTaskStore())
+    eqsql = EQSQL(SqliteTaskStore())
     yield eqsql
     eqsql.close()
 

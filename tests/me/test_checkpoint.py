@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import EQSQL
 from repro.data import ArtifactManager
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.me import sphere
 from repro.me.checkpoint import (
     MECheckpoint,
@@ -29,7 +29,7 @@ WORK_TYPE = 0
 
 @pytest.fixture
 def eq():
-    eqsql = EQSQL(MemoryTaskStore())
+    eqsql = EQSQL(SqliteTaskStore())
     yield eqsql
     eqsql.close()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.me import ackley, ranks_to_priorities, run_async_optimization, uniform_random
 from repro.me.driver import decode_result
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
@@ -16,7 +16,7 @@ WORK_TYPE = 0
 
 @pytest.fixture
 def eq():
-    eqsql = EQSQL(MemoryTaskStore())
+    eqsql = EQSQL(SqliteTaskStore())
     yield eqsql
     eqsql.close()
 

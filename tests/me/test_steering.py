@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import EQSQL, TaskStatus
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.me import sphere
 from repro.me.steering import Actions, Steering
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
@@ -18,7 +18,7 @@ WORK_TYPE = 0
 
 @pytest.fixture
 def eq():
-    eqsql = EQSQL(MemoryTaskStore())
+    eqsql = EQSQL(SqliteTaskStore())
     yield eqsql
     eqsql.close()
 

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.core import EQ_STOP, EQSQL, RemoteTaskStore, TaskService, as_completed
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.db.schema import TaskStatus
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.pools import pool as pool_module
@@ -33,7 +33,7 @@ from repro.telemetry.metrics import MetricsRegistry
 WAIT = 10.0  # every gate and join is bounded: a wedge fails, never hangs
 
 
-class GatedStore(MemoryTaskStore):
+class GatedStore(SqliteTaskStore):
     """Records every report call on entry and can hold it at a gate.
 
     A long-poll ``pop_out`` (the fetcher's, which holds the fetch role)
@@ -74,8 +74,8 @@ class GatedStore(MemoryTaskStore):
         # Recorded as itself: its halves bypass the recording overrides.
         self._arrive("report_pop", [r[0] for r in reports])
         self.batch_hook(reports)
-        MemoryTaskStore.report_batch(self, reports, now=now, profiles=profiles)
-        return MemoryTaskStore.pop_out(self, eq_type, n, now=now, **pop)
+        SqliteTaskStore.report_batch(self, reports, now=now, profiles=profiles)
+        return SqliteTaskStore.pop_out(self, eq_type, n, now=now, **pop)
 
     def batch_hook(self, reports) -> None:
         """Fault point for subclasses: runs before a batch is applied."""
@@ -341,7 +341,7 @@ class TestBatchedReporting:
         assert c.pool.reports_lost == 0
 
     def test_all_results_arrive(self):
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         config = PoolConfig(work_type=0, n_workers=4, batch_size=8)
         pool = ThreadedWorkerPool(eq, PythonTaskHandler(lambda d: d), config).start()
         try:
@@ -356,7 +356,7 @@ class TestBatchedReporting:
         assert pool.owned() == 0
 
     def test_batched_pool_over_remote_store(self):
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         service = TaskService(backing).start()
         store = RemoteTaskStore(*service.address)
         eq = EQSQL(store)
@@ -453,7 +453,7 @@ class TestFusedRefill:
         # report_pop that also refills: about one RPC per task where a
         # report followed by a pop_out would cost two.
         n_tasks = 200
-        backing = MemoryTaskStore()
+        backing = SqliteTaskStore()
         backing.create_tasks("exp", 0, ["{}"] * n_tasks)
         service = TaskService(backing).start()
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -65,8 +66,15 @@ class TestLocalLifecycle:
 
         done = list(as_completed(futures, timeout=20, delay=0.01))
         assert len(done) == 6
-        status = lifecycle.pool_status(pool_name)
-        assert status["completed"] == 6
+        # The pool counts a task once its report call returns, which can
+        # trail the ME collecting that result: give the counter a bound.
+        deadline = time.monotonic() + 10
+        while (
+            lifecycle.pool_status(pool_name)["completed"] < 6
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert lifecycle.pool_status(pool_name)["completed"] == 6
         assert lifecycle.stop_worker_pool(pool_name)
         assert not lifecycle.stop_worker_pool(pool_name)
 

@@ -9,14 +9,14 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import EQSQL, EQ_STOP
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, run_mpi_pool
 from repro.telemetry import Journal, set_journal, task_timeline
 
 
 @pytest.fixture
 def eq():
-    eqsql = EQSQL(MemoryTaskStore())
+    eqsql = EQSQL(SqliteTaskStore())
     yield eqsql
     eqsql.close()
 

@@ -29,7 +29,7 @@ from collections import Counter
 import pytest
 
 from repro.core import EQSQL, RemoteTaskStore, TaskService, as_completed
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.telemetry.journal import EV_REPORT, ROLE_DB, ROLE_POOL, Journal, set_journal
 from repro.testing import FlakyTaskStore
@@ -76,18 +76,14 @@ class FlakyFlushes(FlakyTaskStore):
 
 
 @pytest.fixture(params=["memory", "sqlite", "remote-flaky"])
-def plane(request, tmp_path, clock):
+def plane(request, db_path, clock):
     """``(me_store, pool_store, lease)`` for one access path."""
-    if request.param == "memory":
-        store = MemoryTaskStore()
-        yield store, store, None
-        store.close()
-    elif request.param == "sqlite":
-        store = SqliteTaskStore(str(tmp_path / "emews.db"))
+    if request.param != "remote-flaky":
+        store = SqliteTaskStore(db_path(request.param))
         yield store, store, None
         store.close()
     else:
-        backing = SqliteTaskStore(str(tmp_path / "emews.db"))
+        backing = SqliteTaskStore(db_path("sqlite"))
         service = TaskService(backing, lease_reaper_interval=0.1, clock=clock).start()
         me_store = RemoteTaskStore(*service.address)
         pool_store = FlakyFlushes(
@@ -144,7 +140,7 @@ def test_every_task_is_reported_exactly_once(plane, journal, clock):
         assert pool_store.faults_injected.get("report_pop", 0) > 0
 
 
-class RoleAudit(MemoryTaskStore):
+class RoleAudit(SqliteTaskStore):
     """Checks every claim against the pool's fetch-role invariant.
 
     A claim is a ``pop_out`` — the fetcher's, or the second half of a

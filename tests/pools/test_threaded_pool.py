@@ -10,14 +10,14 @@ import pytest
 
 from repro.core import EQSQL, EQ_STOP, ResultStatus, as_completed
 from repro.core.constants import EQ_ABORT
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.telemetry import COUNT_BUCKETS, Journal, MetricsRegistry
 
 
 @pytest.fixture
 def eq():
-    eqsql = EQSQL(MemoryTaskStore())
+    eqsql = EQSQL(SqliteTaskStore())
     yield eqsql
     eqsql.close()
 

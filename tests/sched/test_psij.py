@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core import EQSQL, as_completed
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler
 from repro.sched import Cluster, ClusterSpec, JobState, Scheduler
 from repro.sched.psij import (
@@ -122,7 +122,7 @@ class TestExecutor:
 
 class TestManagedPoolJob:
     def test_pool_runs_as_monitored_job_and_terminates(self, executor):
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         futures = eq.submit_tasks(
             "exp", 0, [json.dumps({"x": i}) for i in range(8)]
         )

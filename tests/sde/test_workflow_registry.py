@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.sde import ModelRegistry, WorkflowSpec, run_workflow
 from repro.sde.registry import ValidationError
 from repro.sde.workflow import WorkflowSpecError, fn_reference, resolve_fn
@@ -89,7 +89,7 @@ class TestWorkflowSpec:
         # Ship the spec as JSON; "the other site" rebuilds and runs it.
         shipped = self.make_spec().to_json()
         spec = WorkflowSpec.from_json(shipped)
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         results = run_workflow(
             spec,
             eq,
@@ -105,13 +105,13 @@ class TestWorkflowSpec:
 
     def test_undeclared_work_type_rejected(self):
         spec = self.make_spec()
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         with pytest.raises(WorkflowSpecError):
             run_workflow(spec, eq, payloads={9: ["{}"]})
         eq.close()
 
     def test_empty_spec_rejected(self):
-        eq = EQSQL(MemoryTaskStore())
+        eq = EQSQL(SqliteTaskStore())
         with pytest.raises(WorkflowSpecError):
             run_workflow(WorkflowSpec(name="empty"), eq, payloads={})
         eq.close()

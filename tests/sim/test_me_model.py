@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.sim import SimMEAlgorithm, SimPoolConfig, SimWorkerPool
 from repro.simt import Environment
 from repro.telemetry import Journal
@@ -14,7 +14,7 @@ from repro.telemetry import Journal
 
 def build_scenario(n_tasks=60, repri_every=20, n_workers=5, runtime=4.0, **me_kwargs):
     env = Environment()
-    eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
+    eqsql = EQSQL(SqliteTaskStore(), clock=env.clock)
     journal = Journal(clock=env.clock)
     rng = np.random.default_rng(0)
     points = rng.uniform(-5, 5, size=(n_tasks, 2))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import EQSQL, EQ_STOP
 from repro.core.constants import TaskStatus
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.sim import SimPoolConfig, SimWorkerPool
 from repro.simt import Environment
 from repro.telemetry import Journal, concurrency_series, utilization_stats
@@ -14,7 +14,7 @@ from repro.telemetry import Journal, concurrency_series, utilization_stats
 
 def build(n_workers=4, batch=None, threshold=1, query_cost=0.1, runtime=2.0):
     env = Environment()
-    eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
+    eqsql = EQSQL(SqliteTaskStore(), clock=env.clock)
     journal = Journal(clock=env.clock)
     pool = SimWorkerPool(
         env,
@@ -139,7 +139,7 @@ class TestPolicyEffects:
         # for exactly this reason): constant runtimes synchronize
         # completions and mask the policy differences.
         env = Environment()
-        eqsql = EQSQL(MemoryTaskStore(), clock=env.clock)
+        eqsql = EQSQL(SqliteTaskStore(), clock=env.clock)
         journal = Journal(clock=env.clock)
         pool = SimWorkerPool(
             env,

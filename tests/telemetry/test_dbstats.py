@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EQSQL
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.telemetry.dbstats import TimingSummary, task_timing_stats
 from repro.util.clock import VirtualClock
 
@@ -14,7 +14,7 @@ from repro.util.clock import VirtualClock
 @pytest.fixture
 def eq():
     clock = VirtualClock()
-    eqsql = EQSQL(MemoryTaskStore(), clock=clock)
+    eqsql = EQSQL(SqliteTaskStore(), clock=clock)
     yield eqsql, clock
     eqsql.close()
 
@@ -73,12 +73,11 @@ class TestTaskTimingStats:
     def test_matches_des_scenario(self):
         """DB stats over a full DES run agree with the runtime model."""
         # A dedicated run we can introspect: rebuild the pieces inline.
-        from repro.db import MemoryTaskStore as Store_
         from repro.sim import SimPoolConfig, SimWorkerPool
         from repro.simt import Environment
 
         env = Environment()
-        eqsql = EQSQL(Store_(), clock=env.clock)
+        eqsql = EQSQL(SqliteTaskStore(), clock=env.clock)
         eqsql.submit_tasks("des", 0, ["t"] * 40)
         pool = SimWorkerPool(
             env, eqsql, SimPoolConfig(name="p", n_workers=5, query_cost=0.1),
@@ -117,7 +116,7 @@ class TestTimingSummaryEmptyInputs:
 
     def test_empty_tasks_table(self):
         """dbstats over a store with zero tasks: all-zero summaries."""
-        eqsql = EQSQL(MemoryTaskStore())
+        eqsql = EQSQL(SqliteTaskStore())
         try:
             stats = task_timing_stats(eqsql, "never-ran")
             assert stats.queue_wait.count == 0

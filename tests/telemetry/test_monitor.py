@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.monitor import (
     CallbackSampler,
@@ -112,7 +112,7 @@ class TestStoreSampler:
     def test_gauges_reflect_store_state(self):
         clock = VirtualClock()
         reg = MetricsRegistry()
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         store.create_tasks("exp", 0, ["{}"] * 3)
         store.create_tasks("exp", 7, ["{}"] * 2)
         popped = store.pop_out(0, n=1, now=clock.now(), lease=10.0)
@@ -142,7 +142,7 @@ class TestStoreSampler:
 
     def test_summary_uses_queue_depth_keys(self):
         clock = VirtualClock()
-        store = MemoryTaskStore()
+        store = SqliteTaskStore()
         store.create_tasks("exp", 0, ["{}"] * 5)
         sampler = StoreSampler(store, metrics=MetricsRegistry(), clock=clock)
         sampler.sample_once()

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.db import MemoryTaskStore
+from repro.db import SqliteTaskStore
 from repro.testing import ChaosProxy, FlakyTaskStore
 
 
@@ -150,7 +150,7 @@ class TestChaosProxy:
 
 @pytest.fixture
 def flaky_pair():
-    inner = MemoryTaskStore()
+    inner = SqliteTaskStore()
     yield inner
     inner.close()
 
@@ -241,7 +241,7 @@ class TestFlakyTaskStore:
     def test_seeded_runs_are_reproducible(self, flaky_pair):
         def run(seed):
             flaky = FlakyTaskStore(
-                MemoryTaskStore(), failure_rate=0.5, rng=random.Random(seed)
+                SqliteTaskStore(), failure_rate=0.5, rng=random.Random(seed)
             )
             outcomes = []
             for i in range(20):

@@ -1,4 +1,4 @@
-"""The cross-backend conformance harness, plus the regressions it proved.
+"""The cross-path conformance harness, plus the regressions it proved.
 
 The fuzzer tests run the real seeded schedules (shorter than the CLI
 defaults, fixed seeds, so CI time stays bounded); the regression tests
@@ -12,7 +12,7 @@ import contextlib
 
 import pytest
 
-from repro.db import MemoryTaskStore, SqliteTaskStore
+from repro.db import SqliteTaskStore
 from repro.testing import FlakyTaskStore
 from repro.testing.conformance import (
     ModelStore,
@@ -25,15 +25,16 @@ from repro.testing.conformance.runner import open_path
 from repro.telemetry.journal import EV_REPORT, ROLE_DB, Journal
 from repro.util.clock import VirtualClock
 
-#: A three-path seed run spins up a live TaskService; keep the pytest
-#: seed set small (CI runs the full 25-seed sweep via the CLI job).
+#: A remote seed run spins up a live TaskService; keep the pytest seed
+#: set small (CI runs the full 25-seed sweep via the CLI job).
 LOCAL_SEEDS = (0, 7, 13, 42)
 REMOTE_SEEDS = (13, 42)
 
 
 @pytest.mark.parametrize("seed", LOCAL_SEEDS)
 def test_memory_sqlite_conformance(seed):
-    result = run_seed(seed, paths=("memory", "sqlite"))
+    """The embedded path: SQLite over ``:memory:`` against the model."""
+    result = run_seed(seed, paths=("sqlite",))
     assert result.ok, "\n".join(result.violations)
     assert result.operations > 0
 
@@ -43,14 +44,14 @@ def test_all_paths_conformance(seed):
     result = run_seed(
         seed, config=ScheduleConfig(steps=100)
     )
-    assert result.paths == ("memory", "sqlite", "remote")
+    assert result.paths == ("sqlite", "remote")
     assert result.ok, "\n".join(result.violations)
 
 
 def test_violation_replays_from_seed():
     """The same seed produces the same schedule, byte for byte."""
-    first = run_seed(3, paths=("memory",))
-    second = run_seed(3, paths=("memory",))
+    first = run_seed(3, paths=("sqlite",))
+    second = run_seed(3, paths=("sqlite",))
     assert first.ok and second.ok
     assert first.operations == second.operations
 
@@ -58,7 +59,7 @@ def test_violation_replays_from_seed():
 def test_engine_detects_seeded_divergence():
     """A store that lies about pop order is caught immediately."""
 
-    class LyingStore(MemoryTaskStore):
+    class LyingStore(SqliteTaskStore):
         def pop_out(self, eq_type, n=1, **kwargs):
             popped = super().pop_out(eq_type, n, **kwargs)
             return list(reversed(popped))
@@ -98,26 +99,32 @@ def test_model_matches_contract_docs():
 
 
 @contextlib.contextmanager
-def _open(path):
-    """``open_path`` plus ``flaky``: a quiet fault-injection wrapper,
-    whose derived delegations must not restate (and so drift from) the
+def _open(path, db_path, journal=None):
+    """A quiet store on one path: ``memory`` and ``sqlite`` embed the
+    engine over ``:memory:`` and over a database file, ``remote`` is the
+    runner's service path, and ``flaky`` a fault-injection wrapper whose
+    derived delegations must not restate (and so drift from) the
     contract's defaults."""
-    if path == "flaky":
-        with open_path("memory", Journal(enabled=False)) as inner:
-            yield FlakyTaskStore(inner, failure_rate=0.0)
-    else:
-        with open_path(path, Journal(enabled=False)) as store:
+    journal = journal if journal is not None else Journal(enabled=False)
+    if path == "remote":
+        with open_path(path, journal) as store:
             yield store
+        return
+    store = SqliteTaskStore(db_path(path), journal=journal)
+    try:
+        yield FlakyTaskStore(store, failure_rate=0.0) if path == "flaky" else store
+    finally:
+        store.close()
 
 
 @pytest.mark.parametrize("path", ["memory", "sqlite", "remote", "flaky"])
-def test_requeue_restores_priority_over_queued_zeros(path):
+def test_requeue_restores_priority_over_queued_zeros(path, db_path):
     """A lease-expired priority-10 task requeues AHEAD of priority-0 tasks.
 
     The original bug: requeue_expired defaulted to priority=0, silently
     demoting exactly the tasks the ME had promoted (ISSUE 7).
     """
-    with _open(path) as store:
+    with _open(path, db_path) as store:
         low = store.create_tasks(
             "exp", 0, ["low-1", "low-2"], priority=0, time_created=0.0
         )
@@ -165,12 +172,12 @@ def test_renew_duplicate_ids_count_once(store):
 
 
 @pytest.mark.parametrize("path", ["memory", "sqlite"])
-def test_report_batch_journal_names_the_reporting_pool(path):
+def test_report_batch_journal_names_the_reporting_pool(path, db_path):
     """Found once the pool actor drove report_batch: sqlite's batch path
-    journaled its report records unsourced, memory's (and both single
-    report paths) with the pool that held the task."""
+    journaled its report records unsourced, the other engine's (and
+    both single report paths) with the pool that held the task."""
     journal = Journal(clock=VirtualClock())
-    with open_path(path, journal) as store:
+    with _open(path, db_path, journal) as store:
         ids = store.create_tasks("exp", 0, ["a", "b"], time_created=0.0)
         store.pop_out(0, 2, worker_pool="pool-7", now=1.0)
         store.report_batch([(tid, 0, "r") for tid in ids], now=2.0)
@@ -198,7 +205,7 @@ def test_every_op_is_driven_by_an_actor_or_exempt():
     driven: set[str] = set()
     for seed in LOCAL_SEEDS:
         with open_path(
-            "memory", Journal(enabled=False), config.cache_capacity
+            "sqlite", Journal(enabled=False), config.cache_capacity
         ) as store:
             log = CallLog(store)
             ScheduleEngine(log, seed, config).run()
@@ -210,10 +217,10 @@ def test_every_op_is_driven_by_an_actor_or_exempt():
 
 
 @pytest.mark.parametrize("path", ["memory", "sqlite", "remote"])
-def test_pop_order_parity_after_update_priorities(path):
+def test_pop_order_parity_after_update_priorities(path, db_path):
     """Priority tie-break (eq_priority DESC, eq_task_id ASC) holds on
     every access path after a reprioritization shuffles the queue."""
-    with open_path(path, Journal(enabled=False)) as store:
+    with _open(path, db_path) as store:
         ids = store.create_tasks(
             "exp", 0, [f"t{i}" for i in range(6)],
             priority=[3, 1, 4, 1, 5, 9], time_created=0.0,
@@ -226,10 +233,10 @@ def test_pop_order_parity_after_update_priorities(path):
 
 
 @pytest.mark.parametrize("path", ["memory", "sqlite", "remote"])
-def test_pop_in_any_order_parity(path):
+def test_pop_in_any_order_parity(path, db_path):
     """pop_in_any returns caller id order and respects limit identically
-    across memory, sqlite, and the remote service path."""
-    with open_path(path, Journal(enabled=False)) as store:
+    over ``:memory:``, over a file, and on the remote service path."""
+    with _open(path, db_path) as store:
         ids = store.create_tasks(
             "exp", 0, ["a", "b", "c", "d"], priority=0, time_created=0.0
         )
