@@ -259,11 +259,6 @@ class TestCapabilityFlag:
         assert not hasattr(store, "supports_wait")
         assert _wait_default(store.pop_out) is None
         assert _wait_default(store.pop_in_any) is None
-        # Without ``wait`` an empty pop returns at once.
-        t0 = time.monotonic()
-        assert _claim(store) == []
-        assert store.pop_in_any([1], limit=1) == []
-        assert time.monotonic() - t0 < PROMPT
 
     def test_base_contract_defaults_to_no_wait(self):
         from repro.core.service_client import RemoteTaskStore
@@ -277,3 +272,15 @@ class TestCapabilityFlag:
             assert _wait_default(cls.pop_in_any) is None, cls.__name__
         for cls in (TaskStore, RemoteTaskStore, FlakyTaskStore):
             assert not hasattr(cls, "supports_wait"), cls.__name__
+
+    def test_memory_store_flag(self):
+        s = SqliteTaskStore(":memory:")
+        try:
+            assert not hasattr(s, "supports_wait")
+            # Without ``wait`` an empty pop returns at once.
+            t0 = time.monotonic()
+            assert _claim(s) == []
+            assert s.pop_in_any([1], limit=1) == []
+            assert time.monotonic() - t0 < PROMPT
+        finally:
+            s.close()
