@@ -4,9 +4,11 @@ The remote hop every federated deployment pays: EQSQL operations through
 the JSON-over-TCP service versus direct in-process store calls.  The gap
 is the per-operation WAN-protocol overhead (serialization + framing +
 dispatch), which bounds how chatty an ME algorithm can afford to be and
-motivates the batch operations of §V-B.  The wake-path bench times the
-long-poll hop a pool's idle fetch pays on every task: a parked remote
-``pop_out`` ended by another client's create.
+motivates the batch operations of §V-B.  The wake-path benches time
+the long-poll hop a pool's idle fetch pays on every task (a parked
+remote ``pop_out`` ended by another client's create) and the one a
+remote ME's collect pays when the pool shares the served store object
+(a parked ``pop_in_any`` ended by a report written on another thread).
 """
 
 from __future__ import annotations
@@ -121,6 +123,19 @@ def sqlite_service(tmp_path):
     backing.close()
 
 
+def _park(service, call):
+    """Start ``call`` (a wait RPC) in a thread and return once the
+    service has parked it: ``(thread, results)``."""
+    got: list = []
+    thread = threading.Thread(target=lambda: got.append(call()))
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while service.g_waiters.value < 1:
+        assert time.monotonic() < deadline, "wait never parked"
+        time.sleep(0.001)
+    return thread, got
+
+
 def test_remote_wake_path(benchmark, sqlite_service):
     """A ``pop_out(wait=...)`` parked on a sqlite-file service, ended by
     another client's one-task ``create_tasks``: create, wake, claim and
@@ -128,22 +143,36 @@ def test_remote_wake_path(benchmark, sqlite_service):
     service, creator, fetcher = sqlite_service
 
     def park():
-        got: list = []
-        thread = threading.Thread(
-            target=lambda: got.append(
-                fetcher.pop_out(0, 1, worker_pool="bench", wait=10.0)
-            )
-        )
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while service.g_waiters.value < 1:
-            assert time.monotonic() < deadline, "fetch never parked"
-            time.sleep(0.001)
-        return (thread, got), {}
+        return _park(
+            service, lambda: fetcher.pop_out(0, 1, worker_pool="bench", wait=10.0)
+        ), {}
 
     def wake(thread, got):
         [tid] = creator.create_tasks("bench", 0, ["{}"])
         thread.join(timeout=10.0)
         assert got == [[(tid, "{}")]]
+
+    benchmark.pedantic(wake, setup=park, rounds=20, iterations=1)
+
+
+def test_remote_callback_wake_path(benchmark, sqlite_service):
+    """A ``pop_in_any(wait=...)`` parked on a sqlite-file service, ended
+    by a ``report_batch`` written straight into the served store object
+    from this thread, not the service loop's (as a pool sharing the
+    store does): the wait registry's callback wakes the loop, which
+    re-tries the collect.  Parking the collect is set-up, not timed."""
+    service, _, fetcher = sqlite_service
+    backing = service.store
+
+    def park():
+        [tid] = backing.create_tasks("bench", 0, ["{}"])
+        assert backing.pop_out(0, 1, worker_pool="bench")
+        thread, got = _park(service, lambda: fetcher.pop_in_any([tid], wait=10.0))
+        return (thread, got, tid), {}
+
+    def wake(thread, got, tid):
+        backing.report_batch([(tid, 0, "r")])
+        thread.join(timeout=10.0)
+        assert got == [[(tid, "r")]]
 
     benchmark.pedantic(wake, setup=park, rounds=20, iterations=1)

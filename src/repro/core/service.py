@@ -11,18 +11,18 @@ blocking (one :class:`~repro.core.protocol.FrameDecoder` per
 connection), dispatches each to the store inline, and streams the
 response back as the socket drains.  A long-poll (``pop_out`` /
 ``pop_in_any`` carrying ``wait_ms``) that finds nothing is *parked*: it
-is kept as a request, not as a thread blocked in the store, and re-tried
-after each write the loop dispatches that can satisfy it, on a fixed
-:data:`RETRY_TICK` for writers the loop does not see, and answered empty
-at its deadline.  The method set equals the :class:`repro.db.TaskStore`
-contract; any number of ME algorithms and worker pools may connect
-concurrently.  An optional bearer token gates access, standing in for
-the authenticated channel (SSH tunnel / OAuth) of the production
-deployment.
+is kept as a request, not as a thread blocked in the store, registered
+with the store's wait registry (:mod:`repro.db.waits`), re-tried when a
+write can satisfy it, and answered empty at its deadline.  The method
+set equals the :class:`repro.db.TaskStore` contract; any number of ME
+algorithms and worker pools may connect concurrently.  An optional
+bearer token gates access, standing in for the authenticated channel
+(SSH tunnel / OAuth) of the production deployment.
 """
 
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
 import threading
@@ -34,16 +34,10 @@ from typing import Any
 from repro.core import protocol
 from repro.core.leases import LeaseReaper
 from repro.core.ops import OPS, Hop, Op
+from repro.db import waits
 from repro.db.backend import TaskStore
-from repro.db.sqlite_backend import WAIT_POLL
-from repro.telemetry.journal import (
-    EV_ENQUEUE,
-    EV_REPORT,
-    EV_REQUEUE,
-    ROLE_SERVICE,
-    Journal,
-    get_journal,
-)
+from repro.db.waits import Waiter, WaitRegistry
+from repro.telemetry.journal import ROLE_SERVICE, Journal, get_journal
 from repro.telemetry.fleet import FleetRegistry
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.telemetry.tracing import Tracer, get_tracer
@@ -53,15 +47,6 @@ from repro.util.logging import get_logger, log_event
 
 _log = get_logger(__name__)
 
-#: Seconds between re-tries of every parked long-poll.  The loop re-tries
-#: a parked request at once after a write it dispatched that can satisfy
-#: it; this tick covers the writes it cannot see (another store handle or
-#: process on the same database file).  It is the store's own
-#: degraded-mode interval (:data:`repro.db.sqlite_backend.WAIT_POLL`), so
-#: such a write ends a remote wait as soon as it would end an embedded
-#: one.
-RETRY_TICK = WAIT_POLL
-
 #: Most bytes one ``recv`` takes off a connection.
 RECV_BYTES = 1 << 16
 
@@ -70,6 +55,7 @@ RECV_BYTES = 1 << 16
 DRAIN_SECONDS = 1.0
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_NO_LOCK = contextlib.nullcontext()
 
 
 class _Conn:
@@ -92,35 +78,26 @@ class _Conn:
         self.events = 0
 
 
-class _Parked:
-    """A long-poll that found nothing: the request, kept until a re-try
-    finds work, its deadline passes or its client goes.
+class _Parked(Waiter):
+    """A long-poll that found nothing: the request, registered with the
+    store's wait registry until a re-try finds work, its deadline passes
+    or its client goes."""
 
-    ``eq_type`` is set for a fetch (``pop_out``), ``watch`` (the id set)
-    for a collect (``pop_in_any``).
-    """
-
-    __slots__ = ("conn", "op", "params", "message", "deadline", "eq_type", "watch")
+    __slots__ = ("conn", "op", "params", "message", "deadline")
 
     def __init__(
         self, conn: _Conn, op: Op, params: dict[str, Any],
-        message: dict[str, Any], deadline: float,
+        message: dict[str, Any], deadline: float, on_due: Any,
     ) -> None:
+        if op.name == "pop_out":
+            super().__init__(on_due, eq_type=params.get("eq_type"))
+        else:
+            super().__init__(on_due, ids=params.get("eq_task_ids") or ())
         self.conn = conn
         self.op = op
         self.params = params
         self.message = message
         self.deadline = deadline
-        fetch = op.name == "pop_out"
-        self.eq_type = params.get("eq_type") if fetch else None
-        self.watch = None if fetch else frozenset(params.get("eq_task_ids") or ())
-
-    def woken_by(self, queued: set[int], reported: set[int]) -> bool:
-        """Whether a write that queued work of the ``queued`` types (-1:
-        any type) and reported the ``reported`` ids can satisfy it."""
-        if self.watch is None:
-            return self.eq_type in queued or -1 in queued
-        return not self.watch.isdisjoint(reported)
 
 
 class TaskService:
@@ -187,8 +164,8 @@ class TaskService:
         every ``fleet_default_interval`` seconds.
     max_wait_ms:
         Server-side cap on the ``wait_ms`` long-poll bound a ``pop_out``
-        / ``pop_in_any`` request may ask for.  A parked request costs
-        the loop one store call per re-try, and it pins a connection
+        / ``pop_in_any`` request may ask for.  A parked request costs no
+        store call until a write can satisfy it, but it pins a connection
         whose peer may have silently gone (a dead peer that sends no
         FIN is noticed only when a write to it fails); clients re-issue
         wait RPCs until their own timeout, so capping costs only an
@@ -219,7 +196,10 @@ class TaskService:
         fleet_default_interval: float = 10.0,
         max_wait_ms: int = 30_000,
     ) -> None:
+        if store.waits is None:
+            raise TypeError("TaskService needs a store with a wait registry")
         self._store = store
+        self._waits: WaitRegistry = store.waits
         self._auth_token = auth_token
         self._max_wait_ms = max(int(max_wait_ms), 0)
         self._stopping = threading.Event()
@@ -260,8 +240,8 @@ class TaskService:
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self._address = self._listener.getsockname()[:2]
-        # stop() writes a byte here so a loop blocked in select() sees
-        # the stopping flag at once.
+        # stop() and a write on another thread (see _on_due) send a
+        # byte here so a loop blocked in select() wakes at once.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
@@ -271,7 +251,9 @@ class TaskService:
         # insertion order is park order, so re-tries are first come,
         # first served.
         self._parked: dict[_Conn, _Parked] = {}
-        self._tick_at = 0.0
+        # Parked requests a write may satisfy, in the order it said so.
+        self._due: deque[_Parked] = deque()
+        self._loop_ident: int | None = None
         self._thread: threading.Thread | None = None
         self._started_at: float | None = None
         self._reaper: LeaseReaper | None = None
@@ -593,20 +575,21 @@ class TaskService:
             self._close_all()
 
     def _serve_forever(self) -> None:
+        self._loop_ident = threading.get_ident()
         reap_at = time.monotonic() + (self._reap_every or 0.0)
         try:
             while not self._stopping.is_set():
-                due = retry_at = self._next_retry()
+                due = self._next_tick()
                 if self._reaper is not None:
                     due = reap_at if due is None else min(due, reap_at)
                 self._poll(None if due is None else max(due - time.monotonic(), 0.0))
                 now = time.monotonic()
-                if retry_at is not None and now >= retry_at and self._parked:
-                    self._tick_at = now + RETRY_TICK
-                    self._retry(list(self._parked.values()))
+                if self._parked:
+                    self._tick(now)
                 if self._reaper is not None and now >= reap_at:
                     reap_at = now + self._reap_every  # type: ignore[operator]
                     self._reap()
+                self._retry_due()
             # Stopping: answer every parked wait empty, take no new
             # connection, and give what is being sent time to go out.
             for parked in list(self._parked.values()):
@@ -622,12 +605,20 @@ class TaskService:
         finally:
             self._close_all()
 
-    def _next_retry(self) -> float | None:
-        """When parked requests are next re-tried: the tick, or an
-        earlier deadline (None: nothing is parked)."""
+    def _next_tick(self) -> float | None:
+        """When :meth:`_tick` is next due (None: nothing is parked)."""
         if not self._parked:
             return None
-        return min(self._tick_at, min(p.deadline for p in self._parked.values()))
+        deadline = min(p.deadline for p in self._parked.values())
+        return min(time.monotonic() + waits.WAIT_POLL, deadline)
+
+    def _tick(self, now: float) -> None:
+        """Poll the registry (it reads ``data_version`` at most once per
+        :data:`~repro.db.waits.WAIT_POLL`), and answer empty each parked
+        request past its deadline."""
+        self._waits.poll()
+        for parked in [p for p in self._parked.values() if now >= p.deadline]:
+            self._answer(parked, [])
 
     def _poll(self, timeout: float | None) -> None:
         """Serve whatever the selector reports ready within ``timeout``."""
@@ -760,7 +751,9 @@ class TaskService:
         if conn not in self._conns:
             return
         self._conns.discard(conn)
-        if self._parked.pop(conn, None) is not None:
+        parked = self._parked.pop(conn, None)
+        if parked is not None:
+            self._waits.discard(parked)
             self.g_waiters.set(len(self._parked))
         if conn.events:
             self._selector.unregister(conn.sock)
@@ -789,20 +782,33 @@ class TaskService:
             if op is None:
                 raise ValueError(f"unknown method: {method}")
             wait = self._resolve_wait(params) if op.waitable else 0.0
-            result = self._attempt(op, params, message, traced=True)
-            if wait > 0 and not result:
-                self._parked[conn] = _Parked(
-                    conn, op, params, message, time.monotonic() + wait
-                )
-                if len(self._parked) == 1:
-                    self._tick_at = time.monotonic() + RETRY_TICK
-                self.g_waiters.set(len(self._parked))
-                return None
+            # A long-poll holds the store lock from its first try to its
+            # registration, so no write can land unseen in between.
+            with self._waits.lock if wait > 0 else _NO_LOCK:
+                result = self._attempt(op, params, message, traced=True)
+                if wait > 0 and not result:
+                    deadline = time.monotonic() + wait
+                    parked = _Parked(conn, op, params, message, deadline, self._on_due)
+                    self._parked[conn] = parked
+                    self._waits.add(parked)
+                    self.g_waiters.set(len(self._parked))
+                    return None
         except Exception as exc:
             self.m_errors.inc()
             return protocol.error_response(request_id, exc)
-        self._wake(op, params, result)
+        self._retry_due()
         return self._answered(method, request_id, result)
+
+    def _on_due(self, parked: Waiter) -> None:
+        """The registry's callback (under the store lock, on the writing
+        thread): queue the request for a re-try, and wake the loop when
+        the write ran on another thread."""
+        self._due.append(parked)  # type: ignore[arg-type]
+        if threading.get_ident() != self._loop_ident:
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # closed, or a wake byte is already pending
 
     def _attempt(
         self, op: Op, params: dict[str, Any], message: dict[str, Any], traced: bool
@@ -838,48 +844,25 @@ class TaskService:
         self.m_method_requests[method].inc()
         return protocol.ok_response(request_id, result)
 
-    def _wake(self, op: Op, params: dict[str, Any], result: Any) -> None:
-        """Re-try the parked requests a dispatched write can satisfy.
-
-        The op's journal hops say what the write did: an enqueue or a
-        requeue wakes fetches of the work types it queued (a requeue
-        names none, so it wakes every fetch), a report wakes collects
-        watching an id it delivered.  A re-tried fetch's ``now`` is
-        raised to the write's enqueue time, as the store raises it for a
-        pop that had to wait.
-        """
-        if not self._parked:
-            return
-        queued: set[int] = set()
-        reported: set[int] = set()
-        for hop in op.hops:
-            if hop.event == EV_REPORT:
-                reported.update(tid for tid, _ in hop.tasks(params, result))
-            elif hop.event in (EV_ENQUEUE, EV_REQUEUE):
-                queued.update(work_type for _, work_type in hop.tasks(params, result))
-        if not (queued or reported):
-            return
-        due = [p for p in self._parked.values() if p.woken_by(queued, reported)]
-        stamp = params.get("time_created", params.get("now")) if queued else None
-        if stamp is not None:
-            for parked in due:
-                parked.params["now"] = max(parked.params.get("now", 0.0), stamp)
-        self._retry(due)
-
-    def _retry(self, due: list[_Parked]) -> None:
-        """Re-try parked requests in park order: answer each that finds
-        work or fails, and answer empty, without a store call, each past
-        its deadline."""
-        now = time.monotonic()
-        for parked in due:
+    def _retry_due(self) -> None:
+        """Re-try the parked requests a write marked due, in that order:
+        answer each that finds work or fails, and answer empty, without a
+        store call, each past its deadline.  A re-tried fetch's ``now``
+        is raised to the enqueue time of the writes that woke it, as the
+        store raises it for a pop that had to wait."""
+        while self._due:
+            parked = self._due.popleft()
             if self._parked.get(parked.conn) is not parked:
-                continue  # answered or dropped by an earlier re-try
-            if now >= parked.deadline:
+                continue  # answered or dropped since
+            if time.monotonic() >= parked.deadline:
                 self._answer(parked, [])
                 continue
             if self._gone(parked.conn):
                 self._drop(parked.conn)  # claim nothing for a client that left
                 continue
+            parked.due = False  # before the claim: a later write re-queues it
+            if parked.mark is not None:
+                parked.params["now"] = max(parked.params.get("now", 0.0), parked.mark)
             try:
                 result = self._attempt(parked.op, parked.params, parked.message, False)
             except Exception as exc:
@@ -895,6 +878,7 @@ class TaskService:
         """Unpark a request and send its response (or error)."""
         conn = parked.conn
         del self._parked[conn]
+        self._waits.discard(parked)
         self.g_waiters.set(len(self._parked))
         request_id = parked.message.get("id")
         conn.chunks = protocol.frame_chunks(
@@ -907,12 +891,9 @@ class TaskService:
         """One lease-reaper sweep on the loop's timer; requeued work goes
         to parked fetches at once."""
         try:
-            requeued = self._reaper.run_once()  # type: ignore[union-attr]
+            self._reaper.run_once()  # type: ignore[union-attr]
         except Exception as exc:  # noqa: BLE001 - recovery must outlive faults
             log_event(_log, "leases.reaper_error", level=30, error=str(exc))
-            return
-        # Read after the sweep, so no claim predates the requeue.
-        self._wake(OPS["requeue_expired"], {"now": self._clock.now()}, requeued)
 
     def __enter__(self) -> "TaskService":
         return self.start()

@@ -146,8 +146,9 @@ def _store_stub(op: Op) -> Any:
 class RemoteTaskStore(TaskStore):
     """A TaskStore proxied over the EMEWS service protocol.
 
-    Long-poll waits are forwarded as ``wait_ms`` and the service blocks
-    server-side (clamped to its ``max_wait_ms``).
+    Long-poll waits are forwarded as ``wait_ms`` and the service parks
+    them server-side (clamped to its ``max_wait_ms``);
+    :meth:`wake_waiters` ends the ones in flight.
     """
 
     def __init__(
@@ -444,12 +445,17 @@ class RemoteTaskStore(TaskStore):
             response = self._exchange(conn, method, params, span)
         except (OSError, ConnectionError, ReproError) as exc:
             with self._wpool_lock:
+                woken = conn not in self._wait_busy and not self._closed
                 self._wait_busy.discard(conn)
+            if woken:  # wake_waiters ended it: empty, as if it ran out
+                return {"ok": True, "result": []}
             raise _RetryableFailure(exc) from exc
-        # Healthy: park it for reuse (up to WAIT_POOL_SIZE), else close.
+        # Healthy: park it for reuse (up to WAIT_POOL_SIZE), else close
+        # (a woken connection too: its sending side is shut).
         with self._wpool_lock:
+            reusable = conn in self._wait_busy and not self._closed
             self._wait_busy.discard(conn)
-            if not self._closed and len(self._wait_idle) < WAIT_POOL_SIZE:
+            if reusable and len(self._wait_idle) < WAIT_POOL_SIZE:
                 self._wait_idle.append(conn)
                 return response
         conn.close()
@@ -467,6 +473,20 @@ class RemoteTaskStore(TaskStore):
         so the client retries it across reconnects like any read.
         """
         return self._call(TELEMETRY.name, {"envelope": envelope})
+
+    def wake_waiters(self) -> None:
+        """End every long-poll in flight by half-closing its connection:
+        the service drops the parked request and closes, and the wait
+        returns ``[]``; an answer sent first is still read (no claim is
+        lost to the wake)."""
+        with self._wpool_lock:
+            woken = list(self._wait_busy)
+            self._wait_busy.clear()
+        for conn in woken:
+            try:
+                conn.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # already gone
 
     def close(self) -> None:
         with self._lock:

@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.db.schema import TaskRow, TaskStatus
+from repro.db.waits import WaitRegistry
 
 
 def normalize_profiles(
@@ -50,6 +51,12 @@ class TaskStore(ABC):
     and may always return early and empty; callers retry until their own
     deadline.
     """
+
+    #: Who waits for which write (:mod:`repro.db.waits`), for a store
+    #: whose writes land here; a :class:`~repro.core.service.TaskService`
+    #: parks its long-polls on it.  ``None`` for a store that forwards
+    #: its calls elsewhere (:class:`~repro.core.RemoteTaskStore`).
+    waits: WaitRegistry | None = None
 
     # -- task creation ---------------------------------------------------
 
@@ -111,9 +118,9 @@ class TaskStore(ABC):
         any injected virtual clock, and popped rows are stamped with the
         caller-provided ``now`` captured before the wait — raised, for a
         pop that had to wait, to the latest enqueue time (a create's
-        ``time_created`` or a :meth:`requeue_expired` ``now``) the store
-        has seen for ``eq_type``, so a claim never predates the write
-        that woke it and its lease is not shortened by the wait.  The
+        ``time_created`` or a :meth:`requeue_expired` ``now``) among the
+        writes that woke it, so a claim never predates the write that
+        woke it and its lease is not shortened by the wait.  The
         store may return early and empty (a server cap, a
         :meth:`wake_waiters` wake-up, a wrapper that drops ``wait``);
         callers treat an empty list as "try again or give up".
@@ -350,14 +357,15 @@ class TaskStore(ABC):
         """Delete all rows from all tables."""
 
     def wake_waiters(self) -> None:
-        """Wake every blocked long-poll immediately (they return empty).
+        """End every long-poll this store object has in flight now; each
+        returns empty.
 
-        Shutdown hook: the service calls this before joining handler
-        threads so no stop waits out a ``max_wait_ms``; pools call it on
-        their store when stopping so an in-process fetcher blocked in a
-        wait unblocks at once.  No-op for stores without wait support —
-        and, notably, for :class:`RemoteTaskStore`, which cannot target
-        its own in-flight RPC (the *service's* store wakes its handler).
+        Shutdown hook: a pool calls it on its store when stopping, so a
+        fetcher blocked in a wait unblocks at once.  A store ends its
+        blocking in-process waits; a :class:`~repro.core.RemoteTaskStore`
+        half-closes the connections its waits ride, and the service drops
+        a parked request whose client closed.  Long-polls parked by a
+        service for other clients are untouched.  No-op by default.
         """
 
     @abstractmethod

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import time
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 
 from repro.db.backend import TaskStore, normalize_priorities, normalize_profiles
 from repro.db.schema import SCHEMA_STATEMENTS, TABLE_NAMES, TaskRow, TaskStatus
+from repro.db.waits import WaitRegistry
 from repro.telemetry.journal import (
     EV_CANCEL,
     EV_ENQUEUE,
@@ -59,13 +59,6 @@ from repro.telemetry.journal import (
 from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.util.errors import NotFoundError
 from repro.util.serialization import json_dumps
-
-#: Seconds a long-poll sleeps between re-checks of the tables.  A write
-#: through this store object wakes its waiters at once; the re-check
-#: catches writes it cannot see (another handle or process on the same
-#: database file).  The service re-tries its parked waits on the same
-#: tick (:data:`repro.core.service.RETRY_TICK`).
-WAIT_POLL = 0.05
 
 # pop_in_any's three statements (json_each: built in since SQLite 3.38).
 # CROSS JOIN pins json_each as the outer loop (SQLite never reorders
@@ -114,12 +107,14 @@ def _from_db(value: str | bytes | None) -> str | None:
 class SqliteTaskStore(TaskStore):
     """EMEWS DB on SQLite (file-backed or ``:memory:``).
 
-    Long-poll waits sleep on in-process condition variables that share
-    the store lock, so embedded use (pools and ME sharing one store
-    object) gets instant wake-ups.  A *different process* writing the
-    same database file can't signal this process's condvars, so waits
-    additionally re-check the tables every :data:`WAIT_POLL` seconds — a
-    degraded mode whose re-check is a single indexed SELECT, not an RPC.
+    Long-polls wait on :attr:`waits`, the store's
+    :class:`~repro.db.waits.WaitRegistry`: each write through this
+    object wakes the waits it can satisfy at once, whether they block in
+    this process (pools and ME sharing the store object) or are parked
+    by a :class:`~repro.core.service.TaskService` in front of it.  A
+    write through another connection to the same file (a second handle,
+    another process) is seen within :data:`~repro.db.waits.WAIT_POLL`
+    seconds, when ``PRAGMA data_version`` says it happened.
     """
 
     def __init__(
@@ -147,14 +142,6 @@ class SqliteTaskStore(TaskStore):
         self._path = path
         self._durable = durable
         self._lock = threading.RLock()
-        # Long-poll conditions share the store lock; per-work-type for
-        # pop_out, one for the input queue.
-        self._out_conds: dict[int, threading.Condition] = {}
-        # Latest enqueue time per work type (in-process writers only):
-        # a woken pop is stamped no earlier than the write that woke it.
-        self._out_marks: dict[int, float] = {}
-        self._in_cond = threading.Condition(self._lock)
-        self._wake_epoch = 0
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.isolation_level = None  # explicit transaction control
         # One cached cursor serves every operation: all access is
@@ -205,6 +192,7 @@ class SqliteTaskStore(TaskStore):
                 cur.execute("ALTER TABLE eq_tasks DROP COLUMN json_out")
                 cur.execute("ALTER TABLE eq_tasks DROP COLUMN json_in")
         self._closed = False
+        self.waits = WaitRegistry(self._lock, self._data_version)
 
     @property
     def path(self) -> str:
@@ -240,26 +228,11 @@ class SqliteTaskStore(TaskStore):
         if self._closed:
             raise RuntimeError("store is closed")
 
-    def _out_cond(self, eq_type: int) -> threading.Condition:
-        """The per-work-type output-queue condition (call under the lock)."""
-        cond = self._out_conds.get(eq_type)
-        if cond is None:
-            cond = self._out_conds[eq_type] = threading.Condition(self._lock)
-        return cond
-
-    def _notify_out(self, eq_type: int, at: float | None = None) -> None:
-        """Wake pop_out long-polls for ``eq_type`` (call under the lock).
-
-        Called inside the writing transaction; waiters can't reacquire
-        the shared lock until the COMMIT completes, so they always see
-        the committed rows.  ``at`` is the write's enqueue time, which a
-        woken pop is stamped no earlier than.
-        """
-        if at is not None:
-            self._out_marks[eq_type] = max(self._out_marks.get(eq_type, at), at)
-        cond = self._out_conds.get(eq_type)
-        if cond is not None:
-            cond.notify_all()
+    def _data_version(self) -> int:
+        """``PRAGMA data_version``: moves when another connection
+        commits to the file (the wait registry's probe; under the lock)."""
+        self._cursor.execute("PRAGMA data_version")
+        return int(self._cursor.fetchone()[0])
 
     def _jrnl(self) -> Journal:
         return self._journal if self._journal is not None else get_journal()
@@ -314,7 +287,7 @@ class SqliteTaskStore(TaskStore):
                 " VALUES (?, ?, ?)",
                 [(tid, eq_type, pr) for tid, pr in zip(ids, priorities)],
             )
-            self._notify_out(eq_type, time_created)
+            self.waits.queued(eq_type, time_created)
             journal = self._jrnl()
             if journal.enabled:
                 for tid, pr in zip(ids, priorities):
@@ -342,23 +315,13 @@ class SqliteTaskStore(TaskStore):
             return []
         if wait is None or wait <= 0:
             return self._claim_out(eq_type, n, worker_pool, now, lease)
-        # Long-poll: same-process writers notify the per-type cond;
-        # cross-process writers are caught by the bounded re-check
-        # interval (degraded mode, see the class docstring).
-        deadline = time.monotonic() + wait
-        with self._lock:
-            cond = self._out_cond(eq_type)
-            epoch = self._wake_epoch
-            while True:
-                popped = self._claim_out(eq_type, n, worker_pool, now, lease)
-                if popped:
-                    return popped
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._wake_epoch != epoch:
-                    return []
-                cond.wait(min(remaining, WAIT_POLL))
-                self._check_open()
-                now = max(now, self._out_marks.get(eq_type, now))
+        return self.waits.wait(
+            lambda mark: self._claim_out(
+                eq_type, n, worker_pool, now if mark is None else max(now, mark),
+                lease,
+            ),
+            wait, eq_type=eq_type,
+        )
 
     def _claim_out(
         self,
@@ -498,7 +461,7 @@ class SqliteTaskStore(TaskStore):
                     " VALUES (?, ?)",
                     [(tid, eq_type) for tid, eq_type, _ in fresh],
                 )
-                self._in_cond.notify_all()  # wake pop_in_any long-polls
+                self.waits.reported(tid for tid, _, _ in fresh)
                 if journal.enabled:
                     profile_by_id = normalize_profiles(profiles)
                     for tid, eq_type, _ in fresh:
@@ -531,18 +494,7 @@ class SqliteTaskStore(TaskStore):
             return []
         if wait is None or wait <= 0:
             return self._claim_in(ids, limit)
-        deadline = time.monotonic() + wait
-        with self._lock:
-            epoch = self._wake_epoch
-            while True:
-                results = self._claim_in(ids, limit)
-                if results:
-                    return results
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._wake_epoch != epoch:
-                    return []
-                self._in_cond.wait(min(remaining, WAIT_POLL))
-                self._check_open()
+        return self.waits.wait(lambda _mark: self._claim_in(ids, limit), wait, ids=ids)
 
     def _claim_in(
         self, ids: list[int], limit: int | None
@@ -554,9 +506,8 @@ class SqliteTaskStore(TaskStore):
         # the same for any list length.  json_each drives the join in
         # array order, one index probe per watched id.
         with self._read() as cur:
-            # Peek outside any transaction: the ME's wait loop wakes on
-            # every report, mostly for someone else's ids, and an empty
-            # wake must not take the database write lock.
+            # Peek outside any transaction: an empty try (a long-poll's
+            # first, most often) must not take the database write lock.
             cur.execute(_READY_IN_SQL, (json_dumps(ids),))
             # Caller order; a repeated id counts once.
             ready = list(dict.fromkeys(row[0] for row in cur.fetchall()))[:limit]
@@ -752,7 +703,7 @@ class SqliteTaskStore(TaskStore):
             " VALUES (?, ?, ?)",
             (eq_task_id, eq_type, priority),
         )
-        self._notify_out(eq_type, now)
+        self.waits.queued(eq_type, now)
         if journal.enabled:
             journal.emit(
                 EV_REQUEUE, eq_task_id, role=ROLE_DB, work_type=eq_type,
@@ -891,20 +842,14 @@ class SqliteTaskStore(TaskStore):
                 cur.execute(f"DELETE FROM {table}")
 
     def wake_waiters(self) -> None:
-        """Unblock every long-poll now; woken waits return empty."""
-        with self._lock:
-            self._wake_epoch += 1
-            for cond in self._out_conds.values():
-                cond.notify_all()
-            self._in_cond.notify_all()
+        """Unblock every blocking long-poll now; woken waits return empty."""
+        self.waits.wake_all()
 
     def close(self) -> None:
         with self._lock:
             if not self._closed:
                 self._closed = True
-                # Wake blocked long-polls so they hit _check_open and
-                # raise instead of sleeping out their deadline.
-                for cond in self._out_conds.values():
-                    cond.notify_all()
-                self._in_cond.notify_all()
+                # Blocked long-polls raise instead of sleeping out their
+                # deadline.
+                self.waits.close()
                 self._conn.close()

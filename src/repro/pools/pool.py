@@ -319,12 +319,9 @@ class ThreadedWorkerPool:
             self._abort.set()
         with self._owned_cond:
             self._owned_cond.notify_all()  # a fetcher waiting for a deficit
-        # A fetcher blocked in a long-poll wakes instantly when the
-        # store is in-process; against a remote store this is a no-op
-        # and FETCH_WAIT bounds how long the fetcher can stay blocked.
-        waker = getattr(self._eqsql.store, "wake_waiters", None)
-        if waker is not None:
-            waker()
+        # A fetcher blocked in a long-poll returns empty at once, and
+        # its stop flag then ends the fetch.
+        self._eqsql.store.wake_waiters()
         self.join(timeout)
 
     def join(self, timeout: float = 30.0) -> None:

@@ -29,6 +29,7 @@ from typing import Any, Callable
 
 from repro.core.ops import Op, store_methods
 from repro.db.backend import TaskStore
+from repro.db.waits import WaitRegistry
 
 _CHUNK = 65536
 
@@ -291,6 +292,10 @@ class FlakyTaskStore(TaskStore):
     def inner(self) -> TaskStore:
         """The wrapped store (for assertions on true state)."""
         return self._inner
+
+    @property
+    def waits(self) -> WaitRegistry | None:
+        return self._inner.waits  # writes land in the inner store
 
     def wake_waiters(self) -> None:
         # Never inject on wake: it's a shutdown path, like close().

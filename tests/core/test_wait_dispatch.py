@@ -21,7 +21,7 @@ import pytest
 from repro.core import EQ_STOP, EQSQL, RemoteTaskStore, TaskService
 from repro.core.constants import EQ_TIMEOUT, ResultStatus
 from repro.core.futures import as_completed
-from repro.db import SqliteTaskStore
+from repro.db import SqliteTaskStore, waits
 from repro.pools import (
     PoolConfig,
     PythonTaskHandler,
@@ -180,6 +180,64 @@ class TestServiceWaitGrant:
             service.stop()
             other.close()
             served.close()
+
+    def test_report_into_the_served_store_ends_a_parked_collect(
+        self, service_stack, monkeypatch
+    ):
+        """A report written straight into the served store object, on a
+        thread that is not the service loop's (as a pool sharing the
+        store does), ends a parked remote collect through the wait
+        registry's callback: the poll interval is far beyond PROMPT."""
+        monkeypatch.setattr(waits, "WAIT_POLL", 10.0)
+        backing, service, client = service_stack
+        [tid] = backing.create_tasks("e", 0, ["p"], time_created=0.0)
+        assert backing.pop_out(0, 1, worker_pool="w", now=1.0)
+        thread, results = _park_one_waiter(
+            service, lambda: client.pop_in_any([tid], wait=30.0)
+        )
+        t0 = time.monotonic()
+        backing.report_batch([(tid, 0, "r")], now=2.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - t0 < PROMPT
+        assert results == [[(tid, "r")]]
+
+    def test_idle_parked_fetches_make_no_claims(self, service_stack, monkeypatch):
+        """Between writes, parked fetches cost no store claim: the loop's
+        timer only reads ``PRAGMA data_version``, and nothing moved it."""
+        backing, service, client = service_stack
+        claims = []
+        for name in ("_claim_out", "_claim_in"):
+            claim = getattr(backing, name)
+            monkeypatch.setattr(
+                backing, name,
+                lambda *a, _claim=claim, _name=name: claims.append(_name) or _claim(*a),
+            )
+        threads = [
+            threading.Thread(target=client.pop_out, args=(0, 1),
+                             kwargs={"worker_pool": "w", "now": 1.0, "wait": 30.0})
+            for _ in range(16)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + PARK_DEADLINE
+        while service.status_snapshot()["service"]["waiters"] < 16:
+            assert time.monotonic() < deadline, "fetches never all parked"
+            time.sleep(0.005)
+        del claims[:]
+        time.sleep(1.0)
+        assert claims == []
+        # One create wakes every fetch of its type; one of them claims it.
+        backing.create_tasks("e", 0, ["p"], time_created=0.0)
+        deadline = time.monotonic() + PARK_DEADLINE
+        while service.status_snapshot()["service"]["waiters"] > 15:
+            assert time.monotonic() < deadline, "the create woke no fetch"
+            time.sleep(0.005)
+        assert claims
+        service.stop()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
 
     def test_waiters_gauge_tracks_parked_requests(self, service_stack):
         backing, service, client = service_stack

@@ -40,6 +40,7 @@ from typing import Any
 
 from repro.core import RemoteTaskStore, TaskService
 from repro.db.schema import TaskRow, TaskStatus
+from repro.db.waits import WaitRegistry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.util.clock import VirtualClock
 from repro.util.errors import NotFoundError
@@ -140,11 +141,14 @@ CASES: list[tuple[str, str, tuple, dict, Any]] = [
 
 
 class _ScriptedStore:
-    """Duck-typed store: returns the scripted value, records the call."""
+    """Duck-typed store: returns the scripted value, records the call.
+    It writes nothing, so its wait registry (which the service parks
+    long-polls on) is never fed."""
 
     def __init__(self) -> None:
         self.outcome: Any = None
         self.calls: list[tuple[str, dict]] = []
+        self.waits = WaitRegistry()
 
     def wake_waiters(self) -> None:
         pass

@@ -33,10 +33,25 @@ PROMPT = 3.0
 NO_WAKE_WAIT = 0.5
 #: Minimum elapsed proving a no-wake wait really ran its deadline out.
 NO_WAKE_FLOOR = 0.4
+#: How long a helper thread may take to start waiting under load.
+PARK_DEADLINE = 10.0
 
 
 def _claim(store, eq_type=0, n=1, wait=None):
     return store.pop_out(eq_type, n, worker_pool="w", now=1.0, wait=wait)
+
+
+def _until_waiting(store):
+    """Return once a long-poll waits on ``store``'s wait registry.
+
+    The registry counts a wait once its first claim found nothing, in
+    the same hold of the store lock, so a write after this returns is
+    one the wait must see (as the service tests poll ``service.waiters``).
+    """
+    deadline = time.monotonic() + PARK_DEADLINE
+    while store.waits.waiters < 1:
+        assert time.monotonic() < deadline, "the call never waited"
+        time.sleep(0.001)
 
 
 class _BlockedCall:
@@ -87,7 +102,7 @@ class TestPopOutWait:
 
     def test_wakes_on_create(self, store):
         blocked = _BlockedCall(lambda: _claim(store, wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         [tid] = store.create_tasks("e", 0, ["p"], time_created=0.0)
         assert blocked.join() == [(tid, "p")]
         assert blocked.elapsed < PROMPT
@@ -96,7 +111,7 @@ class TestPopOutWait:
         [tid] = store.create_tasks("e", 0, ["p"], time_created=0.0)
         assert store.pop_out(0, 1, worker_pool="dead", now=1.0, lease=2.0)
         blocked = _BlockedCall(lambda: _claim(store, wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         assert store.requeue_expired(now=10.0) == [tid]
         assert blocked.join() == [(tid, "p")]
         assert blocked.elapsed < PROMPT
@@ -112,7 +127,7 @@ class TestPopOutWait:
         blocked = _BlockedCall(lambda: store.pop_out(
             0, 1, worker_pool="w", now=1.0, lease=3.0, wait=WAIT
         ))
-        time.sleep(0.05)
+        _until_waiting(store)
         if woken_by == "create":
             [tid] = store.create_tasks("e", 0, ["p"], time_created=10.0)
         else:
@@ -129,7 +144,7 @@ class TestPopOutWait:
         blocked = _BlockedCall(
             lambda: _claim(store, eq_type=0, wait=NO_WAKE_WAIT)
         )
-        time.sleep(0.05)
+        _until_waiting(store)
         store.create_tasks("e", 1, ["other"], time_created=0.0)
         assert blocked.join() == []
         # The type-1 create must not have ended the type-0 wait early.
@@ -137,14 +152,14 @@ class TestPopOutWait:
 
     def test_wake_waiters_interrupts_with_empty(self, store):
         blocked = _BlockedCall(lambda: _claim(store, wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         store.wake_waiters()
         assert blocked.join() == []
         assert blocked.elapsed < PROMPT
 
     def test_close_interrupts_with_error(self, store):
         blocked = _BlockedCall(lambda: _claim(store, wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         store.close()
         with pytest.raises(RuntimeError):
             blocked.join()
@@ -174,7 +189,7 @@ class TestPopInAnyWait:
     def test_wakes_on_report(self, running):
         store, tid = running
         blocked = _BlockedCall(lambda: store.pop_in_any([tid], wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         store.report_batch([(tid, 0, "r")], now=2.0)
         assert blocked.join() == [(tid, "r")]
         assert blocked.elapsed < PROMPT
@@ -182,7 +197,7 @@ class TestPopInAnyWait:
     def test_wakes_on_report_batch(self, running):
         store, tid = running
         blocked = _BlockedCall(lambda: store.pop_in_any([tid], wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         store.report_batch([(tid, 0, "r")], now=2.0)
         assert blocked.join() == [(tid, "r")]
         assert blocked.elapsed < PROMPT
@@ -193,7 +208,7 @@ class TestPopInAnyWait:
         blocked = _BlockedCall(
             lambda: store.pop_in_any([ids[0]], wait=NO_WAKE_WAIT)
         )
-        time.sleep(0.05)
+        _until_waiting(store)
         store.report_batch([(ids[1], 0, "other")], now=2.0)
         assert blocked.join() == []
         assert blocked.elapsed >= NO_WAKE_FLOOR
@@ -201,7 +216,7 @@ class TestPopInAnyWait:
     def test_wake_waiters_interrupts_with_empty(self, running):
         store, tid = running
         blocked = _BlockedCall(lambda: store.pop_in_any([tid], wait=WAIT))
-        time.sleep(0.05)
+        _until_waiting(store)
         store.wake_waiters()
         assert blocked.join() == []
         assert blocked.elapsed < PROMPT
@@ -218,7 +233,7 @@ class TestCrossProcessDegradedMode:
         writer = SqliteTaskStore(path)
         try:
             blocked = _BlockedCall(lambda: _claim(reader, wait=WAIT))
-            time.sleep(0.05)
+            _until_waiting(reader)
             [tid] = writer.create_tasks("e", 0, ["p"], time_created=0.0)
             assert blocked.join() == [(tid, "p")]
             assert blocked.elapsed < PROMPT
@@ -236,7 +251,7 @@ class TestCrossProcessDegradedMode:
             blocked = _BlockedCall(
                 lambda: reader.pop_in_any([tid], wait=WAIT)
             )
-            time.sleep(0.05)
+            _until_waiting(reader)
             writer.report_batch([(tid, 0, "r")], now=2.0)
             assert blocked.join() == [(tid, "r")]
             assert blocked.elapsed < PROMPT

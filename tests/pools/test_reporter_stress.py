@@ -13,7 +13,10 @@ refill the store claimed is lost to the pool until the lease reaper
 requeues it.  Every task must be reported exactly once, and the
 recorded journal must pass the fuzzer's own lifecycle automaton.  A
 second test audits the fetch role itself: at most one claim in flight,
-and never more owned-plus-asked than the batch size.
+and never more owned-plus-asked than the batch size.  A third runs the
+shared-store deployment, where the pool's threads write into the store
+a service serves, and checks that every such write reaches a remote
+collect parked on that service.
 
 Marked ``stress`` so CI re-runs it under ``--timeout``: a wedged flusher
 must fail, not hang (every wait below is bounded as well).
@@ -24,6 +27,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -206,3 +210,40 @@ def test_one_claim_in_flight_and_never_past_the_batch_size():
     # Both claimants took the role: the fetcher, and flushes that found it free.
     assert store.claims["pop_out"] > 0 and store.claims["report_pop"] > 0
     assert pool.owned() == 0
+
+
+def test_off_loop_reports_wake_every_parked_collect():
+    """The shared-store deployment (``pools.lifecycle``): the pool's
+    threads claim and report straight on the served store object while
+    a remote ME's collects park on the service.  Each report must reach
+    a parked collect through the wait registry's callback; a lost wake
+    would leave the collect parked for its whole long-poll."""
+    backing = SqliteTaskStore()
+    service = TaskService(backing).start()
+    me_store = RemoteTaskStore(*service.address)
+    pool = ThreadedWorkerPool(
+        EQSQL(backing),
+        PythonTaskHandler(lambda payload: payload, json_io=False),
+        PoolConfig(work_type=0, n_workers=N_WORKERS, batch_size=2 * N_WORKERS),
+    )
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        ids = me_store.create_tasks("served", 0, [str(i) for i in range(N_TASKS)])
+        pool.start()
+        remaining, collected = set(ids), {}
+        while remaining:
+            t0 = time.monotonic()
+            got = me_store.pop_in_any(sorted(remaining), wait=30.0)
+            assert time.monotonic() - t0 < 10.0, "a parked collect missed its wake"
+            collected.update(got)
+            remaining -= {tid for tid, _ in got}
+    finally:
+        sys.setswitchinterval(switch_interval)
+        pool.stop(timeout=30)
+        me_store.close()
+        service.stop()
+        backing.close()
+    assert not pool.is_alive()
+    assert collected == {tid: str(i) for i, tid in enumerate(ids)}
+    assert pool.tasks_completed == N_TASKS

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core import EQSQL, EQ_STOP, ResultStatus, as_completed
+from repro.core import EQSQL, EQ_STOP, RemoteTaskStore, ResultStatus, TaskService, as_completed
 from repro.core.constants import EQ_ABORT
 from repro.db import SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
@@ -119,22 +119,19 @@ class TestShutdown:
     def test_idle_stop_does_not_wait_out_the_fetch(self):
         # stop() wakes the fetcher's long-poll; the stop flag must then
         # end the fetch, not re-issue the wait until FETCH_WAIT (0.5 s).
-        parked = threading.Event()
-
-        class ParkSignallingStore(SqliteTaskStore):
-            def _out_cond(self, eq_type):
-                # Called under the store lock just before a long-poll
-                # reads its wake epoch, so no wake can slip in between.
-                parked.set()
-                return super()._out_cond(eq_type)
-
-        eq = EQSQL(ParkSignallingStore())
+        store = SqliteTaskStore()
+        eq = EQSQL(store)
         config = PoolConfig(work_type=0, n_workers=2)
         try:
             for _ in range(20):
-                parked.clear()
                 pool = ThreadedWorkerPool(eq, square_handler(), config).start()
-                assert parked.wait(5)
+                # The fetcher registers its wait, under the store lock,
+                # in the same step that reads the wake epoch, so no wake
+                # can slip in between.
+                deadline = time.monotonic() + 5
+                while store.waits.waiters < 1:
+                    assert time.monotonic() < deadline, "fetch never waited"
+                    time.sleep(0.001)
                 t0 = time.perf_counter()
                 pool.stop(timeout=10)
                 elapsed = time.perf_counter() - t0
@@ -142,6 +139,32 @@ class TestShutdown:
                 assert elapsed < 0.1, f"idle stop took {elapsed:.3f} s"
         finally:
             eq.close()
+
+    def test_remote_idle_stop_does_not_wait_out_the_fetch(self):
+        # Over a live service the fetch is parked server-side; stop()'s
+        # wake_waiters half-closes its connection, the service drops
+        # the request, and the fetch returns empty at once.
+        backing = SqliteTaskStore()
+        service = TaskService(backing).start()
+        client = RemoteTaskStore(*service.address)
+        eq = EQSQL(client)
+        config = PoolConfig(work_type=0, n_workers=2)
+        try:
+            for _ in range(20):
+                pool = ThreadedWorkerPool(eq, square_handler(), config).start()
+                deadline = time.monotonic() + 5
+                while service.g_waiters.value < 1:
+                    assert time.monotonic() < deadline, "fetch never parked"
+                    time.sleep(0.001)
+                t0 = time.perf_counter()
+                pool.stop(timeout=10)
+                elapsed = time.perf_counter() - t0
+                assert not pool.is_alive()
+                assert elapsed < 0.1, f"remote idle stop took {elapsed:.3f} s"
+        finally:
+            client.close()
+            service.stop()
+            backing.close()
 
     def test_double_start_rejected(self, eq):
         config = PoolConfig(work_type=0, n_workers=1)
